@@ -47,7 +47,6 @@ from .fusion import GradedFamily, character_chi, symmetry_sign
 from .kernel import (
     LaurentPoly,
     Transposition,
-    extract_entry,
     format_rational,
     identity_matrix,
     identity_op,
@@ -71,6 +70,7 @@ from .verify import (
     check_re,
     check_rtt,
     check_ybe,
+    first_witness,
 )
 
 DEFAULT_N = 2
@@ -329,7 +329,7 @@ def _resolve_record(record, cfg):
     if "g" in spec.needs:
         t = form_transposition(g_matrix) if g_matrix is not None else orthogonal_transposition(n)
         resolved["t"] = t
-        public["kind"] = "orthogonal" if t.sign == 1 else "symplectic"
+        public["kind"] = t.kind
         public["g"] = _matrix_strings(t.g)
     if "x" in spec.needs:
         x = x_matrix if x_matrix is not None else identity_matrix(n)
@@ -349,26 +349,6 @@ def _resolve_record(record, cfg):
 
 
 # -- runners ---------------------------------------------------------
-
-
-def _first_diff(lhs, rhs):
-    """Witness dict for the lexicographically first disagreeing entry."""
-    if lhs.legs != rhs.legs:
-        raise ValueError("leg layout mismatch")
-    disagreements = [
-        key
-        for key in set(lhs.entries) | set(rhs.entries)
-        if lhs.entries.get(key) != rhs.entries.get(key)
-    ]
-    if not disagreements:
-        return None
-    row, col = min(disagreements)
-    return {
-        "row": list(row),
-        "col": list(col),
-        "lhs": str(extract_entry(lhs, row, col)),
-        "rhs": str(extract_entry(rhs, row, col)),
-    }
 
 
 def _finish(name, public, inner, extra=None):
@@ -411,7 +391,7 @@ def _run_tau_symmetry(p):
     n, t = p["n"], p["t"]
     r = yang_r(n)
     both_legs = tau_on_leg(tau_on_leg(r, 1, t), 2, t)
-    witness = _first_diff(both_legs, site_permute(r, (2, 1)))
+    witness = first_witness(both_legs, site_permute(r, (2, 1)))
     r_prime, r_double_prime = r_primes(n, t)
     params = dict(p["public"])
     params["primes_coincide"] = r_prime == r_double_prime
@@ -442,19 +422,15 @@ def _run_pairing(p):
     zvar = series.legs[0].spectral_var
     wvar = series.legs[1].spectral_var
     p_op = flip_p(n, zvar, wvar)
-    expected = identity_op(series.legs)
-    for k in range(order + 1):
-        expected = expected - op_scale(p_op, LaurentPoly((zvar, wvar), {(-k - 1, k): 1}))
-    witness = _first_diff(series, expected)
+    # (z - w) times the series must be the cleared operator (z - w) Id - P
+    # up to the first dropped term; multiplying by z - w is injective, so
+    # this pins every coefficient of the series
+    scalar = LaurentPoly.var(zvar) - LaurentPoly.var(wvar)
+    cleared_target = op_scale(identity_op(series.legs), scalar) - p_op
+    boundary = op_scale(p_op, LaurentPoly((zvar, wvar), {(-order - 1, order + 1): 1}))
+    witness = first_witness(op_scale(series, scalar) - cleared_target, boundary)
     if witness is not None:
-        witness["side"] = "order_coefficients"
-    else:
-        scalar = LaurentPoly.var(zvar) - LaurentPoly.var(wvar)
-        cleared_target = op_scale(identity_op(series.legs), scalar) - p_op
-        boundary = op_scale(p_op, LaurentPoly((zvar, wvar), {(-order - 1, order + 1): 1}))
-        witness = _first_diff(op_scale(series, scalar) - cleared_target, boundary)
-        if witness is not None:
-            witness["side"] = "cross_multiplied"
+        witness["side"] = "cross_multiplied"
     params = dict(p["public"])
     params["orders_checked"] = order + 1
     return CheckReport("pairing", params, witness is None, witness, 0.0)
@@ -531,7 +507,7 @@ REGISTRY = {
         _CheckSpec("double_yangian", frozenset({"n"}), _run_double_yangian,
                    "all three defining relation families on cleared forms"),
         _CheckSpec("pairing", frozenset({"n", "K"}), _run_pairing,
-                   "series coefficients and cross-multiplied form to order K"),
+                   "cross-multiplied series expansion to order K"),
         _CheckSpec("fused_re", frozenset({"n", "g", "x", "kmax"}), _run_fused_re,
                    "fused reflection equation for character components"),
         _CheckSpec("membership", frozenset({"n", "g", "x", "kmax"}), _run_membership,

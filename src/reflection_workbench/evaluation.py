@@ -18,18 +18,16 @@ import time
 
 from .kernel import (
     LaurentPoly,
-    LegSpace,
-    embed_legs,
-    extract_entry,
     fresh_label,
     identity_op,
+    op_chain,
     op_scale,
     op_substitute,
     tau_on_leg,
     tensor_compose,
 )
-from .rmatrix import flip_p, yang_r, zeta_factor
-from .verify import CheckReport, check_rtt
+from .rmatrix import breve_r_series, yang_r, yang_r_bar, zeta_factor
+from .verify import CheckReport, check_rtt, first_witness
 
 
 class EvalRep:
@@ -148,32 +146,9 @@ def eval_double(n, uvar="u", zvar="z"):
     partner l_minus = (u - z) Id + P."""
     roles = ("auxiliary", "quantum")
     l_plus = yang_r(n, uvar, zvar, roles=roles)
+    l_minus, _ = yang_r_bar(n, uvar, zvar, roles=roles)
     scalar = LaurentPoly.var(uvar) - LaurentPoly.var(zvar)
-    l_minus = op_scale(identity_op(l_plus.legs), scalar) + flip_p(n, uvar, zvar, roles)
     return DoubleEval(l_plus, l_minus, scalar, scalar)
-
-
-def _first_disagreement(lhs, rhs):
-    if lhs.legs != rhs.legs:
-        raise ValueError("leg layout mismatch")
-    bad = [
-        key
-        for key in set(lhs.entries) | set(rhs.entries)
-        if lhs.entries.get(key) != rhs.entries.get(key)
-    ]
-    if not bad:
-        return None
-    row, col = min(bad)
-    return {
-        "row": list(row),
-        "col": list(col),
-        "lhs": str(extract_entry(lhs, row, col)),
-        "rhs": str(extract_entry(rhs, row, col)),
-    }
-
-
-def _triple(a, b, c):
-    return tensor_compose(tensor_compose(a, b), c)
 
 
 def check_double_relations(d):
@@ -193,20 +168,20 @@ def check_double_relations(d):
     vvar = fresh_label("v", set(d.l_plus.variables) | set(d.l_minus.variables))
     aux_u, quantum = d.l_plus.legs
     ambient = (aux_u, aux_u.with_label(vvar), quantum)
-    r_mid = embed_legs(yang_r(d.n, d.uvar, vvar), (1, 2), ambient)
-    lp1 = embed_legs(d.l_plus, (1, 3), ambient)
-    lp2 = embed_legs(op_substitute(d.l_plus, {d.uvar: vvar}), (2, 3), ambient)
-    lm1 = embed_legs(d.l_minus, (1, 3), ambient)
-    lm2 = embed_legs(op_substitute(d.l_minus, {d.uvar: vvar}), (2, 3), ambient)
+    r_mid = (yang_r(d.n, d.uvar, vvar), (1, 2))
+    lp1 = (d.l_plus, (1, 3))
+    lp2 = (op_substitute(d.l_plus, {d.uvar: vvar}), (2, 3))
+    lm1 = (d.l_minus, (1, 3))
+    lm2 = (op_substitute(d.l_minus, {d.uvar: vvar}), (2, 3))
     sides = [
-        ("minus_minus", _triple(lm1, lm2, r_mid), _triple(r_mid, lm2, lm1)),
-        ("plus_plus", _triple(r_mid, lp1, lp2), _triple(lp2, lp1, r_mid)),
-        ("cross", _triple(lp1, r_mid, lm2), _triple(lm2, r_mid, lp1)),
+        ("minus_minus", [lm1, lm2, r_mid], [r_mid, lm2, lm1]),
+        ("plus_plus", [r_mid, lp1, lp2], [lp2, lp1, r_mid]),
+        ("cross", [lp1, r_mid, lm2], [lm2, r_mid, lp1]),
     ]
     verdicts = {}
     witness = None
     for label, lhs, rhs in sides:
-        found = _first_disagreement(lhs, rhs)
+        found = first_witness(op_chain(ambient, lhs), op_chain(ambient, rhs))
         verdicts[label] = found is None
         if found is not None and witness is None:
             witness = dict(found, side=label)
@@ -220,16 +195,7 @@ def check_double_relations(d):
 def pairing_series(n, K, zvar="z", wvar="w"):
     """Id - sum_{k=0..K} w^k z^(-k-1) P: the truncated expansion of
     Id - P/(z - w) in the region |w| < |z|."""
-    if K < 0:
-        raise ValueError(f"truncation order must be >= 0, got {K}")
-    if zvar == wvar:
-        raise ValueError(f"spectral variables must differ, both are {zvar!r}")
-    legs = (LegSpace(n, zvar), LegSpace(n, wvar))
-    p = flip_p(n, zvar, wvar)
-    result = identity_op(legs)
-    for k in range(K + 1):
-        result = result - op_scale(p, LaurentPoly((zvar, wvar), {(-k - 1, k): 1}))
-    return result
+    return breve_r_series(n, zvar, wvar, K)
 
 
 def coaction_image(s, rep, t):
@@ -259,7 +225,7 @@ def coaction_image(s, rep, t):
         )
     m = len(s.legs)
     ambient = s.legs + (rep.t_poly.legs[1],)
-    outer = embed_legs(rep.t_poly, (1, m + 1), ambient)
-    twisted = embed_legs(tau_on_leg(rep.t_poly, 1, t), (1, m + 1), ambient)
-    middle = embed_legs(s, tuple(range(1, m + 1)), ambient)
-    return tensor_compose(tensor_compose(twisted, middle), outer)
+    outer = (1, m + 1)
+    twisted = tau_on_leg(rep.t_poly, 1, t)
+    middle = tuple(range(1, m + 1))
+    return op_chain(ambient, [(twisted, outer), (s, middle), (rep.t_poly, outer)])

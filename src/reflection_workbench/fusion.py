@@ -17,15 +17,14 @@ from .kernel import (
     LaurentPoly,
     LegSpace,
     TensorOp,
-    embed_legs,
     fresh_label,
     identity_op,
     leg_permute,
     matrix_on_leg,
+    op_chain,
     op_substitute,
     orthogonal_transposition,
     tau_on_leg,
-    tensor_compose,
 )
 from .rmatrix import breve_r_series, yang_r
 
@@ -36,12 +35,15 @@ def block_labels(prefix, count):
     return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
 
-def fused_r(k, m, n, primed=False, t=None, u_labels=None, v_labels=None):
-    """The fused operator on k + m auxiliary legs.
+def _block_product(k, m, n, build, primed, t, u_labels=None, v_labels=None, flipped=False):
+    """The ordered product of two-leg factors on a (k, m) block layout.
 
-    km = 0 gives the identity.  Otherwise the ordered product over i = 1..k
-    of the R_{i,j}(u_i, v_j) factors, with j descending m..1 for the plain
-    operator and ascending 1..m for the primed one (tau on the u_i leg).
+    The legs are the u-block (u_labels, default u1..uk) followed by the
+    v-block (v_labels, default v1..vm).  For each leg i of the outer block
+    (the u-block, or the v-block when flipped) and each leg j of the other
+    block, build(label_i, label_j) acts at (i, j); j runs descending for
+    the plain product and ascending for the primed one, whose factors
+    carry tau on their outer leg.  An empty block gives the identity.
     """
     if k < 0 or m < 0:
         raise ValueError("block sizes must be nonnegative")
@@ -51,37 +53,39 @@ def fused_r(k, m, n, primed=False, t=None, u_labels=None, v_labels=None):
         raise ValueError("label count does not match block size")
     if t is None:
         t = orthogonal_transposition(n)
+    u_block = tuple(zip(u_labels, range(1, k + 1)))
+    v_block = tuple(zip(v_labels, range(k + 1, k + m + 1)))
+    outer, inner = (v_block, u_block) if flipped else (u_block, v_block)
+    if not primed:
+        inner = inner[::-1]
+    factors = []
+    for a, i in outer:
+        for b, j in inner:
+            factor = build(a, b)
+            factors.append((tau_on_leg(factor, 1, t) if primed else factor, (i, j)))
     legs = tuple(LegSpace(n, name) for name in u_labels + v_labels)
-    result = identity_op(legs)
-    if k == 0 or m == 0:
-        return result
-    for i in range(1, k + 1):
-        j_range = range(1, m + 1) if primed else range(m, 0, -1)
-        for j in j_range:
-            factor = yang_r(n, u_labels[i - 1], v_labels[j - 1])
-            if primed:
-                factor = tau_on_leg(factor, 1, t)
-            result = tensor_compose(result, embed_legs(factor, (i, k + j), legs))
-    return result
+    return op_chain(legs, factors)
+
+
+def fused_r(k, m, n, primed=False, t=None, u_labels=None, v_labels=None):
+    """The fused operator on k + m auxiliary legs.
+
+    km = 0 gives the identity.  Otherwise the ordered product over i = 1..k
+    of the R_{i,j}(u_i, v_j) factors, with j descending m..1 for the plain
+    operator and ascending 1..m for the primed one (tau on the u_i leg).
+    """
+    return _block_product(
+        k, m, n, lambda a, b: yang_r(n, a, b), primed, t, u_labels, v_labels
+    )
 
 
 def fused_r_prime_flipped(k, m, n, t=None, u_labels=None, v_labels=None):
     """The block-swapped primed fused operator: the subscript-reversal of
     the primed fused_r built on the (m, k) block layout.  Each factor is
     R'(v_i, u_j) with tau acting on the v_i leg, embedded at (k+i, j)."""
-    u_labels = block_labels("u", k) if u_labels is None else tuple(u_labels)
-    v_labels = block_labels("v", m) if v_labels is None else tuple(v_labels)
-    if t is None:
-        t = orthogonal_transposition(n)
-    legs = tuple(LegSpace(n, name) for name in u_labels + v_labels)
-    result = identity_op(legs)
-    if k == 0 or m == 0:
-        return result
-    for i in range(1, m + 1):
-        for j in range(1, k + 1):
-            factor = tau_on_leg(yang_r(n, v_labels[i - 1], u_labels[j - 1]), 1, t)
-            result = tensor_compose(result, embed_legs(factor, (k + i, j), legs))
-    return result
+    return _block_product(
+        k, m, n, lambda a, b: yang_r(n, a, b), True, t, u_labels, v_labels, flipped=True
+    )
 
 
 def omega_factor(k, n=None):
@@ -154,8 +158,6 @@ def fused_s(seed, k):
     if k < 0:
         raise ValueError("k must be nonnegative")
     coeff = seed.coeff_legs
-    if k == 0:
-        return identity_op(coeff)
     n = seed.t.n
     labels = block_labels("u", k)
     for leg in coeff:
@@ -165,14 +167,13 @@ def fused_s(seed, k):
             )
     legs = tuple(LegSpace(n, name) for name in labels) + coeff
     coeff_targets = tuple(range(k + 1, k + 1 + len(coeff)))
-    result = identity_op(legs)
+    factors = []
     for i in range(1, k + 1):
-        s_i = embed_legs(seed.instance(labels[i - 1]), (i,) + coeff_targets, legs)
-        result = tensor_compose(result, s_i)
+        factors.append((seed.instance(labels[i - 1]), (i,) + coeff_targets))
         for j in range(i + 1, k + 1):
             r_prime = tau_on_leg(yang_r(n, labels[i - 1], labels[j - 1]), 1, seed.t)
-            result = tensor_compose(result, embed_legs(r_prime, (i, j), legs))
-    return result
+            factors.append((r_prime, (i, j)))
+    return op_chain(legs, factors)
 
 
 def symmetry_sign(x):
@@ -273,22 +274,9 @@ class GradedFamily:
 def breve_product(k, m, n, factor_order, primed=False, t=None):
     """Product of per-factor truncated breve series on (k, m) blocks, in the
     fused-operator factor order, with NO total-order filter applied."""
-    if t is None:
-        t = orthogonal_transposition(n)
-    u_labels = block_labels("u", k)
-    v_labels = block_labels("v", m)
-    legs = tuple(LegSpace(n, name) for name in u_labels + v_labels)
-    result = identity_op(legs)
-    if k == 0 or m == 0:
-        return result
-    for i in range(1, k + 1):
-        j_range = range(1, m + 1) if primed else range(m, 0, -1)
-        for j in j_range:
-            factor = breve_r_series(n, u_labels[i - 1], v_labels[j - 1], factor_order)
-            if primed:
-                factor = tau_on_leg(factor, 1, t)
-            result = tensor_compose(result, embed_legs(factor, (i, k + j), legs))
-    return result
+    return _block_product(
+        k, m, n, lambda a, b: breve_r_series(n, a, b, factor_order), primed, t
+    )
 
 
 def fused_breve(k, m, n, K, primed=False, t=None):

@@ -367,26 +367,3 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
-
-
-def poly_arith(a, b, op):
-    """Strict arithmetic: operands must share one variable set exactly."""
-    if op == "neg":
-        if b is not None:
-            raise ValueError("neg takes a single operand")
-        return -a
-    if not isinstance(a, LaurentPoly) or not isinstance(b, LaurentPoly):
-        raise ValueError("poly_arith operands must be LaurentPoly")
-    if a.variables != b.variables:
-        raise ValueError(
-            f"variable-set mismatch: {a.variables} vs {b.variables}"
-        )
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_substitute(p, mapping):
-    return p.substitute(mapping)

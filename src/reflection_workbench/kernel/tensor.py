@@ -198,6 +198,21 @@ def tensor_compose(a, b):
     return TensorOp(a.legs, entries)
 
 
+def op_chain(ambient, factors):
+    """The ordered product of (op, targets) factors on the ambient legs.
+
+    Each op is embedded at its targets (as in embed_legs) and the embedded
+    operators are composed left to right in the listed order.  The empty
+    chain is the identity on ambient.
+    """
+    ambient = tuple(ambient)
+    result = None
+    for op, targets in factors:
+        embedded = embed_legs(op, targets, ambient)
+        result = embedded if result is None else tensor_compose(result, embedded)
+    return identity_op(ambient) if result is None else result
+
+
 def tensor_product(a, b):
     """Leg concatenation: legs(a) followed by legs(b), entries multiply."""
     legs = a.legs + b.legs
@@ -433,6 +448,11 @@ class Transposition:
 
     def __setattr__(self, name, value):
         raise AttributeError("Transposition is immutable")
+
+    @property
+    def kind(self):
+        """The form's kind: "orthogonal" when g is symmetric, "symplectic" when skew."""
+        return "orthogonal" if self.sign == 1 else "symplectic"
 
     def apply_matrix(self, a):
         """t(A) = g.A^T.g^-1 for a plain rational matrix A."""

@@ -629,7 +629,7 @@ def verify_twisted_embedding(n, d=2, t=None):
     params = {
         "n": n,
         "level": d,
-        "kind": "orthogonal" if t.sign == 1 else "symplectic",
+        "kind": t.kind,
         "relations": len(relations),
     }
     return CheckReport("twisted_embedding", params, failures == 0, witness, elapsed_ms)

@@ -51,13 +51,13 @@ def zeta_factor(uvar="u", vvar="v"):
     return (LaurentPoly.var(uvar) - LaurentPoly.var(vvar)) ** 2 - 1
 
 
-def yang_r_bar(n, uvar="u", vvar="v"):
+def yang_r_bar(n, uvar="u", vvar="v", roles=("auxiliary", "auxiliary")):
     """The quasi-inverse partner: returns ((u-v) Id + P, (u-v)^2 - 1)."""
     if uvar == vvar:
         raise ValueError(f"spectral variables must differ, both are {uvar!r}")
-    legs = (LegSpace(n, uvar), LegSpace(n, vvar))
+    legs = (LegSpace(n, uvar, roles[0]), LegSpace(n, vvar, roles[1]))
     scalar = LaurentPoly.var(uvar) - LaurentPoly.var(vvar)
-    r_bar = op_scale(identity_op(legs), scalar) + flip_p(n, uvar, vvar)
+    r_bar = op_scale(identity_op(legs), scalar) + flip_p(n, uvar, vvar, roles)
     return r_bar, zeta_factor(uvar, vvar)
 
 
@@ -79,14 +79,13 @@ def breve_r_series(n, uvar="u", vvar="v", K=DEFAULT_TRUNCATION):
     in the region |v| < |u|, truncated at series index K."""
     if K < 0:
         raise ValueError(f"truncation order must be >= 0, got {K}")
+    if uvar == vvar:
+        raise ValueError(f"spectral variables must differ, both are {uvar!r}")
     legs = (LegSpace(n, uvar), LegSpace(n, vvar))
     p = flip_p(n, uvar, vvar)
     result = identity_op(legs)
     for k in range(K + 1):
-        coeff = LaurentPoly(
-            (uvar, vvar), {(-k - 1, k) if uvar < vvar else (k, -k - 1): 1}
-        )
-        result = result - op_scale(p, coeff)
+        result = result - op_scale(p, LaurentPoly((uvar, vvar), {(-k - 1, k): 1}))
     return result
 
 

@@ -20,15 +20,14 @@ from .fusion import (
 from .kernel import (
     LegSpace,
     TensorOp,
-    embed_legs,
     extract_entry,
     fresh_label,
+    identity_op,
+    op_chain,
     op_scale,
     op_substitute,
-    identity_op,
     site_permute,
     tau_on_leg,
-    tensor_compose,
 )
 from .rmatrix import yang_r
 
@@ -51,37 +50,55 @@ class CheckReport:
         }
 
 
-def _compare(name, params, sides, started):
-    """Build the report for a list of (lhs, rhs) operator pairs.
+def first_witness(lhs, rhs):
+    """The lexicographically first (row, col) where lhs and rhs differ, with
+    both entries rendered, or None when every entry agrees.  An entry stored
+    on one side only counts as a difference; the leg layouts must match."""
+    if lhs.legs != rhs.legs:
+        raise ValueError("leg layout mismatch")
+    differing = [
+        key
+        for key in lhs.entries.keys() | rhs.entries.keys()
+        if lhs.entries.get(key) != rhs.entries.get(key)
+    ]
+    if not differing:
+        return None
+    row, col = min(differing)
+    return {
+        "row": list(row),
+        "col": list(col),
+        "lhs": str(extract_entry(lhs, row, col)),
+        "rhs": str(extract_entry(rhs, row, col)),
+    }
 
-    All pairs are fully compared (no shortcut); the witness is the
-    lexicographically first disagreeing (row, col) of the first failing
-    pair in order.
+
+def _truncated(op, keep):
+    return TensorOp(op.legs, {key: poly.filtered(keep) for key, poly in op.entries.items()})
+
+
+def _compare(name, params, ambient, sides, started, keep=None):
+    """Build the report for a list of (label, lhs factors, rhs factors).
+
+    Each side is the op_chain of its factors over the ambient legs; with
+    keep, only the monomials it accepts are compared.  All sides are fully
+    compared (no shortcut); the witness is the first_witness of the first
+    failing side in order.
     """
     witness = None
-    passed = True
     for label, lhs, rhs in sides:
-        if lhs.legs != rhs.legs:
-            raise ValueError(f"{name}: leg layout mismatch in {label}")
-        disagreements = []
-        for key in set(lhs.entries) | set(rhs.entries):
-            left = lhs.entries.get(key)
-            right = rhs.entries.get(key)
-            if left is None or right is None or left != right:
-                disagreements.append(key)
-        if disagreements and passed:
-            passed = False
-            row, col = min(disagreements)
-            witness = {
-                "row": list(row),
-                "col": list(col),
-                "lhs": str(extract_entry(lhs, row, col)),
-                "rhs": str(extract_entry(rhs, row, col)),
-            }
-            if label:
-                witness["side"] = label
+        lhs, rhs = op_chain(ambient, lhs), op_chain(ambient, rhs)
+        if keep is not None:
+            lhs, rhs = _truncated(lhs, keep), _truncated(rhs, keep)
+        found = first_witness(lhs, rhs)
+        if found is not None and witness is None:
+            witness = dict(found, side=label) if label else found
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return CheckReport(name, params, passed, witness, elapsed_ms)
+    return CheckReport(name, params, witness is None, witness, elapsed_ms)
+
+
+def _span(first, last):
+    """The target positions first..last."""
+    return tuple(range(first, last + 1))
 
 
 def check_ybe(r):
@@ -95,13 +112,11 @@ def check_ybe(r):
         raise ValueError("check_ybe needs two distinct spectral labels")
     w = fresh_label("w", set(r.variables))
     legs = (r.legs[0], r.legs[1], r.legs[1].with_label(w))
-    r12 = embed_legs(r, (1, 2), legs)
-    r13 = embed_legs(op_substitute(r, {b: w}), (1, 3), legs)
-    r23 = embed_legs(op_substitute(r, {a: b, b: w}), (2, 3), legs)
-    lhs = tensor_compose(tensor_compose(r12, r13), r23)
-    rhs = tensor_compose(tensor_compose(r23, r13), r12)
+    r12 = (r, (1, 2))
+    r13 = (op_substitute(r, {b: w}), (1, 3))
+    r23 = (op_substitute(r, {a: b, b: w}), (2, 3))
     params = {"n": r.legs[0].dim, "labels": f"{a},{b},{w}"}
-    return _compare("ybe", params, [("", lhs, rhs)], started)
+    return _compare("ybe", params, legs, [("", [r12, r13, r23], [r23, r13, r12])], started)
 
 
 def check_quasi_inverse(r, r_bar, zeta):
@@ -109,22 +124,14 @@ def check_quasi_inverse(r, r_bar, zeta):
     started = time.perf_counter()
     if r.legs != r_bar.legs:
         raise ValueError("check_quasi_inverse: mismatched legs")
-    target = op_scale(identity_op(r.legs), zeta)
+    whole = _span(1, len(r.legs))
+    target = [(op_scale(identity_op(r.legs), zeta), whole)]
     sides = [
-        ("r*r_bar", tensor_compose(r, r_bar), target),
-        ("r_bar*r", tensor_compose(r_bar, r), target),
+        ("r*r_bar", [(r, whole), (r_bar, whole)], target),
+        ("r_bar*r", [(r_bar, whole), (r, whole)], target),
     ]
     params = {"n": r.legs[0].dim, "zeta": str(zeta)}
-    return _compare("quasi_inverse", params, sides, started)
-
-
-def _embedded_pair(first, second, ambient):
-    """Embed two coefficient-block operators at aux slots 1 and 2."""
-    coeff_count = len(ambient) - 2
-    coeff_targets = tuple(range(3, 3 + coeff_count))
-    one = embed_legs(first, (1,) + coeff_targets, ambient)
-    two = embed_legs(second, (2,) + coeff_targets, ambient)
-    return one, two
+    return _compare("quasi_inverse", params, r.legs, sides, started)
 
 
 def check_rtt(r, t_op):
@@ -142,16 +149,17 @@ def check_rtt(r, t_op):
         raise ValueError(f"t_op must not already depend on {b!r}")
     coeff = t_op.legs[1:]
     ambient = (r.legs[0], r.legs[1]) + coeff
-    t1, t2 = _embedded_pair(t_op, op_substitute(t_op, {a: b}), ambient)
-    r12 = embed_legs(r, (1, 2), ambient)
-    lhs = tensor_compose(tensor_compose(r12, t1), t2)
-    rhs = tensor_compose(tensor_compose(t2, t1), r12)
+    coeff_targets = _span(3, len(ambient))
+    t1 = (t_op, (1,) + coeff_targets)
+    t2 = (op_substitute(t_op, {a: b}), (2,) + coeff_targets)
+    r12 = (r, (1, 2))
     params = {"n": r.legs[0].dim, "coeff_legs": len(coeff)}
-    return _compare("rtt", params, [("", lhs, rhs)], started)
+    return _compare("rtt", params, ambient, [("", [r12, t1, t2], [t2, t1, r12])], started)
 
 
 def _re_sides(r, r_prime, r_double_prime, s1, s2):
-    """Shared layout for the (conjugate) reflection equation builders."""
+    """Shared layout for the (conjugate) reflection equation builders:
+    the ambient legs and the one side R S1 R' S2 = S2 R'' S1 R."""
     if not s1.legs or not s2.legs:
         raise ValueError("solutions need at least the auxiliary leg")
     if s1.legs[1:] != s2.legs[1:]:
@@ -165,29 +173,21 @@ def _re_sides(r, r_prime, r_double_prime, s1, s2):
         raise ValueError("solution labels do not match the R-matrix labels")
     coeff = s1.legs[1:]
     ambient = (s1.legs[0], s2.legs[0]) + coeff
-    big_s1, big_s2 = _embedded_pair(s1, s2, ambient)
-    big_r = embed_legs(r, (1, 2), ambient)
-    big_rp = embed_legs(r_prime, (1, 2), ambient)
-    big_rpp = embed_legs(r_double_prime, (1, 2), ambient)
-    lhs = tensor_compose(
-        tensor_compose(tensor_compose(big_r, big_s1), big_rp), big_s2
-    )
-    rhs = tensor_compose(
-        tensor_compose(tensor_compose(big_s2, big_rpp), big_s1), big_r
-    )
-    return lhs, rhs
+    coeff_targets = _span(3, len(ambient))
+    big_s1 = (s1, (1,) + coeff_targets)
+    big_s2 = (s2, (2,) + coeff_targets)
+    big_r = (r, (1, 2))
+    lhs = [big_r, big_s1, (r_prime, (1, 2)), big_s2]
+    rhs = [big_s2, (r_double_prime, (1, 2)), big_s1, big_r]
+    return ambient, [("", lhs, rhs)]
 
 
 def check_re(fam, s1, s2):
     """R S1 R' S2 = S2 R'' S1 R (matrix reflection equation)."""
     started = time.perf_counter()
-    lhs, rhs = _re_sides(fam.r, fam.r_prime, fam.r_double_prime, s1, s2)
-    params = {
-        "n": fam.n,
-        "kind": "orthogonal" if fam.t.sign == 1 else "symplectic",
-        "coeff_legs": len(s1.legs) - 1,
-    }
-    return _compare("re", params, [("", lhs, rhs)], started)
+    ambient, sides = _re_sides(fam.r, fam.r_prime, fam.r_double_prime, s1, s2)
+    params = {"n": fam.n, "kind": fam.t.kind, "coeff_legs": len(s1.legs) - 1}
+    return _compare("re", params, ambient, sides, started)
 
 
 def check_conjugate_re(fam, s1, s2):
@@ -202,12 +202,9 @@ def check_conjugate_re(fam, s1, s2):
     r_bar = fam.r_bar
     r_bar_prime = tau_on_leg(r_bar, 1, fam.t)
     r_bar_double = site_permute(r_bar_prime, (2, 1))
-    lhs, rhs = _re_sides(r_bar, r_bar_double, r_bar_prime, s1, s2)
-    params = {
-        "n": fam.n,
-        "kind": "orthogonal" if fam.t.sign == 1 else "symplectic",
-    }
-    return _compare("conjugate_re", params, [("", lhs, rhs)], started)
+    ambient, sides = _re_sides(r_bar, r_bar_double, r_bar_prime, s1, s2)
+    params = {"n": fam.n, "kind": fam.t.kind}
+    return _compare("conjugate_re", params, ambient, sides, started)
 
 
 def _swap_adjacent(i, total):
@@ -230,15 +227,14 @@ def check_membership(h, fam):
     n = h.legs[0].dim
     if n != fam.n:
         raise ValueError(f"family size {fam.n} does not match legs of dimension {n}")
+    whole = _span(1, len(h.legs))
     sides = []
     for i in range(1, aux_count):
-        r_i = embed_legs(yang_r(n, f"u{i}", f"u{i + 1}"), (i, i + 1), h.legs)
+        r_i = (yang_r(n, f"u{i}", f"u{i + 1}"), (i, i + 1))
         flipped = site_permute(h, _swap_adjacent(i, len(h.legs)))
-        sides.append(
-            (f"i={i}", tensor_compose(r_i, h), tensor_compose(flipped, r_i))
-        )
+        sides.append((f"i={i}", [r_i, (h, whole)], [(flipped, whole), r_i]))
     params = {"n": n, "k": aux_count}
-    return _compare("membership", params, sides, started)
+    return _compare("membership", params, h.legs, sides, started)
 
 
 def check_characteristic(family, fam, k, i, primed_middle=True):
@@ -254,59 +250,52 @@ def check_characteristic(family, fam, k, i, primed_middle=True):
     j = k - i
     whole = family.component(k)
     legs = whole.legs
-    n = fam.n
-    coeff_targets = tuple(range(k + 1, k + 1 + len(family.coeff_legs)))
-    first = embed_legs(family.component(i), tuple(range(1, i + 1)) + coeff_targets, legs)
-    second_raw = family.component(j)
+    coeff_targets = _span(k + 1, len(legs))
+    first = family.component(i)
+    second = family.component(j)
     relabel = {f"u{b}": f"u{i + b}" for b in range(1, j + 1) if i}
-    second = embed_legs(
-        op_substitute(second_raw, relabel) if relabel else second_raw,
-        tuple(range(i + 1, k + 1)) + coeff_targets,
-        legs,
-    )
+    if relabel:
+        second = op_substitute(second, relabel)
+    labels = block_labels("u", k)
     middle = fused_r(
-        i,
-        j,
-        n,
-        primed=primed_middle,
-        t=fam.t,
-        u_labels=block_labels("u", k)[:i],
-        v_labels=block_labels("u", k)[i:],
+        i, j, fam.n, primed=primed_middle, t=fam.t, u_labels=labels[:i], v_labels=labels[i:]
     )
-    middle = embed_legs(middle, tuple(range(1, k + 1)), legs)
-    rhs = tensor_compose(tensor_compose(first, middle), second)
+    rhs = [
+        (first, _span(1, i) + coeff_targets),
+        (middle, _span(1, k)),
+        (second, _span(i + 1, k) + coeff_targets),
+    ]
     params = {
-        "n": n,
+        "n": fam.n,
         "k": k,
         "i": i,
         "primed_middle": primed_middle,
     }
-    return _compare("characteristic", params, [("", whole, rhs)], started)
+    sides = [("", [(whole, _span(1, len(legs)))], rhs)]
+    return _compare("characteristic", params, legs, sides, started)
 
 
 def _fused_blocks(chi, fam, k, m):
-    """Common layout for the fused componentwise checks: ambient legs,
-    chi^(k) at the u-block, chi^(m) relabelled onto the v-block."""
-    n = fam.n
+    """Common layout for the fused componentwise checks: ambient legs and
+    the factors chi^(k) on the u-block and chi^(m), relabelled, on the
+    v-block."""
     coeff = chi.coeff_legs
     u_labels = block_labels("u", k)
     v_labels = block_labels("v", m)
     for leg in coeff:
         if leg.spectral_var in set(u_labels) | set(v_labels):
             raise ValueError("coefficient labels collide with block labels")
-    ambient = tuple(LegSpace(n, name) for name in u_labels + v_labels) + coeff
-    coeff_targets = tuple(range(k + m + 1, k + m + 1 + len(coeff)))
-    chi_k = embed_legs(
-        chi.component(k), tuple(range(1, k + 1)) + coeff_targets, ambient
-    )
-    chi_m_raw = chi.component(m)
+    ambient = tuple(LegSpace(fam.n, name) for name in u_labels + v_labels) + coeff
+    coeff_targets = _span(k + m + 1, len(ambient))
+    chi_m = chi.component(m)
     relabel = {f"u{b}": f"v{b}" for b in range(1, m + 1)}
-    chi_m = embed_legs(
-        op_substitute(chi_m_raw, relabel) if relabel else chi_m_raw,
-        tuple(range(k + 1, k + m + 1)) + coeff_targets,
+    if relabel:
+        chi_m = op_substitute(chi_m, relabel)
+    return (
         ambient,
+        (chi.component(k), _span(1, k) + coeff_targets),
+        (chi_m, _span(k + 1, k + m) + coeff_targets),
     )
-    return ambient, chi_k, chi_m
 
 
 def check_fused_re(chi, fam, k, m):
@@ -316,19 +305,13 @@ def check_fused_re(chi, fam, k, m):
     started = time.perf_counter()
     n = fam.n
     ambient, chi_k, chi_m = _fused_blocks(chi, fam, k, m)
-    block_targets = tuple(range(1, k + m + 1))
-    plain = embed_legs(fused_r(k, m, n), block_targets, ambient)
-    primed = embed_legs(fused_r(k, m, n, primed=True, t=fam.t), block_targets, ambient)
-    flipped = embed_legs(fused_r_prime_flipped(k, m, n, fam.t), block_targets, ambient)
-    lhs = tensor_compose(tensor_compose(tensor_compose(plain, chi_k), primed), chi_m)
-    rhs = tensor_compose(tensor_compose(tensor_compose(chi_m, flipped), chi_k), plain)
-    params = {
-        "n": n,
-        "k": k,
-        "m": m,
-        "kind": "orthogonal" if fam.t.sign == 1 else "symplectic",
-    }
-    return _compare("fused_re", params, [("", lhs, rhs)], started)
+    block = _span(1, k + m)
+    plain = (fused_r(k, m, n), block)
+    primed = (fused_r(k, m, n, primed=True, t=fam.t), block)
+    flipped = (fused_r_prime_flipped(k, m, n, fam.t), block)
+    sides = [("", [plain, chi_k, primed, chi_m], [chi_m, flipped, chi_k, plain])]
+    params = {"n": n, "k": k, "m": m, "kind": fam.t.kind}
+    return _compare("fused_re", params, ambient, sides, started)
 
 
 def check_intertwiner(chi, fam, K, k, m):
@@ -341,32 +324,21 @@ def check_intertwiner(chi, fam, K, k, m):
     n = fam.n
     slack = k * (k - 1) // 2
     ambient, chi_k, chi_m = _fused_blocks(chi, fam, k, m)
-    block_targets = tuple(range(1, k + m + 1))
-    breve = embed_legs(
-        breve_product(k, m, n, K + slack, primed=False, t=fam.t), block_targets, ambient
-    )
-    breve_p = embed_legs(
-        breve_product(k, m, n, K + slack, primed=True, t=fam.t), block_targets, ambient
-    )
-    lhs = tensor_compose(tensor_compose(tensor_compose(breve, chi_k), breve_p), chi_m)
-    rhs = tensor_compose(tensor_compose(tensor_compose(chi_m, breve_p), chi_k), breve)
+    block = _span(1, k + m)
+    breve = (breve_product(k, m, n, K + slack, primed=False, t=fam.t), block)
+    breve_p = (breve_product(k, m, n, K + slack, primed=True, t=fam.t), block)
+    sides = [("", [breve, chi_k, breve_p, chi_m], [chi_m, breve_p, chi_k, breve])]
     u_labels = set(block_labels("u", k))
 
     def low_order(exps):
         inverse_degree = -sum(e for name, e in exps.items() if name in u_labels)
         return inverse_degree <= K
 
-    lhs_cut = TensorOp(
-        lhs.legs, {key: poly.filtered(low_order) for key, poly in lhs.entries.items()}
-    )
-    rhs_cut = TensorOp(
-        rhs.legs, {key: poly.filtered(low_order) for key, poly in rhs.entries.items()}
-    )
     params = {
         "n": n,
         "k": k,
         "m": m,
         "order_checked": K,
-        "kind": "orthogonal" if fam.t.sign == 1 else "symplectic",
+        "kind": fam.t.kind,
     }
-    return _compare("intertwiner", params, [("", lhs_cut, rhs_cut)], started)
+    return _compare("intertwiner", params, ambient, sides, started, keep=low_order)

@@ -181,6 +181,20 @@ def test_fused_r_prime_flipped_single_is_r_prime():
     assert fused_r_prime_flipped(1, 1, 2, t) == tau_on_leg(yang_r(2, "u1", "v1"), 1, t)
 
 
+def test_fused_r_prime_flipped_validates_blocks():
+    with pytest.raises(ValueError, match="nonnegative"):
+        fused_r_prime_flipped(-1, 1, 2)
+    with pytest.raises(ValueError, match="label count"):
+        fused_r_prime_flipped(1, 2, 2, u_labels=("a",), v_labels=("b",))
+
+
+def test_breve_product_validates_blocks():
+    with pytest.raises(ValueError, match="nonnegative"):
+        breve_product(-1, 1, 2, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        breve_product(1, -1, 2, 3)
+
+
 def test_fused_s_layout():
     t = orthogonal_transposition(2)
     seed = character_seed(SKEW, t)

@@ -5,13 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from reflection_workbench.kernel import (
-    LaurentPoly,
-    format_rational,
-    parse_rational,
-    poly_arith,
-    poly_substitute,
-)
+from reflection_workbench.kernel import LaurentPoly, format_rational, parse_rational
 
 U = LaurentPoly.var("u")
 V = LaurentPoly.var("v")
@@ -69,21 +63,6 @@ def test_variable_order_is_canonical():
 def test_duplicate_variables_rejected():
     with pytest.raises(ValueError):
         LaurentPoly(("u", "u"), {(1, 1): 1})
-
-
-def test_poly_arith_is_strict_about_variable_sets():
-    with pytest.raises(ValueError):
-        poly_arith(U, V, "add")
-    aligned_u = U.aligned(("u", "v"))
-    aligned_v = V.aligned(("u", "v"))
-    assert poly_arith(aligned_u, aligned_v, "add") == U + V
-    assert poly_arith(aligned_u, aligned_v, "mul") == U * V
-    assert poly_arith(aligned_u, None, "neg") == -U
-
-
-def test_poly_arith_rejects_unknown_op():
-    with pytest.raises(ValueError):
-        poly_arith(U, U, "div")
 
 
 def test_substitute_negates_variable():

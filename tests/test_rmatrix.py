@@ -137,17 +137,26 @@ def test_breve_series_coefficient_of_v2():
     assert (-3, 2) not in diag.terms
 
 
-@pytest.mark.parametrize("K", [0, 1, 3])
-def test_breve_series_cross_multiplied_oracle(K):
+@pytest.mark.parametrize(
+    "K,labels",
+    [pytest.param(K, ("u", "v"), id=str(K)) for K in (0, 1, 3)]
+    + [
+        pytest.param(K, labels, id=f"{K}-{labels[0]}{labels[1]}")
+        for labels in (("z", "w"), ("v", "u"))
+        for K in (0, 1, 3)
+    ],
+)
+def test_breve_series_cross_multiplied_oracle(K, labels):
     n = 2
-    breve = breve_r_series(n, K=K)
-    scalar = U - V
+    uvar, vvar = labels
+    breve = breve_r_series(n, uvar, vvar, K)
+    scalar = LaurentPoly.var(uvar) - LaurentPoly.var(vvar)
     product = tensor_compose(op_scale(identity_op(breve.legs), scalar), breve)
-    target = yang_r(n)
+    target = yang_r(n, uvar, vvar)
     difference = product - target
 
     def low_order(exps):
-        return exps["v"] <= K
+        return exps[vvar] <= K
 
     from reflection_workbench.kernel import TensorOp
 

@@ -13,12 +13,16 @@ from reflection_workbench.fusion import (
 from reflection_workbench.kernel import (
     LaurentPoly,
     LegSpace,
+    TensorOp,
+    embed_legs,
     identity_op,
     matrix_on_leg,
+    op_chain,
     op_scale,
     op_substitute,
     orthogonal_transposition,
     symplectic_transposition,
+    tensor_compose,
 )
 from reflection_workbench.rmatrix import RFamily, flip_p, yang_r, yang_r_bar
 from reflection_workbench.verify import (
@@ -31,6 +35,7 @@ from reflection_workbench.verify import (
     check_re,
     check_rtt,
     check_ybe,
+    first_witness,
 )
 
 SKEW = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
@@ -297,3 +302,44 @@ def test_report_json_shape():
     assert set(data) == {"name", "params", "passed", "witness", "elapsed_ms"}
     assert data["witness"] is None
     assert data["passed"] is True
+
+
+def test_first_witness_counts_an_entry_stored_on_one_side():
+    legs = (LegSpace(2, "u"),)
+    whole = identity_op(legs)
+    missing = TensorOp(legs, {((1,), (1,)): LaurentPoly.const(1)})
+    assert first_witness(whole, whole) is None
+    assert first_witness(whole, missing) == {
+        "row": [2], "col": [2], "lhs": "1", "rhs": "0"
+    }
+    assert first_witness(missing, whole)["lhs"] == "0"
+
+
+def test_first_witness_is_the_least_differing_row_then_col():
+    legs = (LegSpace(2, "u"), LegSpace(2, "v"))
+    one = LaurentPoly.const(1)
+    # differs at ((2,1),(1,1)), ((1,2),(2,1)) and ((1,2),(1,1)); agrees at ((1,2),(2,2))
+    lhs = TensorOp(legs, {((2, 1), (1, 1)): one, ((1, 2), (2, 1)): one, ((1, 2), (2, 2)): one})
+    rhs = TensorOp(legs, {((1, 2), (1, 1)): one, ((1, 2), (2, 2)): one})
+    found = first_witness(lhs, rhs)
+    assert (found["row"], found["col"]) == ([1, 2], [1, 1])
+    assert (found["lhs"], found["rhs"]) == ("0", "1")
+
+
+def test_first_witness_rejects_a_leg_mismatch():
+    with pytest.raises(ValueError, match="leg layout"):
+        first_witness(identity_op((LegSpace(2, "u"),)), identity_op((LegSpace(2, "v"),)))
+
+
+def test_op_chain_of_no_factors_is_the_identity():
+    legs = (LegSpace(2, "u"), LegSpace(3, "v"))
+    assert op_chain(legs, []) == identity_op(legs)
+
+
+def test_op_chain_composes_in_the_listed_order():
+    ambient = (LegSpace(2, "u"), LegSpace(2, "v"), LegSpace(2, "w"))
+    r = (yang_r(2, "u", "v"), (1, 2))
+    p = (flip_p(2, "v", "w"), (2, 3))
+    rp = op_chain(ambient, [r, p])
+    assert rp == tensor_compose(embed_legs(*r, ambient), embed_legs(*p, ambient))
+    assert rp != op_chain(ambient, [p, r])
