@@ -19,10 +19,9 @@ file, parameter out of bounds).
 
 Paths inside a config file are resolved relative to the config file's
 directory; paths given on the command line are resolved relative to the
-working directory.  The environment variable WORKBENCH_THREADS, when
-set, overrides the configured parallelism degree.  Checks may run
-concurrently; the report is assembled by sorting, so serial and
-parallel runs emit identical canonical bodies.
+working directory.  Checks run one after another in the calling
+process; the report is assembled by sorting, so the canonical body does
+not depend on the order of the checks in the configuration.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -75,7 +73,9 @@ from .verify import (
 
 DEFAULT_N = 2
 PARAM_DEFAULTS = {"K": 8, "kmax": 3, "level": 2}
-_INT_MINIMA = {"n": 2, "K": 0, "kmax": 0, "level": 1}
+_INT_MINIMA = {"n": 2, "K": 0, "kmax": 0, "level": 1, "parallelism": 1}
+# below these a check has no instance to run and would pass vacuously
+_KMAX_MINIMA = {"fused_re": 1, "intertwiner": 1, "membership": 2}
 
 
 class UsageError(ValueError):
@@ -130,26 +130,26 @@ def _matrix_strings(matrix):
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """A batch of named checks plus shared inputs and execution knobs.
+    """A batch of named checks plus shared inputs.
 
     The JSON file form mirrors the fields one-to-one:
 
         {"checks": [{"name": "ybe", "n": 3}, ...],
          "inputs": {"x": "x.json", "g": "g.json"},
          "defaults": {"K": 8, "kmax": 3, "level": 2},
-         "out": "report.json",
-         "parallelism": 2}
+         "out": "report.json"}
 
-    Only "checks" is required.  base_dir records where a loaded file
-    lived so its relative paths stay meaningful; it is derived context,
-    not part of the configuration value.
+    Only "checks" is required.  Older files may also carry an integer
+    "parallelism" >= 1; it is validated and has no effect.  base_dir
+    records where a loaded file lived so its relative paths stay
+    meaningful; it is derived context, not part of the configuration
+    value.
     """
 
     checks: tuple
     inputs: dict
     defaults: dict
     out: str | None
-    parallelism: int
     base_dir: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -170,10 +170,6 @@ class SuiteConfig:
             )
         for key, value in self.defaults.items():
             _validate_int(key, value)
-        if not isinstance(self.parallelism, int) or isinstance(self.parallelism, bool):
-            raise UsageError(f"parallelism must be an integer, got {self.parallelism!r}")
-        if self.parallelism < 1:
-            raise UsageError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.out is not None and not isinstance(self.out, str):
             raise UsageError(f"out must be a path string, got {self.out!r}")
 
@@ -197,12 +193,13 @@ class SuiteConfig:
         inputs = data.get("inputs", {})
         if not isinstance(inputs, dict):
             raise UsageError('"inputs" must be an object')
+        if "parallelism" in data:
+            _validate_int("parallelism", data["parallelism"])
         return SuiteConfig(
             checks=tuple(data["checks"]),
             inputs=inputs,
             defaults=defaults,
             out=data.get("out"),
-            parallelism=data.get("parallelism", 1),
             base_dir=base_dir,
         )
 
@@ -224,7 +221,6 @@ class SuiteConfig:
             "inputs": dict(self.inputs),
             "defaults": dict(self.defaults),
             "out": self.out,
-            "parallelism": self.parallelism,
         }
 
     def to_file(self, path):
@@ -344,6 +340,11 @@ def _resolve_record(record, cfg):
             value = record.get(key, cfg.defaults[key])
             resolved[key] = value
             public[key] = value
+    least = _KMAX_MINIMA.get(spec.name, 0)
+    if "kmax" in resolved and resolved["kmax"] < least:
+        raise UsageError(
+            f'check "{spec.name}": kmax must be >= {least}, got {resolved["kmax"]}'
+        )
     resolved["public"] = public
     return _Job(spec, resolved)
 
@@ -534,19 +535,6 @@ def _execute(job):
     return CheckReport(job.spec.name, report.params, report.passed, report.witness, elapsed)
 
 
-def _parallelism_degree(configured):
-    raw = os.environ.get("WORKBENCH_THREADS")
-    if raw is None:
-        return configured
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"WORKBENCH_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError(f"WORKBENCH_THREADS must be >= 1, got {value}")
-    return value
-
-
 def _report_sort_key(report):
     return (report.name, json.dumps(report.params, sort_keys=True))
 
@@ -556,16 +544,10 @@ def run_suite(cfg):
 
     All input files are loaded before any check runs, so input errors
     surface as UsageError without partial execution.  The sorted result
-    does not depend on the dispatch order.
+    does not depend on the order of the records.
     """
     jobs = [_resolve_record(record, cfg) for record in cfg.checks]
-    degree = _parallelism_degree(cfg.parallelism)
-    if degree > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=degree) as pool:
-            reports = list(pool.map(_execute, jobs))
-    else:
-        reports = [_execute(job) for job in jobs]
-    return sorted(reports, key=_report_sort_key)
+    return sorted((_execute(job) for job in jobs), key=_report_sort_key)
 
 
 def report_document(reports):
@@ -657,7 +639,6 @@ def _config_from_check_args(args):
         inputs={},
         defaults=dict(PARAM_DEFAULTS),
         out=args.out,
-        parallelism=1,
     )
 
 

@@ -221,8 +221,7 @@ def character_chi(x, t, k):
 
 class GradedFamily:
     """Truncated graded family {k -> TensorOp on k auxiliary legs plus a
-    fixed coefficient block}.  Components are built lazily per k; the cache
-    insert is idempotent, so concurrent fills are safe."""
+    fixed coefficient block}.  Components are built lazily per k."""
 
     __slots__ = ("_builder", "k_max", "coeff_legs", "t", "_cache")
 

@@ -5,9 +5,6 @@ multi-index) pairs to LaurentPoly values.  Multi-indices are 1-based tuples,
 one component per leg, read in row-major order over the leg sequence.  Legs
 optionally carry a spectral-variable label; every entry is kept aligned to a
 single shared variable context (entry variables plus all leg labels).
-
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe to use from concurrent threads.
 """
 
 from __future__ import annotations
@@ -459,8 +456,7 @@ class Transposition:
         return mat_mul(mat_mul(self.g, mat_transpose(a)), self.g_inv)
 
     def __repr__(self):
-        kind = "orthogonal" if self.sign == 1 else "symplectic-type"
-        return f"Transposition(n={self.n}, {kind})"
+        return f"Transposition(n={self.n}, {self.kind})"
 
 
 def orthogonal_transposition(n):

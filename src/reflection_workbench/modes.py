@@ -401,6 +401,12 @@ def expand_relation(relation, n, d, t=None):
         buckets = _twisted_buckets(n, d + 2, t)
     else:
         raise ValueError(f"unknown relation {relation!r}")
+    return _relations(buckets, d)
+
+
+def _relations(buckets, d):
+    """The distinct bucket polynomials free of generators above level d,
+    sorted by their text form."""
     seen = {}
     for key in sorted(buckets):
         p = buckets[key]
@@ -472,11 +478,13 @@ def derive_rules(relations, n, d):
     Rules exist for every out-of-order pair with level sum <= d+1, which
     a level-d relation set fully determines.
     """
+    if d < 1:
+        raise ValueError(f"level cap must be >= 1, got {d}")
+    buckets = _rtt_buckets(n, d + 1)
     provided = [str(p) for p in relations]
-    expected = [str(p) for p in expand_relation("rtt", n, d)]
+    expected = [str(p) for p in _relations(buckets, d)]
     if provided != expected:
         raise ValueError(f"relations are not the level-{d} expansion for n={n}")
-    buckets = _rtt_buckets(n, d + 1)
     gens = [
         ModeGen("T", i, j, level)
         for level in range(1, d + 1)

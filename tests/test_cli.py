@@ -30,16 +30,11 @@ from reflection_workbench.cli import (
 SKEW_JSON = {"n": 2, "entries": [["0", "1"], ["-1", "0"]]}
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    env.pop("WORKBENCH_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "reflection_workbench.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -191,7 +186,6 @@ def test_config_round_trips_through_file(tmp_path):
 def test_config_fills_defaults(tmp_path):
     cfg = SuiteConfig.from_file(make_config(tmp_path, [{"name": "ybe"}]))
     assert cfg.defaults == PARAM_DEFAULTS
-    assert cfg.parallelism == 1
     assert cfg.out is None
 
 
@@ -298,30 +292,20 @@ def test_out_file_written_and_stdout_quiet(tmp_path):
     assert doc["timing"]["per_check"][0]["name"] == "ybe"
 
 
-def test_invalid_thread_env_exits_two(tmp_path):
-    path = make_config(tmp_path, [{"name": "ybe", "n": 2}])
-    proc = run_cli("suite", "--config", path, env_extra={"WORKBENCH_THREADS": "zebra"})
+def test_legacy_parallelism_key_loads_and_runs(tmp_path):
+    path = make_config(tmp_path, [{"name": "ybe", "n": 2}], parallelism=2)
+    assert "parallelism" not in SuiteConfig.from_file(path).to_json_dict()
+    proc = run_cli("suite", "--config", path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["body"]["passed"] is True
+
+
+@pytest.mark.parametrize("value", ["x", 0, True])
+def test_malformed_parallelism_exits_two(tmp_path, value):
+    path = make_config(tmp_path, [{"name": "ybe", "n": 2}], parallelism=value)
+    proc = run_cli("suite", "--config", path)
     assert proc.returncode == 2
-    assert "WORKBENCH_THREADS" in proc.stderr
-
-
-def test_serial_and_parallel_bodies_identical(tmp_path):
-    checks = [
-        {"name": "ybe", "n": 2},
-        {"name": "ybe", "n": 3},
-        {"name": "quasi_inverse", "n": 2},
-        {"name": "pairing", "n": 2, "K": 6},
-        {"name": "double_yangian", "n": 2},
-        {"name": "tau_symmetry", "n": 2},
-    ]
-    path = make_config(tmp_path, checks)
-    bodies = []
-    for threads in ("1", "4"):
-        proc = run_cli("suite", "--config", path, env_extra={"WORKBENCH_THREADS": threads})
-        assert proc.returncode == 0, proc.stderr
-        doc = json.loads(proc.stdout)
-        bodies.append(json.dumps(doc["body"], sort_keys=True))
-    assert bodies[0] == bodies[1]
+    assert '"parallelism"' in proc.stderr
 
 
 # -- report document ---------------------------------------------------------
@@ -333,7 +317,6 @@ def test_report_document_separates_timing(tmp_path):
         inputs={},
         defaults=dict(PARAM_DEFAULTS),
         out=None,
-        parallelism=1,
     )
     reports = run_suite(cfg)
     document = report_document(reports)
@@ -348,7 +331,6 @@ def test_canonical_body_is_stable_under_rerun(tmp_path):
         inputs={},
         defaults=dict(PARAM_DEFAULTS),
         out=None,
-        parallelism=1,
     )
     first = canonical_body_text(report_document(run_suite(cfg)))
     second = canonical_body_text(report_document(run_suite(cfg)))
@@ -361,7 +343,6 @@ def test_emit_report_to_unwritable_path(tmp_path):
         inputs={},
         defaults=dict(PARAM_DEFAULTS),
         out=None,
-        parallelism=1,
     )
     reports = run_suite(cfg)
     with pytest.raises(UsageError, match="cannot write"):
@@ -374,24 +355,20 @@ def test_pairing_check_verifies_all_orders():
         inputs={},
         defaults=dict(PARAM_DEFAULTS),
         out=None,
-        parallelism=1,
     )
     reports = run_suite(cfg)
     assert reports[0].passed
     assert reports[0].params["orders_checked"] == 11
 
 
-def test_membership_below_two_components_is_vacuous():
-    cfg = SuiteConfig(
-        checks=({"name": "membership", "n": 2, "kmax": 1},),
-        inputs={},
-        defaults=dict(PARAM_DEFAULTS),
-        out=None,
-        parallelism=1,
-    )
-    reports = run_suite(cfg)
-    assert reports[0].passed
-    assert reports[0].params["instances"] == []
+@pytest.mark.parametrize(
+    "name, kmax, least", [("fused_re", 0, 1), ("intertwiner", 0, 1), ("membership", 1, 2)]
+)
+def test_kmax_without_instances_exits_two(name, kmax, least):
+    proc = run_cli("check", name, "--kmax", str(kmax))
+    assert proc.returncode == 2
+    assert f"kmax must be >= {least}, got {kmax}" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_aggregate_witness_names_the_failing_instance():

@@ -28,6 +28,7 @@ from reflection_workbench.modes import (
     verify_twisted_embedding,
     word_key,
     word_level,
+    _relations,
     _rtt_buckets,
 )
 from reflection_workbench.rmatrix import yang_r
@@ -196,13 +197,9 @@ def test_twisted_level_one_fixture():
 
 def test_identity_structure_leaves_only_commutators():
     buckets = _rtt_buckets(2, 2, structure=identity_op(yang_r(2).legs))
-    kept = {}
-    for key in sorted(buckets):
-        p = buckets[key]
-        if p.max_gen_level() <= 1:
-            kept.setdefault(str(p), p)
+    kept = _relations(buckets, 1)
     assert len(kept) == 12
-    for p in kept.values():
+    for p in kept:
         words = sorted(p.terms, key=word_key)
         assert len(words) == 2
         assert words[0] == tuple(reversed(words[1]))
@@ -243,6 +240,23 @@ def test_derive_rules_rejects_foreign_relations():
         derive_rules(relations[1:], 2, 1)
     with pytest.raises(ValueError, match="level-2 expansion"):
         derive_rules(relations, 2, 2)
+    with pytest.raises(ValueError, match="level cap"):
+        derive_rules([], 2, 0)
+
+
+def test_derive_rules_expands_the_relation_once(monkeypatch):
+    from reflection_workbench import modes
+
+    relations = expand_relation("rtt", 2, 2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _rtt_buckets(*args, **kwargs)
+
+    monkeypatch.setattr(modes, "_rtt_buckets", counting)
+    derive_rules(relations, 2, 2)
+    assert calls == [(2, 3)]
 
 
 def test_rewrite_system_validates_orientation():

@@ -221,6 +221,10 @@ def test_transposition_validation():
         symplectic_transposition(3)
 
 
+def test_transposition_repr_names_the_kind():
+    assert repr(symplectic_transposition(2)) == "Transposition(n=2, symplectic)"
+
+
 def test_matrix_inverse_exact():
     m = ((Fraction(2), Fraction(1)), (Fraction(7), Fraction(4)))
     assert mat_mul(m, mat_inverse(m)) == identity_matrix(2)
