@@ -215,19 +215,6 @@ class SuiteConfig:
         base_dir = os.path.dirname(os.path.abspath(path))
         return SuiteConfig.from_json_dict(data, base_dir=base_dir)
 
-    def to_json_dict(self):
-        return {
-            "checks": [dict(record) for record in self.checks],
-            "inputs": dict(self.inputs),
-            "defaults": dict(self.defaults),
-            "out": self.out,
-        }
-
-    def to_file(self, path):
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
 
 def _validate_int(key, value):
     if not isinstance(value, int) or isinstance(value, bool):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 
 from .kernel import (
+    Frozen,
     LaurentPoly,
     fresh_label,
     identity_op,
@@ -30,7 +31,7 @@ from .rmatrix import breve_r_series, yang_r, yang_r_bar, zeta_factor
 from .verify import CheckReport, check_rtt, first_witness
 
 
-class EvalRep:
+class EvalRep(Frozen):
     """A one-auxiliary-leg solution of the RTT relation at an evaluation
     point.
 
@@ -64,9 +65,6 @@ class EvalRep:
         object.__setattr__(self, "t_poly", t_poly)
         object.__setattr__(self, "denom", denom)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EvalRep is immutable")
-
     @property
     def uvar(self):
         return self.t_poly.legs[0].spectral_var
@@ -93,7 +91,7 @@ def build_twisted_s(rep, t):
     return tensor_compose(tau_on_leg(rep.t_poly, 1, t), rep.t_poly)
 
 
-class DoubleEval:
+class DoubleEval(Frozen):
     """The quasi-inverse pair of evaluation images on legs
     (auxiliary uvar, quantum zvar).
 
@@ -133,9 +131,6 @@ class DoubleEval:
                 or tensor_compose(l_minus, l_plus) != target
             ):
                 raise ValueError("l_plus and l_minus are not a quasi-inverse pair")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DoubleEval is immutable")
 
     def __repr__(self):
         return f"DoubleEval(n={self.n}, uvar={self.uvar!r}, zvar={self.zvar!r})"

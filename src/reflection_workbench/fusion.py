@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .kernel import (
+    Frozen,
     LaurentPoly,
     LegSpace,
     TensorOp,
@@ -103,7 +104,7 @@ def omega_factor(k, n=None):
     return result
 
 
-class SeedSolution:
+class SeedSolution(Frozen):
     """A one-auxiliary-leg solution of the reflection equation.
 
     The seed is verified on construction: it must pass check_re against the
@@ -138,9 +139,6 @@ class SeedSolution:
                 raise ValueError(
                     f"seed fails the reflection equation at entry {report.witness}"
                 )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeedSolution is immutable")
 
     def instance(self, label):
         """The seed relabelled to the given auxiliary spectral variable."""
@@ -219,7 +217,7 @@ def character_chi(x, t, k):
     return fused_s(character_seed(x, t), k)
 
 
-class GradedFamily:
+class GradedFamily(Frozen):
     """Truncated graded family {k -> TensorOp on k auxiliary legs plus a
     fixed coefficient block}.  Components are built lazily per k."""
 
@@ -231,9 +229,6 @@ class GradedFamily:
         object.__setattr__(self, "coeff_legs", tuple(coeff_legs))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedFamily is immutable (cache aside)")
 
     @staticmethod
     def from_seed(seed, k_max=DEFAULT_KMAX):
@@ -293,19 +288,6 @@ def fused_breve(k, m, n, K, primed=False, t=None):
         product.legs,
         {key: poly.filtered(low_order) for key, poly in product.entries.items()},
     )
-
-
-def component_to_json(op, k):
-    """Canonical JSON form of a fused component (sorted entries)."""
-    legs = [
-        {"dim": leg.dim, "spectral_var": leg.spectral_var, "role": leg.role}
-        for leg in op.legs
-    ]
-    entries = [
-        {"row": list(row), "col": list(col), "poly": str(op.entries[(row, col)])}
-        for row, col in sorted(op.entries)
-    ]
-    return {"k": k, "legs": legs, "entries": entries}
 
 
 def block_swap(op, k, m):

@@ -61,7 +61,21 @@ def _coerce_scalar(value):
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
 
 
-class LaurentPoly:
+class Frozen:
+    """Base of the immutable value classes: attributes are set once at
+    construction through object.__setattr__ and can be neither rebound
+    nor deleted afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class LaurentPoly(Frozen):
     """Sparse multivariate Laurent polynomial with exact rational coefficients."""
 
     __slots__ = ("variables", "terms")
@@ -99,9 +113,6 @@ class LaurentPoly:
                     del clean[key]
         object.__setattr__(self, "variables", sorted_vars)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, parse_rational
+from .laurent import Frozen, LaurentPoly, parse_rational
 
 ROLES = ("auxiliary", "quantum")
 
@@ -35,7 +35,7 @@ class LegSpace:
         return LegSpace(self.dim, spectral_var, self.role)
 
 
-class TensorOp:
+class TensorOp(Frozen):
     """Sparse linear operator on an ordered sequence of legs."""
 
     __slots__ = ("legs", "entries", "variables")
@@ -73,9 +73,6 @@ class TensorOp:
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "variables", context)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorOp is immutable")
 
     @property
     def dims(self):
@@ -116,9 +113,6 @@ class TensorOp:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return tensor_compose(self, other)
 
 
 def _check_index(index, dims):
@@ -424,7 +418,7 @@ def mat_inverse(a):
     return tuple(tuple(row[n:]) for row in work)
 
 
-class Transposition:
+class Transposition(Frozen):
     """The involutive anti-automorphism A -> g.A^T.g^-1 for g with g^T = sign.g."""
 
     __slots__ = ("g", "g_inv", "sign", "n")
@@ -442,9 +436,6 @@ class Transposition:
         object.__setattr__(self, "g_inv", mat_inverse(g))
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Transposition is immutable")
 
     @property
     def kind(self):

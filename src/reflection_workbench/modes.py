@@ -15,8 +15,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .kernel import LaurentPoly, format_rational, orthogonal_transposition
+from .kernel import Frozen, LaurentPoly, format_rational, orthogonal_transposition
 from .rmatrix import r_primes, yang_r
 from .verify import CheckReport
 
@@ -60,7 +61,7 @@ def word_key(word):
     return (word_level(word), len(word), tuple(gen_key(gen) for gen in word))
 
 
-class NCPoly:
+class NCPoly(Frozen):
     """Free-algebra element: finite words of generators with exact
     rational coefficients, stored verbatim (no implicit commutation)."""
 
@@ -87,9 +88,6 @@ class NCPoly:
                 else:
                     del clean[word]
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCPoly is immutable")
 
     @staticmethod
     def zero():
@@ -182,7 +180,7 @@ def relations_to_text(relations):
     return "\n".join(str(p) for p in relations)
 
 
-class NCSeries:
+class NCSeries(Frozen):
     """Expansion workhorse: words of generators with Laurent-polynomial
     coefficients in the spectral variables."""
 
@@ -204,9 +202,6 @@ class NCSeries:
                 else:
                     clean[word] = total
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCSeries is immutable")
 
     @staticmethod
     def scalar(poly):
@@ -243,15 +238,12 @@ class NCSeries:
         return NCSeries(acc)
 
 
-def series_matrix(family, n, d, var="u", unit_constant=None):
+def series_matrix(family, n, d, var="u"):
     """The n x n matrix of truncated generator series.
 
     Family T entries are delta + sum_{k=1..d} var^(-k) gen(T,i,j,k); the
-    level-0 coefficient of T is always the numeric unit.  Family S
-    defaults to the free normalization sum_{k=0..d} var^(-k) gen(S,i,j,k)
-    (level 0 included as a generator); unit_constant=True selects the
-    alternate normalization with the numeric delta in place of the
-    level-0 generators.
+    level-0 coefficient of T is the numeric unit.  Family S entries are
+    sum_{k=0..d} var^(-k) gen(S,i,j,k), with level 0 a free generator.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -259,19 +251,15 @@ def series_matrix(family, n, d, var="u", unit_constant=None):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if d < 0:
         raise ValueError(f"series length must be >= 0, got {d}")
-    if unit_constant is None:
-        unit_constant = family == "T"
-    if family == "T" and not unit_constant:
-        raise ValueError("family T always carries the numeric unit constant")
+    unit = family == "T"
     rows = []
     for i in range(1, n + 1):
         row = []
         for j in range(1, n + 1):
             terms = {}
-            if unit_constant and i == j:
+            if unit and i == j:
                 terms[()] = LaurentPoly.const(1)
-            start = 1 if unit_constant else 0
-            for k in range(start, d + 1):
+            for k in range(1 if unit else 0, d + 1):
                 terms[(ModeGen(family, i, j, k),)] = LaurentPoly.var(var, -k)
             row.append(NCSeries(terms))
         rows.append(tuple(row))
@@ -329,9 +317,11 @@ def _on_second_leg(mat, n):
 
 
 def _collect_buckets(lhs, rhs, n):
-    """Coefficient extraction: for every matrix entry ((i,a),(j,b)) and
-    every u^(-alpha) v^(-beta) monomial, the NCPoly difference, keyed by
-    (alpha, beta, i, a, j, b)."""
+    """Coefficient extraction for two sides given as ordered lists of
+    n^2 x n^2 series matrices, each multiplied left to right: for every
+    matrix entry ((i,a),(j,b)) and every u^(-alpha) v^(-beta) monomial,
+    the NCPoly difference, keyed by (alpha, beta, i, a, j, b)."""
+    lhs, rhs = (reduce(_mat_mul_series, side) for side in (lhs, rhs))
     size = n * n
     raw = {}
     for r in range(size):
@@ -354,30 +344,23 @@ def _collect_buckets(lhs, rhs, n):
     return buckets
 
 
-def _rtt_buckets(n, length, structure=None):
+def _rtt_buckets(n, length):
     """Indexed coefficients of R T1(u) T2(v) - T2(v) T1(u) R with series
-    truncated at the given length.  The structure factor defaults to the
-    Yang R-matrix; passing another two-leg operator is a testing hook."""
-    r_mat = _two_leg_scalar(structure if structure is not None else yang_r(n), n)
+    truncated at the given length."""
+    r_mat = _two_leg_scalar(yang_r(n), n)
     t1 = _on_first_leg(series_matrix("T", n, length, var="u"), n)
     t2 = _on_second_leg(series_matrix("T", n, length, var="v"), n)
-    lhs = _mat_mul_series(_mat_mul_series(r_mat, t1), t2)
-    rhs = _mat_mul_series(_mat_mul_series(t2, t1), r_mat)
-    return _collect_buckets(lhs, rhs, n)
+    return _collect_buckets([r_mat, t1, t2], [t2, t1, r_mat], n)
 
 
 def _twisted_buckets(n, length, t):
     """Indexed coefficients of R S1 R' S2 - S2 R'' S1 R with the free
     level-0 normalization for the S series."""
-    r_prime, r_double_prime = r_primes(n, t)
     r_mat = _two_leg_scalar(yang_r(n), n)
-    rp_mat = _two_leg_scalar(r_prime, n)
-    rpp_mat = _two_leg_scalar(r_double_prime, n)
+    rp_mat, rpp_mat = (_two_leg_scalar(op, n) for op in r_primes(n, t))
     s1 = _on_first_leg(series_matrix("S", n, length, var="u"), n)
     s2 = _on_second_leg(series_matrix("S", n, length, var="v"), n)
-    lhs = _mat_mul_series(_mat_mul_series(_mat_mul_series(r_mat, s1), rp_mat), s2)
-    rhs = _mat_mul_series(_mat_mul_series(_mat_mul_series(s2, rpp_mat), s1), r_mat)
-    return _collect_buckets(lhs, rhs, n)
+    return _collect_buckets([r_mat, s1, rp_mat, s2], [s2, rpp_mat, s1, r_mat], n)
 
 
 def expand_relation(relation, n, d, t=None):
@@ -416,7 +399,7 @@ def _relations(buckets, d):
     return [seen[text] for text in sorted(seen)]
 
 
-class RewriteSystem:
+class RewriteSystem(Frozen):
     """Oriented swap rules keyed by out-of-order generator pairs.
 
     rules[(x, y)] with gen_key(x) > gen_key(y) is the full replacement of
@@ -451,9 +434,6 @@ class RewriteSystem:
         object.__setattr__(self, "rules", checked)
         object.__setattr__(self, "level_cap", level_cap)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RewriteSystem is immutable")
-
     def __repr__(self):
         return f"RewriteSystem(rules={len(self.rules)}, level_cap={self.level_cap})"
 
@@ -464,27 +444,22 @@ def rules_to_text(rs):
     return "\n".join(f"{x}*{y} -> {rs.rules[(x, y)]}" for x, y in ordered)
 
 
-def derive_rules(relations, n, d):
-    """Orient the level-d relation set into a rewrite system.
+def derive_rules(n, d):
+    """Orient the level-d RTT relations into a rewrite system.
 
     For generators x at level lam and y at level mu with x above y, the
     telescoped sum of the expansion's coefficients at indices
     (r, lam+mu-1-r), entry ((x.row, y.row), (x.col, y.col)), over
     r = 0..lam-1 collapses the staircase of commutator differences into
     x*y - y*x - correction with every correction word of total level
-    lam+mu-1.  The passed relations must be exactly the level-d
-    expansion; the indexed coefficients are re-derived here because the
-    flat relation list has forgotten which coefficient each came from.
-    Rules exist for every out-of-order pair with level sum <= d+1, which
-    a level-d relation set fully determines.
+    lam+mu-1.  The coefficients are read from the indexed RTT expansion
+    (series length d+1), since a flat relation list forgets which
+    coefficient each relation came from.  Rules exist for every out-of-order pair with
+    level sum <= d+1, which the level-d relations fully determine.
     """
     if d < 1:
         raise ValueError(f"level cap must be >= 1, got {d}")
     buckets = _rtt_buckets(n, d + 1)
-    provided = [str(p) for p in relations]
-    expected = [str(p) for p in _relations(buckets, d)]
-    if provided != expected:
-        raise ValueError(f"relations are not the level-{d} expansion for n={n}")
     gens = [
         ModeGen("T", i, j, level)
         for level in range(1, d + 1)
@@ -616,7 +591,7 @@ def verify_twisted_embedding(n, d=2, t=None):
     if t is None:
         t = orthogonal_transposition(n)
     relations = expand_relation("twisted_re", n, d, t)
-    rules = derive_rules(expand_relation("rtt", n, 2 * d - 1), n, 2 * d - 1)
+    rules = derive_rules(n, 2 * d - 1)
     images = twisted_generator_images(n, d, t)
 
     def image(gen):

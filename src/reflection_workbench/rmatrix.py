@@ -64,13 +64,14 @@ def yang_r_bar(n, uvar="u", vvar="v", roles=("auxiliary", "auxiliary")):
 def r_primes(n, t, uvar="u", vvar="v"):
     """R' = tau on leg 1 of R, and R'' = site flip of R'.
 
-    For this family R'' coincides with R'; that equality is asserted
+    For this family R'' coincides with R'; that equality is checked
     rather than assumed, keeping the generic code path honest.
     """
     r = yang_r(n, uvar, vvar)
     r_prime = tau_on_leg(r, 1, t)
     r_double_prime = site_permute(r_prime, (2, 1))
-    assert r_double_prime == r_prime, "site flip of R' does not reproduce R'"
+    if r_double_prime != r_prime:
+        raise ValueError("site flip of R' does not reproduce R'")
     return r_prime, r_double_prime
 
 

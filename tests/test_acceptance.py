@@ -223,7 +223,7 @@ def test_criterion_08_mode_extraction_gl2_bracket():
     started = time.perf_counter()
     relations = expand_relation("rtt", 2, 1)
     assert relations_to_text(relations) == GL2_BRACKET_FIXTURE
-    rules = derive_rules(relations, 2, 1)
+    rules = derive_rules(2, 1)
     gens = [_gl2_gen(i, j) for i in (1, 2) for j in (1, 2)]
     for x in gens:
         for y in gens:

@@ -11,7 +11,6 @@ from reflection_workbench.fusion import (
     breve_product,
     character_chi,
     character_seed,
-    component_to_json,
     fused_breve,
     fused_r,
     fused_r_prime_flipped,
@@ -201,13 +200,3 @@ def test_fused_s_layout():
     s2 = fused_s(seed, 2)
     assert tuple(leg.spectral_var for leg in s2.legs) == ("u1", "u2")
     assert fused_s(seed, 1) == matrix_on_leg(SKEW, LegSpace(2, "u1"))
-
-
-def test_component_json_is_sorted():
-    t = orthogonal_transposition(2)
-    data = component_to_json(character_chi(IDENTITY2, t, 1), 1)
-    assert data["k"] == 1
-    assert data["legs"][0] == {"dim": 2, "spectral_var": "u1", "role": "auxiliary"}
-    rows = [entry["row"] for entry in data["entries"]]
-    assert rows == sorted(rows)
-    assert all(entry["poly"] == "1" for entry in data["entries"])

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflection_workbench.kernel import (
-    identity_op,
     orthogonal_transposition,
     symplectic_transposition,
 )
@@ -28,10 +27,12 @@ from reflection_workbench.modes import (
     verify_twisted_embedding,
     word_key,
     word_level,
+    _collect_buckets,
+    _on_first_leg,
+    _on_second_leg,
     _relations,
     _rtt_buckets,
 )
-from reflection_workbench.rmatrix import yang_r
 
 ORTH2 = orthogonal_transposition(2)
 SYMPL2 = symplectic_transposition(2)
@@ -123,12 +124,6 @@ def test_series_matrix_s_level_zero_is_free():
 
 
 def test_series_matrix_normalization_flags():
-    mat = series_matrix("S", 2, 1, unit_constant=True)
-    assert () in mat[0][0].terms
-    assert (ModeGen("S", 1, 1, 0),) not in mat[0][0].terms
-    assert () not in mat[0][1].terms
-    with pytest.raises(ValueError, match="unit constant"):
-        series_matrix("T", 2, 1, unit_constant=False)
     with pytest.raises(ValueError, match="series length"):
         series_matrix("T", 2, -1)
 
@@ -196,7 +191,9 @@ def test_twisted_level_one_fixture():
 
 
 def test_identity_structure_leaves_only_commutators():
-    buckets = _rtt_buckets(2, 2, structure=identity_op(yang_r(2).legs))
+    t1 = _on_first_leg(series_matrix("T", 2, 2, var="u"), 2)
+    t2 = _on_second_leg(series_matrix("T", 2, 2, var="v"), 2)
+    buckets = _collect_buckets([t1, t2], [t2, t1], 2)
     kept = _relations(buckets, 1)
     assert len(kept) == 12
     for p in kept:
@@ -210,7 +207,7 @@ def test_identity_structure_leaves_only_commutators():
 
 
 def test_derived_rules_golden_text():
-    rules = derive_rules(expand_relation("rtt", 2, 1), 2, 1)
+    rules = derive_rules(2, 1)
     assert rules.level_cap == 2
     assert rules_to_text(rules) == "\n".join(
         [
@@ -225,7 +222,7 @@ def test_derived_rules_golden_text():
 
 
 def test_rules_exist_only_for_out_of_order_pairs():
-    rules = derive_rules(expand_relation("rtt", 2, 2), 2, 2)
+    rules = derive_rules(2, 2)
     assert rules.level_cap == 3
     for x, y in rules.rules:
         assert gen_key(x) > gen_key(y)
@@ -234,29 +231,35 @@ def test_rules_exist_only_for_out_of_order_pairs():
     assert (t_gen(1, 2, 2), t_gen(1, 1, 2)) not in rules.rules
 
 
-def test_derive_rules_rejects_foreign_relations():
-    relations = expand_relation("rtt", 2, 1)
-    with pytest.raises(ValueError, match="level-1 expansion"):
-        derive_rules(relations[1:], 2, 1)
-    with pytest.raises(ValueError, match="level-2 expansion"):
-        derive_rules(relations, 2, 2)
+def test_derive_rules_rejects_level_zero():
     with pytest.raises(ValueError, match="level cap"):
-        derive_rules([], 2, 0)
+        derive_rules(2, 0)
+
+
+def count_rtt_expansions(monkeypatch):
+    """Route modes._rtt_buckets through a recorder of its arguments."""
+    from reflection_workbench import modes
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _rtt_buckets(*args)
+
+    monkeypatch.setattr(modes, "_rtt_buckets", counting)
+    return calls
 
 
 def test_derive_rules_expands_the_relation_once(monkeypatch):
-    from reflection_workbench import modes
-
-    relations = expand_relation("rtt", 2, 2)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return _rtt_buckets(*args, **kwargs)
-
-    monkeypatch.setattr(modes, "_rtt_buckets", counting)
-    derive_rules(relations, 2, 2)
+    calls = count_rtt_expansions(monkeypatch)
+    derive_rules(2, 2)
     assert calls == [(2, 3)]
+
+
+def test_twisted_embedding_expands_the_rtt_relation_once(monkeypatch):
+    calls = count_rtt_expansions(monkeypatch)
+    assert verify_twisted_embedding(2, 1).passed
+    assert calls == [(2, 2)]
 
 
 def test_rewrite_system_validates_orientation():
@@ -274,19 +277,19 @@ def test_rewrite_system_validates_orientation():
 def test_rtt_relations_normal_form_to_zero():
     for d in (1, 2):
         relations = expand_relation("rtt", 2, d)
-        rules = derive_rules(expand_relation("rtt", 2, 2 * d - 1), 2, 2 * d - 1)
+        rules = derive_rules(2, 2 * d - 1)
         for p in relations:
             assert normal_form(p, rules).is_zero()
 
 
 def test_normal_form_single_swap():
-    rules = derive_rules(expand_relation("rtt", 2, 1), 2, 1)
+    rules = derive_rules(2, 1)
     p = NCPoly({(t_gen(1, 2), t_gen(1, 1)): 1})
     assert str(normal_form(p, rules)) == "T1[1,1]*T1[1,2] - T1[1,2]"
 
 
 def test_normal_form_rejects_overflow_and_missing_rules():
-    rules = derive_rules(expand_relation("rtt", 2, 1), 2, 1)
+    rules = derive_rules(2, 1)
     too_big = NCPoly({(t_gen(1, 1), t_gen(1, 2), t_gen(2, 1)): 1})
     with pytest.raises(ValueError, match="level cap"):
         normal_form(too_big, rules)
@@ -316,7 +319,7 @@ def last_pair_normal_form(p, rs):
 
 
 def test_normal_form_is_confluent_on_small_words():
-    rules = derive_rules(expand_relation("rtt", 2, 2), 2, 2)
+    rules = derive_rules(2, 2)
     gens = [t_gen(i, j) for i in (1, 2) for j in (1, 2)]
     words = [(a,) for a in gens]
     words += [(a, b) for a in gens for b in gens]
@@ -343,7 +346,7 @@ def test_normal_form_is_confluent_on_small_words():
     )
 )
 def test_normal_form_is_linear(entries):
-    rules = derive_rules(expand_relation("rtt", 2, 1), 2, 1)
+    rules = derive_rules(2, 1)
     p = NCPoly(
         {(t_gen(*a), t_gen(*b)): coeff for (a, b), coeff in entries.items()}
     )
@@ -443,7 +446,7 @@ def unsigned_images(n, d, t):
 def test_unsigned_substitution_fails():
     images = unsigned_images(2, 1, ORTH2)
     relations = expand_relation("twisted_re", 2, 1, ORTH2)
-    rules = derive_rules(expand_relation("rtt", 2, 1), 2, 1)
+    rules = derive_rules(2, 1)
     residues = [
         normal_form(substitute_gens(p, lambda g: images[g]), rules)
         for p in relations
