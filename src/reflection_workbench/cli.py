@@ -43,32 +43,28 @@ from .evaluation import (
 )
 from .fusion import GradedFamily, character_chi, symmetry_sign
 from .kernel import (
-    LaurentPoly,
     Transposition,
     format_rational,
     identity_matrix,
-    identity_op,
     mat_transpose,
-    op_scale,
     op_substitute,
     orthogonal_transposition,
     parse_matrix_json,
-    site_permute,
-    tau_on_leg,
 )
 from .modes import verify_twisted_embedding
-from .rmatrix import RFamily, flip_p, r_primes, yang_r, yang_r_bar
+from .rmatrix import RFamily, r_primes, yang_r, yang_r_bar
 from .verify import (
     CheckReport,
     check_characteristic,
     check_fused_re,
     check_intertwiner,
     check_membership,
+    check_pairing,
     check_quasi_inverse,
     check_re,
     check_rtt,
+    check_tau_symmetry,
     check_ybe,
-    first_witness,
 )
 
 DEFAULT_N = 2
@@ -377,13 +373,10 @@ def _run_quasi_inverse(p):
 
 def _run_tau_symmetry(p):
     n, t = p["n"], p["t"]
-    r = yang_r(n)
-    both_legs = tau_on_leg(tau_on_leg(r, 1, t), 2, t)
-    witness = first_witness(both_legs, site_permute(r, (2, 1)))
     r_prime, r_double_prime = r_primes(n, t)
-    params = dict(p["public"])
-    params["primes_coincide"] = r_prime == r_double_prime
-    return CheckReport("tau_symmetry", params, witness is None, witness, 0.0)
+    inner = check_tau_symmetry(yang_r(n), t)
+    coincide = {"primes_coincide": r_prime == r_double_prime}
+    return _finish("tau_symmetry", p["public"], inner, coincide)
 
 
 def _run_rtt_evaluation(p):
@@ -405,23 +398,7 @@ def _run_double_yangian(p):
 
 
 def _run_pairing(p):
-    n, order = p["n"], p["K"]
-    series = pairing_series(n, order)
-    zvar = series.legs[0].spectral_var
-    wvar = series.legs[1].spectral_var
-    p_op = flip_p(n, zvar, wvar)
-    # (z - w) times the series must be the cleared operator (z - w) Id - P
-    # up to the first dropped term; multiplying by z - w is injective, so
-    # this pins every coefficient of the series
-    scalar = LaurentPoly.var(zvar) - LaurentPoly.var(wvar)
-    cleared_target = op_scale(identity_op(series.legs), scalar) - p_op
-    boundary = op_scale(p_op, LaurentPoly((zvar, wvar), {(-order - 1, order + 1): 1}))
-    witness = first_witness(op_scale(series, scalar) - cleared_target, boundary)
-    if witness is not None:
-        witness["side"] = "cross_multiplied"
-    params = dict(p["public"])
-    params["orders_checked"] = order + 1
-    return CheckReport("pairing", params, witness is None, witness, 0.0)
+    return _finish("pairing", p["public"], check_pairing(pairing_series(p["n"], p["K"]), p["K"]))
 
 
 def _run_fused_re(p):

@@ -19,7 +19,6 @@ from .kernel import (
     LegSpace,
     TensorOp,
     fresh_label,
-    identity_op,
     leg_permute,
     matrix_on_leg,
     op_chain,
@@ -218,51 +217,36 @@ def character_chi(x, t, k):
 
 
 class GradedFamily(Frozen):
-    """Truncated graded family {k -> TensorOp on k auxiliary legs plus a
-    fixed coefficient block}.  Components are built lazily per k."""
+    """Truncated graded family {k -> fused_s(seed, k)} of TensorOps on k
+    auxiliary legs plus the seed's coefficient block.  Components are
+    built lazily per k."""
 
-    __slots__ = ("_builder", "k_max", "coeff_legs", "t", "_cache")
+    __slots__ = ("seed", "k_max", "_cache")
 
-    def __init__(self, builder, k_max=DEFAULT_KMAX, coeff_legs=(), t=None):
-        object.__setattr__(self, "_builder", builder)
+    def __init__(self, seed, k_max=DEFAULT_KMAX):
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "coeff_legs", tuple(coeff_legs))
-        object.__setattr__(self, "t", t)
         object.__setattr__(self, "_cache", {})
 
     @staticmethod
     def from_seed(seed, k_max=DEFAULT_KMAX):
-        return GradedFamily(
-            lambda k: fused_s(seed, k),
-            k_max=k_max,
-            coeff_legs=seed.coeff_legs,
-            t=seed.t,
-        )
+        return GradedFamily(seed, k_max)
 
     @staticmethod
     def from_character(x, t, k_max=DEFAULT_KMAX):
-        seed = character_seed(x, t)
-        return GradedFamily.from_seed(seed, k_max=k_max)
+        return GradedFamily(character_seed(x, t), k_max)
+
+    @property
+    def coeff_legs(self):
+        return self.seed.coeff_legs
 
     def component(self, k):
         if not 0 <= k <= self.k_max:
             raise ValueError(f"component {k} outside 0..{self.k_max}")
         cached = self._cache.get(k)
-        if cached is not None:
-            return cached
-        built = self._builder(k)
-        expected_labels = block_labels("u", k)
-        actual_labels = tuple(leg.spectral_var for leg in built.legs[:k])
-        if actual_labels != expected_labels:
-            raise ValueError(
-                f"component {k} auxiliary labels {actual_labels} != {expected_labels}"
-            )
-        if built.legs[k:] != self.coeff_legs:
-            raise ValueError(f"component {k} coefficient block mismatch")
-        if k == 0 and built != identity_op(self.coeff_legs):
-            raise ValueError("component 0 must be the identity on the coefficient block")
-        self._cache[k] = built
-        return built
+        if cached is None:
+            cached = self._cache[k] = fused_s(self.seed, k)
+        return cached
 
 
 def breve_product(k, m, n, factor_order, primed=False, t=None):

@@ -7,7 +7,10 @@ relations into a level-filtered rewrite system, computes normal forms,
 and checks the twisted-solution substitution symbolically at low level.
 
 Mode relations are always produced by the expander from the matrix
-relations; no commutator formula is transcribed from anywhere else.
+relations, and the twisted generator images are derived from the series
+product S(u) = t(T(-u)) T(u); no commutator or image formula is
+transcribed from anywhere else.  A series entry is a term map
+{(u exponent, v exponent, word): nonzero exact coefficient}.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .kernel import Frozen, LaurentPoly, format_rational, orthogonal_transposition
+from .kernel import Frozen, format_rational, orthogonal_transposition
 from .rmatrix import r_primes, yang_r
 from .verify import CheckReport
 
@@ -180,70 +183,14 @@ def relations_to_text(relations):
     return "\n".join(str(p) for p in relations)
 
 
-class NCSeries(Frozen):
-    """Expansion workhorse: words of generators with Laurent-polynomial
-    coefficients in the spectral variables."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for word, poly in (terms or {}).items():
-            word = tuple(word)
-            if poly.is_zero():
-                continue
-            prev = clean.get(word)
-            if prev is None:
-                clean[word] = poly
-            else:
-                total = prev + poly
-                if total.is_zero():
-                    del clean[word]
-                else:
-                    clean[word] = total
-        object.__setattr__(self, "terms", clean)
-
-    @staticmethod
-    def scalar(poly):
-        return NCSeries({(): poly})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        merged = dict(self.terms)
-        for word, poly in other.terms.items():
-            if word in merged:
-                merged[word] = merged[word] + poly
-            else:
-                merged[word] = poly
-        return NCSeries(merged)
-
-    def __sub__(self, other):
-        return self + other.__neg__()
-
-    def __neg__(self):
-        return NCSeries({word: -poly for word, poly in self.terms.items()})
-
-    def __mul__(self, other):
-        acc = {}
-        for wa, pa in self.terms.items():
-            for wb, pb in other.terms.items():
-                word = wa + wb
-                product = pa * pb
-                if word in acc:
-                    acc[word] = acc[word] + product
-                else:
-                    acc[word] = product
-        return NCSeries(acc)
-
-
 def series_matrix(family, n, d, var="u"):
     """The n x n matrix of truncated generator series.
 
     Family T entries are delta + sum_{k=1..d} var^(-k) gen(T,i,j,k); the
     level-0 coefficient of T is the numeric unit.  Family S entries are
     sum_{k=0..d} var^(-k) gen(S,i,j,k), with level 0 a free generator.
+    Each entry is a term map {(u exponent, v exponent, word): coefficient}
+    holding only nonzero exact coefficients; var is "u" or "v".
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -251,22 +198,43 @@ def series_matrix(family, n, d, var="u"):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if d < 0:
         raise ValueError(f"series length must be >= 0, got {d}")
+    if var not in ("u", "v"):
+        raise ValueError(f'series variable must be "u" or "v", got {var!r}')
     unit = family == "T"
     rows = []
     for i in range(1, n + 1):
         row = []
         for j in range(1, n + 1):
-            terms = {}
-            if unit and i == j:
-                terms[()] = LaurentPoly.const(1)
+            terms = {(0, 0, ()): 1} if unit and i == j else {}
             for k in range(1 if unit else 0, d + 1):
-                terms[(ModeGen(family, i, j, k),)] = LaurentPoly.var(var, -k)
-            row.append(NCSeries(terms))
+                word = (ModeGen(family, i, j, k),)
+                terms[(-k, 0, word) if var == "u" else (0, -k, word)] = 1
+            row.append(terms)
         rows.append(tuple(row))
     return tuple(rows)
 
 
 # -- matrix plumbing for the two-leg expansion -------------------------------
+
+
+def _series_mul(a, b):
+    """Product of two term maps: exponents add, words concatenate."""
+    out = {}
+    for (ua, va, wa), ca in a.items():
+        for (ub, vb, wb), cb in b.items():
+            key = (ua + ub, va + vb, wa + wb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def _series_add(acc, terms):
+    """Add the term map terms into acc in place, dropping zeros."""
+    for key, coeff in terms.items():
+        total = acc.get(key, 0) + coeff
+        if total:
+            acc[key] = total
+        else:
+            del acc[key]
 
 
 def _mat_mul_series(a, b):
@@ -275,30 +243,35 @@ def _mat_mul_series(a, b):
     for r in range(size):
         row = []
         for c in range(size):
-            acc = NCSeries()
+            acc = {}
             for m in range(size):
-                if a[r][m].is_zero() or b[m][c].is_zero():
-                    continue
-                acc = acc + a[r][m] * b[m][c]
+                if a[r][m] and b[m][c]:
+                    _series_add(acc, _series_mul(a[r][m], b[m][c]))
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
 
 
+def _scalar_matrix(rows):
+    """A matrix of exact numbers as term maps of the empty word."""
+    return tuple(tuple({(0, 0, ()): x} if x else {} for x in row) for row in rows)
+
+
 def _two_leg_scalar(op, n):
     """The n^2 x n^2 scalar matrix of a two-leg operator, row-major."""
     size = n * n
-    rows = [[NCSeries() for _ in range(size)] for _ in range(size)]
+    rows = [[{} for _ in range(size)] for _ in range(size)]
     for (row, col), poly in op.entries.items():
         r = (row[0] - 1) * n + (row[1] - 1)
         c = (col[0] - 1) * n + (col[1] - 1)
-        rows[r][c] = rows[r][c] + NCSeries.scalar(poly)
+        for exps, coeff in poly.term_items():
+            rows[r][c][(exps.get("u", 0), exps.get("v", 0), ())] = coeff
     return tuple(tuple(row) for row in rows)
 
 
 def _on_first_leg(mat, n):
     size = n * n
-    rows = [[NCSeries() for _ in range(size)] for _ in range(size)]
+    rows = [[{} for _ in range(size)] for _ in range(size)]
     for i in range(n):
         for j in range(n):
             for a in range(n):
@@ -308,7 +281,7 @@ def _on_first_leg(mat, n):
 
 def _on_second_leg(mat, n):
     size = n * n
-    rows = [[NCSeries() for _ in range(size)] for _ in range(size)]
+    rows = [[{} for _ in range(size)] for _ in range(size)]
     for a in range(n):
         for b in range(n):
             for i in range(n):
@@ -328,14 +301,10 @@ def _collect_buckets(lhs, rhs, n):
         i, a = r // n + 1, r % n + 1
         for c in range(size):
             j, b = c // n + 1, c % n + 1
-            entry = lhs[r][c] - rhs[r][c]
-            for word, poly in entry.terms.items():
-                for exps, coeff in poly.term_items():
-                    alpha = -exps.get("u", 0)
-                    beta = -exps.get("v", 0)
-                    key = (alpha, beta, i, a, j, b)
-                    acc = raw.setdefault(key, {})
-                    acc[word] = acc.get(word, Fraction(0)) + coeff
+            for sign, entry in ((1, lhs[r][c]), (-1, rhs[r][c])):
+                for (eu, ev, word), coeff in entry.items():
+                    acc = raw.setdefault((-eu, -ev, i, a, j, b), {})
+                    acc[word] = acc.get(word, 0) + sign * coeff
     buckets = {}
     for key, terms in raw.items():
         p = NCPoly(terms)
@@ -537,42 +506,31 @@ def substitute_gens(p, image):
 
 
 def twisted_generator_images(n, d, t):
-    """The substitution sending the S series to (t of T at -u) times T:
-    level k of entry (i,j) maps to
-    sum_{a+b=k} (-1)^a [g T_transposed^(a) g^(-1)]_{im} T^(b)_{mj}
-    summed over m, with level 0 of T read as the numeric unit."""
+    """The substitution S(u) = t(T(-u)) T(u), read off the series product:
+    level k of entry (i,j) maps to the u^(-k) coefficient of entry (i,j),
+    where t(X) = g X^transposed g^(-1).  Series of length d give every
+    coefficient of level k <= d exactly."""
+    if t.n != n:
+        raise ValueError(f"transposition size {t.n} does not match n={n}")
+    tee = series_matrix("T", n, d)
+    # entry (p,q) is T_qp(-u): the u^(-k) term picks up the sign (-1)^k
+    flipped = tuple(
+        tuple(
+            {(eu, ev, w): -c if eu % 2 else c for (eu, ev, w), c in tee[q][p].items()}
+            for q in range(n)
+        )
+        for p in range(n)
+    )
+    factors = [_scalar_matrix(t.g), flipped, _scalar_matrix(t.g_inv), tee]
+    s_mat = reduce(_mat_mul_series, factors)
     images = {}
     for k in range(d + 1):
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                acc = NCPoly.zero()
-                for a in range(k + 1):
-                    b = k - a
-                    sign = Fraction(-1) ** a
-                    for m in range(1, n + 1):
-                        if a == 0:
-                            if i != m:
-                                continue
-                            left = NCPoly.one()
-                        else:
-                            left_terms = {}
-                            for p_ in range(1, n + 1):
-                                for q_ in range(1, n + 1):
-                                    value = t.g[i - 1][p_ - 1] * t.g_inv[q_ - 1][m - 1]
-                                    if value:
-                                        word = (ModeGen("T", q_, p_, a),)
-                                        left_terms[word] = (
-                                            left_terms.get(word, Fraction(0)) + value
-                                        )
-                            left = NCPoly(left_terms)
-                        if b == 0:
-                            if m != j:
-                                continue
-                            right = NCPoly.one()
-                        else:
-                            right = NCPoly({(ModeGen("T", m, j, b),): 1})
-                        acc = acc + (left * right) * sign
-                images[ModeGen("S", i, j, k)] = acc
+                entry = s_mat[i - 1][j - 1]
+                images[ModeGen("S", i, j, k)] = NCPoly(
+                    {w: c for (eu, _, w), c in entry.items() if eu == -k}
+                )
     return images
 
 

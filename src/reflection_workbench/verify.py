@@ -18,6 +18,7 @@ from .fusion import (
     fused_r_prime_flipped,
 )
 from .kernel import (
+    LaurentPoly,
     LegSpace,
     TensorOp,
     extract_entry,
@@ -29,7 +30,7 @@ from .kernel import (
     site_permute,
     tau_on_leg,
 )
-from .rmatrix import yang_r
+from .rmatrix import flip_p, yang_r
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,34 @@ def check_quasi_inverse(r, r_bar, zeta):
     ]
     params = {"n": r.legs[0].dim, "zeta": str(zeta)}
     return _compare("quasi_inverse", params, r.legs, sides, started)
+
+
+def check_tau_symmetry(r, t):
+    """tau_1 tau_2 R = R_21: transposing both legs of R is its site flip."""
+    started = time.perf_counter()
+    whole = (1, 2)
+    both_legs = tau_on_leg(tau_on_leg(r, 1, t), 2, t)
+    sides = [("", [(both_legs, whole)], [(site_permute(r, (2, 1)), whole)])]
+    params = {"n": r.legs[0].dim, "kind": t.kind}
+    return _compare("tau_symmetry", params, r.legs, sides, started)
+
+
+def check_pairing(series, order):
+    """(z - w) times the pairing series of the given order is the cleared
+    operator (z - w) Id - P up to the first dropped term z^(-order-1)
+    w^(order+1) P.  Multiplying by z - w is injective, so this pins every
+    coefficient of the series."""
+    started = time.perf_counter()
+    zvar, wvar = (leg.spectral_var for leg in series.legs)
+    p_op = flip_p(series.legs[0].dim, zvar, wvar)
+    scalar = LaurentPoly.var(zvar) - LaurentPoly.var(wvar)
+    cleared = op_scale(identity_op(series.legs), scalar) - p_op
+    boundary = op_scale(p_op, LaurentPoly((zvar, wvar), {(-order - 1, order + 1): 1}))
+    whole = (1, 2)
+    lhs = [(op_scale(series, scalar) - cleared, whole)]
+    sides = [("cross_multiplied", lhs, [(boundary, whole)])]
+    params = {"n": series.legs[0].dim, "orders_checked": order + 1}
+    return _compare("pairing", params, series.legs, sides, started)
 
 
 def check_rtt(r, t_op):

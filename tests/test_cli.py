@@ -7,6 +7,7 @@ document shape.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -28,6 +29,9 @@ from reflection_workbench.cli import (
 )
 
 SKEW_JSON = {"n": 2, "entries": [["0", "1"], ["-1", "0"]]}
+# sha256 of json.dumps(body, sort_keys=True) for configs/suite.json; a
+# refactor must leave the demo suite's canonical body byte-identical
+DEMO_BODY_SHA256 = "2a90476740b467cccc73441d611c8b62bf3dece3a8bca75efe0727810936efbf"
 
 
 def run_cli(*argv):
@@ -378,3 +382,5 @@ def test_committed_demo_suite_passes():
     assert doc["body"]["passed"] is True
     names = {c["name"] for c in doc["body"]["checks"]}
     assert "embedding" in names and "intertwiner" in names
+    digest = hashlib.sha256(json.dumps(doc["body"], sort_keys=True).encode()).hexdigest()
+    assert digest == DEMO_BODY_SHA256

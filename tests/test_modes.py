@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reflection_workbench.kernel import (
+    Transposition,
     orthogonal_transposition,
     symplectic_transposition,
 )
@@ -108,24 +109,26 @@ def test_ncpoly_scaling_distributes(a, b):
 
 def test_series_matrix_t_entries():
     mat = series_matrix("T", 2, 1)
-    off = mat[0][1]
-    assert off.terms == {(t_gen(1, 2),): mat[0][1].terms[(t_gen(1, 2),)]}
-    assert str(off.terms[(t_gen(1, 2),)]) == "u^-1"
-    diag = mat[0][0]
-    assert str(diag.terms[()]) == "1"
-    assert str(diag.terms[(t_gen(1, 1),)]) == "u^-1"
+    assert mat[0][1] == {(-1, 0, (t_gen(1, 2),)): 1}
+    assert mat[0][0] == {(0, 0, ()): 1, (-1, 0, (t_gen(1, 1),)): 1}
+    assert series_matrix("T", 2, 1, var="v")[1][0] == {(0, -1, (t_gen(2, 1),)): 1}
 
 
 def test_series_matrix_s_level_zero_is_free():
     mat = series_matrix("S", 2, 0)
     for i in range(2):
         for j in range(2):
-            assert list(mat[i][j].terms) == [(ModeGen("S", i + 1, j + 1, 0),)]
+            assert mat[i][j] == {(0, 0, (ModeGen("S", i + 1, j + 1, 0),)): 1}
 
 
 def test_series_matrix_normalization_flags():
     with pytest.raises(ValueError, match="series length"):
         series_matrix("T", 2, -1)
+
+
+def test_series_matrix_rejects_an_unknown_variable():
+    with pytest.raises(ValueError, match="series variable"):
+        series_matrix("T", 2, 1, var="w")
 
 
 # -- relation expansion -------------------------------------------------------
@@ -371,6 +374,70 @@ def test_twisted_images_level_one():
     )
     sympl = twisted_generator_images(2, 1, SYMPL2)
     assert sympl[ModeGen("S", 1, 2, 1)] == NCPoly({(t_gen(1, 2),): 2})
+
+
+def entrywise_images(n, d, t):
+    """Reference: level k of S(i,j) is
+    sum_{a+b=k} (-1)^a [g T_transposed^(a) g^(-1)]_{im} T^(b)_{mj}
+    summed over m, with level 0 of T read as the numeric unit."""
+    images = {}
+    for k in range(d + 1):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                acc = NCPoly.zero()
+                for a in range(k + 1):
+                    b = k - a
+                    sign = Fraction(-1) ** a
+                    for m in range(1, n + 1):
+                        if a == 0:
+                            if i != m:
+                                continue
+                            left = NCPoly.one()
+                        else:
+                            left_terms = {}
+                            for p_ in range(1, n + 1):
+                                for q_ in range(1, n + 1):
+                                    value = t.g[i - 1][p_ - 1] * t.g_inv[q_ - 1][m - 1]
+                                    if value:
+                                        word = (ModeGen("T", q_, p_, a),)
+                                        left_terms[word] = (
+                                            left_terms.get(word, Fraction(0)) + value
+                                        )
+                            left = NCPoly(left_terms)
+                        if b == 0:
+                            if m != j:
+                                continue
+                            right = NCPoly.one()
+                        else:
+                            right = NCPoly({(ModeGen("T", m, j, b),): 1})
+                        acc = acc + (left * right) * sign
+                images[ModeGen("S", i, j, k)] = acc
+    return images
+
+
+FORMS = {
+    "orth2": orthogonal_transposition(2),
+    "sympl2": symplectic_transposition(2),
+    "sym2": Transposition([[1, 2], [2, Fraction(1, 3)]], 1),
+    "orth3": orthogonal_transposition(3),
+    "sym3": Transposition([[2, 1, 0], [1, 0, 3], [0, 3, Fraction(-1, 2)]], 1),
+    "orth4": orthogonal_transposition(4),
+    "sympl4": symplectic_transposition(4),
+    "skew4": Transposition([[0, 1, 2, 0], [-1, 0, 0, 3], [-2, 0, 0, 1], [0, -3, -1, 0]], -1),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_twisted_images_match_the_entrywise_formula(form, d):
+    t = FORMS[form]
+    images = twisted_generator_images(t.n, d, t)
+    assert images == entrywise_images(t.n, d, t)
+
+
+def test_twisted_images_refuse_a_form_of_another_size():
+    with pytest.raises(ValueError, match="transposition size 3"):
+        twisted_generator_images(2, 1, orthogonal_transposition(3))
 
 
 def test_substitute_gens_multiplies_in_word_order():

@@ -12,7 +12,7 @@ import reflection_workbench
 from reflection_workbench.evaluation import eval_double, eval_t
 from reflection_workbench.fusion import GradedFamily, character_seed
 from reflection_workbench.kernel import Frozen, LaurentPoly, orthogonal_transposition
-from reflection_workbench.modes import NCPoly, NCSeries, derive_rules
+from reflection_workbench.modes import NCPoly, derive_rules
 from reflection_workbench.rmatrix import yang_r
 
 IDENTITY2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -22,7 +22,6 @@ FROZEN_CASES = {
     "TensorOp": (lambda: yang_r(2), "entries"),
     "Transposition": (lambda: orthogonal_transposition(2), "g_inv"),
     "NCPoly": (NCPoly.one, "terms"),
-    "NCSeries": (lambda: NCSeries.scalar(LaurentPoly.const(1)), "terms"),
     "RewriteSystem": (lambda: derive_rules(2, 1), "rules"),
     "SeedSolution": (
         lambda: character_seed(IDENTITY2, orthogonal_transposition(2)),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from reflection_workbench.evaluation import pairing_series
 from reflection_workbench.fusion import (
     GradedFamily,
     SeedSolution,
@@ -31,9 +32,11 @@ from reflection_workbench.verify import (
     check_fused_re,
     check_intertwiner,
     check_membership,
+    check_pairing,
     check_quasi_inverse,
     check_re,
     check_rtt,
+    check_tau_symmetry,
     check_ybe,
     first_witness,
 )
@@ -98,6 +101,37 @@ def test_quasi_inverse_check():
     assert wrong.witness["side"] == "r*r_bar"
     p = flip_p(2, "u", "v")
     assert check_quasi_inverse(p, p, LaurentPoly.const(1)).passed
+
+
+@pytest.mark.parametrize(
+    "t, row, col, lhs, rhs",
+    [
+        (orthogonal_transposition(2), [2, 1], [2, 2], "0", "v"),
+        (symplectic_transposition(2), [1, 1], [2, 1], "u", "0"),
+    ],
+)
+def test_tau_symmetry_fails_for_perturbed_r(t, row, col, lhs, rhs):
+    r = yang_r(2)
+    assert check_tau_symmetry(r, t).passed
+    entries = dict(r.entries)
+    entries[((1, 2), (2, 2))] = LaurentPoly.var("u")
+    report = check_tau_symmetry(TensorOp(r.legs, entries), t)
+    assert not report.passed
+    assert report.witness == {"row": row, "col": col, "lhs": lhs, "rhs": rhs}
+
+
+def test_pairing_fails_past_the_series_order():
+    series = pairing_series(2, 3)
+    assert check_pairing(series, 3).passed
+    report = check_pairing(series, 4)
+    assert not report.passed
+    assert report.witness == {
+        "row": [1, 1],
+        "col": [1, 1],
+        "lhs": "w^4*z^-4",
+        "rhs": "w^5*z^-5",
+        "side": "cross_multiplied",
+    }
 
 
 def test_rtt_evaluation_representative():
