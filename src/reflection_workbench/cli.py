@@ -41,7 +41,7 @@ from .evaluation import (
     eval_t,
     pairing_series,
 )
-from .fusion import GradedFamily, character_chi, symmetry_sign
+from .fusion import GradedFamily, symmetry_sign
 from .kernel import (
     Transposition,
     format_rational,
@@ -70,8 +70,8 @@ from .verify import (
 DEFAULT_N = 2
 PARAM_DEFAULTS = {"K": 8, "kmax": 3, "level": 2}
 _INT_MINIMA = {"n": 2, "K": 0, "kmax": 0, "level": 1, "parallelism": 1}
-# below these a check has no instance to run and would pass vacuously
-_KMAX_MINIMA = {"fused_re": 1, "intertwiner": 1, "membership": 2}
+# below these a check has no instance that can fail and would pass vacuously
+_KMAX_MINIMA = {"fused_re": 1, "intertwiner": 1, "membership": 2, "characteristic": 2}
 
 
 class UsageError(ValueError):
@@ -415,10 +415,10 @@ def _run_membership(p):
     # the exchange condition compares adjacent sites, so the smallest
     # component with any content is k = 2
     fam = RFamily.build(p["n"], p["t"])
+    family = GradedFamily.from_character(p["x"], p["t"], k_max=p["kmax"])
     instances = []
     for k in range(2, p["kmax"] + 1):
-        chi = character_chi(p["x"], p["t"], k)
-        instances.append((f"k={k}", check_membership(chi, fam)))
+        instances.append((f"k={k}", check_membership(family.component(k), fam)))
     return _aggregate("membership", p["public"], instances)
 
 
@@ -533,10 +533,6 @@ def report_document(reports):
         "total_ms": sum(entry["elapsed_ms"] for entry in per_check),
     }
     return {"body": body, "timing": timing}
-
-
-def canonical_body_text(document):
-    return json.dumps(document["body"], sort_keys=True, indent=2) + "\n"
 
 
 def emit_report(reports, path=None):

@@ -340,15 +340,6 @@ class LaurentPoly(Frozen):
         }
         return LaurentPoly(self.variables, terms)
 
-    def constant_value(self):
-        """The rational value of a constant polynomial (error otherwise)."""
-        if not self.terms:
-            return Fraction(0)
-        zero_key = (0,) * len(self.variables)
-        if set(self.terms) != {zero_key}:
-            raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self.terms[zero_key])
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -152,9 +152,6 @@ class NCPoly(Frozen):
     def max_gen_level(self):
         return max((gen.level for word in self.terms for gen in word), default=0)
 
-    def max_word_level(self):
-        return max((word_level(word) for word in self.terms), default=0)
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -77,22 +77,31 @@ def _truncated(op, keep):
     return TensorOp(op.legs, {key: poly.filtered(keep) for key, poly in op.entries.items()})
 
 
-def _compare(name, params, ambient, sides, started, keep=None):
-    """Build the report for a list of (label, lhs factors, rhs factors).
+def compare_sides(ambient, sides, keep=None):
+    """Compare a list of (label, lhs factors, rhs factors); return the
+    verdict of each label and the witness.
 
     Each side is the op_chain of its factors over the ambient legs; with
     keep, only the monomials it accepts are compared.  All sides are fully
     compared (no shortcut); the witness is the first_witness of the first
-    failing side in order.
+    failing side in order, or None when every side agrees.
     """
+    verdicts = {}
     witness = None
     for label, lhs, rhs in sides:
         lhs, rhs = op_chain(ambient, lhs), op_chain(ambient, rhs)
         if keep is not None:
             lhs, rhs = _truncated(lhs, keep), _truncated(rhs, keep)
         found = first_witness(lhs, rhs)
+        verdicts[label] = found is None
         if found is not None and witness is None:
             witness = dict(found, side=label) if label else found
+    return verdicts, witness
+
+
+def _compare(name, params, ambient, sides, started, keep=None):
+    """Build the report for a list of sides (see compare_sides)."""
+    _, witness = compare_sides(ambient, sides, keep)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return CheckReport(name, params, witness is None, witness, elapsed_ms)
 

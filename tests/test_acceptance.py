@@ -160,9 +160,7 @@ def test_criterion_06_double_yangian_relations():
     # relations that involve it, and the report must say where
     d = eval_double(2)
     bad_minus = d.l_minus + flip_p(2, "u", "z", ("auxiliary", "quantum"))
-    broken = DoubleEval(
-        d.l_plus, bad_minus, d.denom_plus, d.denom_minus, skip_check=True
-    )
+    broken = DoubleEval(d.l_plus, bad_minus, d.denom_plus, d.denom_minus)
     report = check_double_relations(broken)
     assert not report.passed
     assert report.witness is not None

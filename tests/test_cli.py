@@ -20,7 +20,6 @@ from reflection_workbench.cli import (
     PARAM_DEFAULTS,
     SuiteConfig,
     UsageError,
-    canonical_body_text,
     emit_report,
     form_transposition,
     load_matrix,
@@ -319,9 +318,11 @@ def test_canonical_body_is_stable_under_rerun(tmp_path):
         defaults=dict(PARAM_DEFAULTS),
         out=None,
     )
-    first = canonical_body_text(report_document(run_suite(cfg)))
-    second = canonical_body_text(report_document(run_suite(cfg)))
-    assert first == second
+    first = report_document(run_suite(cfg))["body"]
+    second = report_document(run_suite(cfg))["body"]
+    assert json.dumps(first, sort_keys=True, indent=2) == json.dumps(
+        second, sort_keys=True, indent=2
+    )
 
 
 def test_emit_report_to_unwritable_path(tmp_path):
@@ -349,7 +350,13 @@ def test_pairing_check_verifies_all_orders():
 
 
 @pytest.mark.parametrize(
-    "name, kmax, least", [("fused_re", 0, 1), ("intertwiner", 0, 1), ("membership", 1, 2)]
+    "name, kmax, least",
+    [
+        ("fused_re", 0, 1),
+        ("intertwiner", 0, 1),
+        ("membership", 1, 2),
+        ("characteristic", 1, 2),
+    ],
 )
 def test_kmax_without_instances_exits_two(name, kmax, least):
     proc = run_cli("check", name, "--kmax", str(kmax))

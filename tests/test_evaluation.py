@@ -82,10 +82,19 @@ def test_eval_t_at_zero_point_still_passes_rtt():
     assert check_rtt(yang_r(2), pinned).passed
 
 
-def test_eval_rep_rejects_non_rtt_operator():
+def test_check_rtt_fails_for_non_rtt_operator():
+    # the constructor validates legs and labels only; the identity is
+    # reported by check_rtt, with a witness
     bad = eval_t(2).t_poly - flip_p(2, "u", "z", QUANTUM_ROLES)
-    with pytest.raises(ValueError, match="RTT"):
-        EvalRep(2, "z", bad, u_minus_z())
+    rep = EvalRep(2, "z", bad, u_minus_z())
+    report = check_rtt(yang_r(2), rep.t_poly)
+    assert not report.passed
+    assert report.witness == {
+        "row": [1, 1, 2],
+        "col": [1, 2, 1],
+        "lhs": "-2*u^2 + 2*u*v + 2*u*z + 2*u - 2*v*z - 2*z",
+        "rhs": "-2*u^2 + 2*u*v + 2*u*z + 4*u - 2*v*z - 2*v - 2*z",
+    }
 
 
 def test_eval_rep_rejects_wrong_quantum_label():
@@ -180,9 +189,7 @@ def test_double_relations_fail_for_perturbed_minus():
     # l_minus and must keep passing
     d = eval_double(2)
     bad_minus = d.l_minus + flip_p(2, "u", "z", QUANTUM_ROLES)
-    broken = DoubleEval(
-        d.l_plus, bad_minus, d.denom_plus, d.denom_minus, skip_check=True
-    )
+    broken = DoubleEval(d.l_plus, bad_minus, d.denom_plus, d.denom_minus)
     report = check_double_relations(broken)
     assert not report.passed
     assert report.params["verdicts"] == {
@@ -195,11 +202,23 @@ def test_double_relations_fail_for_perturbed_minus():
     assert report.witness["lhs"] != report.witness["rhs"]
 
 
-def test_double_eval_rejects_broken_pair():
+def test_check_quasi_inverse_on_the_double_pair():
+    # the constructor validates legs and labels only; the quasi-inverse
+    # law is reported by check_quasi_inverse, with a witness
     d = eval_double(2)
+    zeta = zeta_factor("u", "z")
+    assert check_quasi_inverse(d.l_plus, d.l_minus, zeta).passed
     bad_minus = d.l_minus + flip_p(2, "u", "z", QUANTUM_ROLES)
-    with pytest.raises(ValueError, match="quasi-inverse"):
-        DoubleEval(d.l_plus, bad_minus, d.denom_plus, d.denom_minus)
+    broken = DoubleEval(d.l_plus, bad_minus, d.denom_plus, d.denom_minus)
+    report = check_quasi_inverse(broken.l_plus, broken.l_minus, zeta)
+    assert not report.passed
+    assert report.witness == {
+        "row": [1, 1],
+        "col": [1, 1],
+        "lhs": "u^2 - 2*u*z + u + z^2 - z - 2",
+        "rhs": "u^2 - 2*u*z + z^2 - 1",
+        "side": "r*r_bar",
+    }
 
 
 # -- pairing_series ----------------------------------------------------------

@@ -31,7 +31,8 @@ from reflection_workbench.kernel import (
     tau_on_leg,
     tensor_compose,
 )
-from reflection_workbench.rmatrix import breve_r_series, yang_r
+from reflection_workbench.rmatrix import RFamily, breve_r_series, yang_r
+from reflection_workbench.verify import check_re
 
 SKEW = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
 IDENTITY2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -115,13 +116,18 @@ def test_character_chi_k2_general_x():
     assert chi2 == tensor_compose(tensor_compose(x1, r12), x2)
 
 
-def test_seed_solution_rejects_non_solution():
+def test_check_re_fails_for_non_solution_seed():
+    # the constructor validates legs and labels only; the reflection
+    # equation is reported by check_re, with a witness
     bad = matrix_on_leg(
         ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))),
         LegSpace(2, "u"),
     )
-    with pytest.raises(ValueError, match="reflection equation"):
-        SeedSolution(bad, orthogonal_transposition(2))
+    t = orthogonal_transposition(2)
+    seed = SeedSolution(bad, t)
+    report = check_re(RFamily.build(2, t), seed.s, seed.instance("v"))
+    assert not report.passed
+    assert report.witness == {"row": [1, 2], "col": [1, 2], "lhs": "-u + v", "rhs": "0"}
 
 
 def test_graded_family_cache_and_validation():

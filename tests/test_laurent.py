@@ -109,13 +109,6 @@ def test_negative_exponents_multiply():
     assert point == Fraction(1, 8)
 
 
-def test_constant_value():
-    assert LaurentPoly.const(Fraction(5, 3), ("u",)).constant_value() == Fraction(5, 3)
-    assert LaurentPoly.zero(("u", "v")).constant_value() == 0
-    with pytest.raises(ValueError):
-        (U + 1).constant_value()
-
-
 def test_str_rendering():
     p = (U - V) ** 2 - 1
     assert str(p) == "u^2 - 2*u*v + v^2 - 1"

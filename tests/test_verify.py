@@ -323,7 +323,7 @@ def test_intertwiner_fails_for_non_character():
     t = orthogonal_transposition(2)
     fam = RFamily.build(2, t)
     bad = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
-    seed = SeedSolution(matrix_on_leg(bad, LegSpace(2, "u")), t, skip_check=True)
+    seed = SeedSolution(matrix_on_leg(bad, LegSpace(2, "u")), t)
     family = GradedFamily.from_seed(seed, k_max=1)
     report = check_intertwiner(family, fam, 2, 1, 1)
     assert not report.passed
