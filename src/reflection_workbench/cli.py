@@ -8,7 +8,9 @@ Two commands share one pipeline:
 
 Every named check resolves its inputs up front (matrix files, sizes,
 truncation orders), runs the exact verification, and contributes one
-CheckReport.  The emitted document has two sections: a canonical "body"
+CheckReport.  _execute is the only place that starts a clock: it times
+each runner call once and badges the runner's result under the registry
+name.  The emitted document has two sections: a canonical "body"
 (sorted keys, checks sorted by name then parameters, no timing data)
 that is byte-reproducible for a fixed configuration, and a "timing"
 section that is allowed to vary between runs.
@@ -31,7 +33,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .evaluation import (
@@ -333,72 +335,47 @@ def _resolve_record(record, cfg):
 
 
 # -- runners ---------------------------------------------------------
-
-
-def _finish(name, public, inner, extra=None):
-    """Re-badge an inner CheckReport under the registry name."""
-    params = dict(public)
-    if extra:
-        params.update(extra)
-    for key, value in inner.params.items():
-        params.setdefault(key, value)
-    return CheckReport(name, params, inner.passed, inner.witness, inner.elapsed_ms)
-
-
-def _aggregate(name, public, instances):
-    """Combine tagged sub-reports; the witness cites the first failure."""
-    passed = True
-    witness = None
-    for tag, report in instances:
-        if not report.passed and passed:
-            passed = False
-            witness = dict(report.witness or {})
-            witness["instance"] = tag
-    params = dict(public)
-    params["instances"] = [tag for tag, _ in instances]
-    elapsed = sum(report.elapsed_ms for _, report in instances)
-    return CheckReport(name, params, passed, witness, elapsed)
+#
+# A runner returns its inner CheckReport, or its list of (tag, report)
+# instances; _execute badges either one under the registry name.
 
 
 def _run_ybe(p):
-    return _finish("ybe", p["public"], check_ybe(yang_r(p["n"])))
+    return check_ybe(yang_r(p["n"]))
 
 
 def _run_quasi_inverse(p):
     r = yang_r(p["n"])
     r_bar, zeta = yang_r_bar(p["n"])
-    inner = check_quasi_inverse(r, r_bar, zeta)
-    return _finish("quasi_inverse", p["public"], inner, {"zeta": str(zeta)})
+    return check_quasi_inverse(r, r_bar, zeta)
 
 
 def _run_tau_symmetry(p):
     n, t = p["n"], p["t"]
     r_prime, r_double_prime = r_primes(n, t)
     inner = check_tau_symmetry(yang_r(n), t)
-    coincide = {"primes_coincide": r_prime == r_double_prime}
-    return _finish("tau_symmetry", p["public"], inner, coincide)
+    return replace(inner, params=dict(inner.params, primes_coincide=r_prime == r_double_prime))
 
 
 def _run_rtt_evaluation(p):
     rep = eval_t(p["n"])
     inner = check_rtt(yang_r(p["n"]), rep.t_poly)
-    return _finish("rtt_evaluation", p["public"], inner, {"denominator": str(rep.denom)})
+    return replace(inner, params=dict(inner.params, denominator=str(rep.denom)))
 
 
 def _run_twisted_evaluation(p):
     n, t = p["n"], p["t"]
     s1 = build_twisted_s(eval_t(n), t)
     s2 = op_substitute(s1, {"u": "v"})
-    inner = check_re(RFamily.build(n, t), s1, s2)
-    return _finish("twisted_evaluation", p["public"], inner)
+    return check_re(RFamily.build(n, t), s1, s2)
 
 
 def _run_double_yangian(p):
-    return _finish("double_yangian", p["public"], check_double_relations(eval_double(p["n"])))
+    return check_double_relations(eval_double(p["n"]))
 
 
 def _run_pairing(p):
-    return _finish("pairing", p["public"], check_pairing(pairing_series(p["n"], p["K"]), p["K"]))
+    return check_pairing(pairing_series(p["n"], p["K"]), p["K"])
 
 
 def _run_fused_re(p):
@@ -408,7 +385,7 @@ def _run_fused_re(p):
     for k in range(1, p["kmax"] + 1):
         for m in range(1, p["kmax"] + 1):
             instances.append((f"k={k},m={m}", check_fused_re(family, fam, k, m)))
-    return _aggregate("fused_re", p["public"], instances)
+    return instances
 
 
 def _run_membership(p):
@@ -419,7 +396,7 @@ def _run_membership(p):
     instances = []
     for k in range(2, p["kmax"] + 1):
         instances.append((f"k={k}", check_membership(family.component(k), fam)))
-    return _aggregate("membership", p["public"], instances)
+    return instances
 
 
 def _run_characteristic(p):
@@ -429,7 +406,7 @@ def _run_characteristic(p):
     for k in range(0, p["kmax"] + 1):
         for i in range(0, k + 1):
             instances.append((f"k={k},i={i}", check_characteristic(family, fam, k, i)))
-    return _aggregate("characteristic", p["public"], instances)
+    return instances
 
 
 def _run_characteristic_unprimed(p):
@@ -437,8 +414,7 @@ def _run_characteristic_unprimed(p):
     # this check deliberately runs the unprimed variant at (k, i) = (2, 1)
     fam = RFamily.build(p["n"], p["t"])
     family = GradedFamily.from_character(p["x"], p["t"], k_max=2)
-    inner = check_characteristic(family, fam, 2, 1, primed_middle=False)
-    return _finish("characteristic_unprimed", p["public"], inner, {"primed_middle": False})
+    return check_characteristic(family, fam, 2, 1, primed_middle=False)
 
 
 def _run_intertwiner(p):
@@ -448,12 +424,11 @@ def _run_intertwiner(p):
     for k in range(1, p["kmax"] + 1):
         for m in range(1, p["kmax"] + 1):
             instances.append((f"k={k},m={m}", check_intertwiner(family, fam, p["K"], k, m)))
-    return _aggregate("intertwiner", p["public"], instances)
+    return instances
 
 
 def _run_embedding(p):
-    inner = verify_twisted_embedding(p["n"], p["level"], p["t"])
-    return _finish("embedding", p["public"], inner)
+    return verify_twisted_embedding(p["n"], p["level"], p["t"])
 
 
 REGISTRY = {
@@ -492,19 +467,41 @@ REGISTRY = {
 # -- execution ---------------------------------------------------------
 
 
+def _badge(name, public, result):
+    """The registry report for a runner's result.  An inner report keeps
+    its params under the public ones; a list of (tag, report) instances
+    lists its tags, and the witness cites the first failing instance."""
+    params = dict(public)
+    if isinstance(result, CheckReport):
+        for key, value in result.params.items():
+            params.setdefault(key, value)
+        return CheckReport(name, params, result.passed, result.witness)
+    params["instances"] = [tag for tag, _ in result]
+    failed = [(tag, report) for tag, report in result if not report.passed]
+    witness = None
+    if failed:
+        tag, report = failed[0]
+        witness = dict(report.witness or {}, instance=tag)
+    return CheckReport(name, params, not failed, witness)
+
+
 def _execute(job):
+    """Run one job: (its registry report, the milliseconds its runner took).
+    This is the one clock of the package."""
     started = time.perf_counter()
-    report = job.spec.runner(job.resolved)
-    elapsed = (time.perf_counter() - started) * 1000.0
-    return CheckReport(job.spec.name, report.params, report.passed, report.witness, elapsed)
+    result = job.spec.runner(job.resolved)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    return _badge(job.spec.name, job.resolved["public"], result), elapsed_ms
 
 
-def _report_sort_key(report):
+def _report_sort_key(run):
+    report, _ = run
     return (report.name, json.dumps(report.params, sort_keys=True))
 
 
 def run_suite(cfg):
-    """Resolve, run, and sort every check in the configuration.
+    """Resolve, run, and sort every check in the configuration; return
+    (report, elapsed_ms) pairs.
 
     All input files are loaded before any check runs, so input errors
     surface as UsageError without partial execution.  The sorted result
@@ -514,30 +511,25 @@ def run_suite(cfg):
     return sorted((_execute(job) for job in jobs), key=_report_sort_key)
 
 
-def report_document(reports):
-    """Split reports into the canonical body and the timing section."""
-    checks = []
-    per_check = []
-    for report in reports:
-        data = report.to_json()
-        elapsed = data.pop("elapsed_ms")
-        checks.append(data)
-        per_check.append({"name": data["name"], "elapsed_ms": elapsed})
+def report_document(runs):
+    """Split (report, elapsed_ms) pairs into the canonical body and the
+    timing section."""
     body = {
-        "checks": checks,
-        "passed": all(report.passed for report in reports),
+        "checks": [report.to_json() for report, _ in runs],
+        "passed": all(report.passed for report, _ in runs),
         "version": __version__,
     }
+    per_check = [{"name": report.name, "elapsed_ms": elapsed} for report, elapsed in runs]
     timing = {
         "per_check": per_check,
-        "total_ms": sum(entry["elapsed_ms"] for entry in per_check),
+        "total_ms": sum(elapsed for _, elapsed in runs),
     }
     return {"body": body, "timing": timing}
 
 
-def emit_report(reports, path=None):
+def emit_report(runs, path=None):
     """Serialize the report document to a file, or stdout when no path."""
-    document = report_document(reports)
+    document = report_document(runs)
     text = json.dumps(document, sort_keys=True, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -627,12 +619,13 @@ def main(argv=None):
             cfg = _config_from_check_args(args)
         else:
             cfg = SuiteConfig.from_file(args.config)
-        reports = run_suite(cfg)
-        emit_report(reports, cfg.out)
+        runs = run_suite(cfg)
+        emit_report(runs, cfg.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(_usage_text(), file=sys.stderr)
         return 2
+    reports = [report for report, _ in runs]
     for line in _summary_lines(reports):
         print(line, file=sys.stderr)
     return 0 if all(report.passed for report in reports) else 1

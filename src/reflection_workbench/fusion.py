@@ -78,13 +78,11 @@ def fused_r(k, m, n, primed=False, t=None, u_labels=None, v_labels=None):
     )
 
 
-def fused_r_prime_flipped(k, m, n, t=None, u_labels=None, v_labels=None):
+def fused_r_prime_flipped(k, m, n, t=None):
     """The block-swapped primed fused operator: the subscript-reversal of
     the primed fused_r built on the (m, k) block layout.  Each factor is
     R'(v_i, u_j) with tau acting on the v_i leg, embedded at (k+i, j)."""
-    return _block_product(
-        k, m, n, lambda a, b: yang_r(n, a, b), True, t, u_labels, v_labels, flipped=True
-    )
+    return _block_product(k, m, n, lambda a, b: yang_r(n, a, b), True, t, flipped=True)
 
 
 def omega_factor(k):
@@ -197,11 +195,6 @@ def character_seed(x, t):
         raise ValueError(f"matrix size {len(x)} does not match transposition size {t.n}")
     s = matrix_on_leg(x, LegSpace(t.n, "u"))
     return SeedSolution(s, t)
-
-
-def character_chi(x, t, k):
-    """The k-th component of the character attached to the constant matrix x."""
-    return fused_s(character_seed(x, t), k)
 
 
 class GradedFamily(Frozen):

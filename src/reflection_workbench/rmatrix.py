@@ -92,7 +92,7 @@ def breve_r_series(n, uvar="u", vvar="v", K=DEFAULT_TRUNCATION):
 @dataclass(frozen=True)
 class RFamily:
     """The Yang family bundle: R, its quasi-inverse partner, the twisted
-    forms, and both central factors.  build validates sizes only; that
+    forms, and the central factor zeta.  build validates sizes only; that
     R R-bar = zeta Id is what check_quasi_inverse reports."""
 
     n: int
@@ -102,7 +102,6 @@ class RFamily:
     zeta: LaurentPoly
     r_prime: TensorOp
     r_double_prime: TensorOp
-    zeta_prime: LaurentPoly
     uvar: str = "u"
     vvar: str = "v"
 
@@ -115,7 +114,4 @@ class RFamily:
         r = yang_r(n, uvar, vvar)
         r_bar, zeta = yang_r_bar(n, uvar, vvar)
         r_prime, r_double_prime = r_primes(n, t, uvar, vvar)
-        zeta_prime = zeta.substitute({uvar: "-" + uvar})
-        return RFamily(
-            n, t, r, r_bar, zeta, r_prime, r_double_prime, zeta_prime, uvar, vvar
-        )
+        return RFamily(n, t, r, r_bar, zeta, r_prime, r_double_prime, uvar, vvar)

@@ -22,7 +22,7 @@ from reflection_workbench.evaluation import (
     eval_t,
     pairing_series,
 )
-from reflection_workbench.fusion import GradedFamily, character_chi
+from reflection_workbench.fusion import GradedFamily
 from reflection_workbench.kernel import (
     LaurentPoly,
     identity_matrix,
@@ -122,7 +122,7 @@ def test_criterion_04_character_families():
                 report = check_fused_re(family, fam, k, m)
                 assert report.passed, (t.n, t.sign, k, m, report.witness)
         for k in (2, 3):
-            report = check_membership(character_chi(x, t, k), fam)
+            report = check_membership(family.component(k), fam)
             assert report.passed, (t.n, t.sign, k, report.witness)
         for k in range(4):
             for i in range(k + 1):

@@ -304,8 +304,7 @@ def test_report_document_separates_timing(tmp_path):
         defaults=dict(PARAM_DEFAULTS),
         out=None,
     )
-    reports = run_suite(cfg)
-    document = report_document(reports)
+    document = report_document(run_suite(cfg))
     assert "elapsed_ms" not in json.dumps(document["body"])
     assert document["timing"]["per_check"][0]["elapsed_ms"] > 0
     assert document["timing"]["total_ms"] > 0
@@ -332,9 +331,9 @@ def test_emit_report_to_unwritable_path(tmp_path):
         defaults=dict(PARAM_DEFAULTS),
         out=None,
     )
-    reports = run_suite(cfg)
+    runs = run_suite(cfg)
     with pytest.raises(UsageError, match="cannot write"):
-        emit_report(reports, str(tmp_path / "missing_dir" / "report.json"))
+        emit_report(runs, str(tmp_path / "missing_dir" / "report.json"))
 
 
 def test_pairing_check_verifies_all_orders():
@@ -344,9 +343,9 @@ def test_pairing_check_verifies_all_orders():
         defaults=dict(PARAM_DEFAULTS),
         out=None,
     )
-    reports = run_suite(cfg)
-    assert reports[0].passed
-    assert reports[0].params["orders_checked"] == 11
+    [(report, _)] = run_suite(cfg)
+    assert report.passed
+    assert report.params["orders_checked"] == 11
 
 
 @pytest.mark.parametrize(
@@ -366,19 +365,16 @@ def test_kmax_without_instances_exits_two(name, kmax, least):
 
 
 def test_aggregate_witness_names_the_failing_instance():
-    from reflection_workbench.cli import _aggregate
+    from reflection_workbench.cli import _badge
     from reflection_workbench.verify import CheckReport
 
-    good = CheckReport("inner", {}, True, None, 1.5)
-    bad = CheckReport(
-        "inner", {}, False, {"row": [1], "col": [1], "lhs": "0", "rhs": "1"}, 2.5
-    )
-    combined = _aggregate("outer", {"n": 2}, [("k=1", good), ("k=2", bad), ("k=3", bad)])
+    good = CheckReport("inner", {}, True, None)
+    bad = CheckReport("inner", {}, False, {"row": [1], "col": [1], "lhs": "0", "rhs": "1"})
+    combined = _badge("outer", {"n": 2}, [("k=1", good), ("k=2", bad), ("k=3", bad)])
     assert combined.name == "outer"
     assert combined.passed is False
     assert combined.witness["instance"] == "k=2"
     assert combined.params["instances"] == ["k=1", "k=2", "k=3"]
-    assert combined.elapsed_ms == pytest.approx(6.5)
 
 
 def test_committed_demo_suite_passes():

@@ -9,7 +9,6 @@ from reflection_workbench.fusion import (
     SeedSolution,
     block_swap,
     breve_product,
-    character_chi,
     character_seed,
     fused_breve,
     fused_r,
@@ -97,18 +96,17 @@ def test_character_seed_accepts_both_kinds():
 
 def test_character_chi_components():
     t = orthogonal_transposition(2)
-    chi1 = character_chi(IDENTITY2, t, 1)
-    assert chi1 == identity_op((LegSpace(2, "u1"),))
-    chi0 = character_chi(IDENTITY2, t, 0)
-    assert chi0 == identity_op(())
+    family = GradedFamily.from_character(IDENTITY2, t, k_max=2)
+    assert family.component(1) == identity_op((LegSpace(2, "u1"),))
+    assert family.component(0) == identity_op(())
     # k=2 for X=Id collapses to the primed factor alone
-    chi2 = character_chi(IDENTITY2, t, 2)
+    chi2 = family.component(2)
     assert chi2 == tau_on_leg(yang_r(2, "u1", "u2"), 1, t)
 
 
 def test_character_chi_k2_general_x():
     t = orthogonal_transposition(2)
-    chi2 = character_chi(SKEW, t, 2)
+    chi2 = GradedFamily.from_character(SKEW, t, k_max=2).component(2)
     legs = chi2.legs
     x1 = embed_legs(matrix_on_leg(SKEW, LegSpace(2, "u1")), (1,), legs)
     x2 = embed_legs(matrix_on_leg(SKEW, LegSpace(2, "u2")), (2,), legs)
@@ -190,7 +188,7 @@ def test_fused_r_prime_flipped_validates_blocks():
     with pytest.raises(ValueError, match="nonnegative"):
         fused_r_prime_flipped(-1, 1, 2)
     with pytest.raises(ValueError, match="label count"):
-        fused_r_prime_flipped(1, 2, 2, u_labels=("a",), v_labels=("b",))
+        fused_r(1, 2, 2, u_labels=("a",), v_labels=("b",))
 
 
 def test_breve_product_validates_blocks():

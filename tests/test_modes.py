@@ -29,10 +29,10 @@ from reflection_workbench.modes import (
     word_key,
     word_level,
     _collect_buckets,
-    _on_first_leg,
-    _on_second_leg,
+    _kron,
     _relations,
     _rtt_buckets,
+    _unit,
 )
 
 ORTH2 = orthogonal_transposition(2)
@@ -194,8 +194,8 @@ def test_twisted_level_one_fixture():
 
 
 def test_identity_structure_leaves_only_commutators():
-    t1 = _on_first_leg(series_matrix("T", 2, 2, var="u"), 2)
-    t2 = _on_second_leg(series_matrix("T", 2, 2, var="v"), 2)
+    t1 = _kron(series_matrix("T", 2, 2, var="u"), _unit(2))
+    t2 = _kron(_unit(2), series_matrix("T", 2, 2, var="v"))
     buckets = _collect_buckets([t1, t2], [t2, t1], 2)
     kept = _relations(buckets, 1)
     assert len(kept) == 12

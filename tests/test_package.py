@@ -1,5 +1,5 @@
 """Package-wide properties: frozen value classes, constructors that compute
-no identity, and no `assert` in the source."""
+no identity, no `assert` in the source, and one clock, in the CLI."""
 
 from __future__ import annotations
 
@@ -112,4 +112,25 @@ def test_source_has_no_assert_statements():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]
+    assert found == []
+
+
+def test_only_the_cli_keeps_a_clock():
+    """Checks are timed once, by cli._execute around each runner; no other
+    module imports or calls `time`."""
+    root = pathlib.Path(reflection_workbench.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                hit = any(alias.name.split(".")[0] == "time" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").split(".")[0] == "time"
+            else:
+                hit = isinstance(node, ast.Name) and node.id == "time"
+            if hit:
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
     assert found == []

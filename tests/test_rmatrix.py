@@ -178,8 +178,6 @@ def test_breve_series_cross_multiplied_oracle(K, labels):
 
 def test_rfamily_build():
     fam = RFamily.build(3)
-    assert fam.zeta_prime == (U + V) ** 2 - 1
-    assert fam.zeta_prime.substitute({"u": "v", "v": "u"}) == fam.zeta_prime
     assert fam.r_double_prime == fam.r_prime
     sym = RFamily.build(2, symplectic_transposition(2))
     assert sym.r_double_prime == sym.r_prime
