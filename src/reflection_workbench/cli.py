@@ -48,13 +48,12 @@ from .kernel import (
     Transposition,
     format_rational,
     identity_matrix,
-    mat_transpose,
     op_substitute,
     orthogonal_transposition,
     parse_matrix_json,
 )
 from .modes import verify_twisted_embedding
-from .rmatrix import RFamily, r_primes, yang_r, yang_r_bar
+from .rmatrix import RFamily, yang_r, yang_r_bar
 from .verify import (
     CheckReport,
     check_characteristic,
@@ -83,6 +82,18 @@ class UsageError(ValueError):
 # -- input files ---------------------------------------------------------
 
 
+def _read_json(path, kind):
+    """The parsed JSON of a matrix or config file; read errors are usage
+    errors that name the kind of file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read {kind} file {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{kind} file {path} is not valid JSON: {exc}") from None
+
+
 def load_matrix(path):
     """Read a rational matrix file {"n": N, "entries": [["p/q", ...], ...]}.
 
@@ -90,13 +101,7 @@ def load_matrix(path):
     rejected.  Constraints beyond squareness (symmetry, invertibility)
     are left to whichever consumer needs them.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read matrix file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"matrix file {path} is not valid JSON: {exc}") from None
+    data = _read_json(path, "matrix")
     try:
         return parse_matrix_json(data)
     except ValueError as exc:
@@ -105,16 +110,8 @@ def load_matrix(path):
 
 def form_transposition(g):
     """Wrap a loaded form matrix, inferring the symmetry sign."""
-    g = tuple(tuple(row) for row in g)
-    transposed = mat_transpose(g)
-    if transposed == g:
-        sign = 1
-    elif transposed == tuple(tuple(-value for value in row) for row in g):
-        sign = -1
-    else:
-        raise UsageError("form matrix is neither symmetric nor skew-symmetric")
     try:
-        return Transposition(g, sign)
+        return Transposition(g, symmetry_sign(g))
     except ValueError as exc:
         raise UsageError(f"form matrix rejected: {exc}") from None
 
@@ -203,15 +200,8 @@ class SuiteConfig:
 
     @staticmethod
     def from_file(path):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise UsageError(f"cannot read config file {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
         base_dir = os.path.dirname(os.path.abspath(path))
-        return SuiteConfig.from_json_dict(data, base_dir=base_dir)
+        return SuiteConfig.from_json_dict(_read_json(path, "config"), base_dir=base_dir)
 
 
 def _validate_int(key, value):
@@ -351,10 +341,7 @@ def _run_quasi_inverse(p):
 
 
 def _run_tau_symmetry(p):
-    n, t = p["n"], p["t"]
-    r_prime, r_double_prime = r_primes(n, t)
-    inner = check_tau_symmetry(yang_r(n), t)
-    return replace(inner, params=dict(inner.params, primes_coincide=r_prime == r_double_prime))
+    return check_tau_symmetry(yang_r(p["n"]), p["t"])
 
 
 def _run_rtt_evaluation(p):
@@ -391,11 +378,10 @@ def _run_fused_re(p):
 def _run_membership(p):
     # the exchange condition compares adjacent sites, so the smallest
     # component with any content is k = 2
-    fam = RFamily.build(p["n"], p["t"])
     family = GradedFamily.from_character(p["x"], p["t"], k_max=p["kmax"])
     instances = []
     for k in range(2, p["kmax"] + 1):
-        instances.append((f"k={k}", check_membership(family.component(k), fam)))
+        instances.append((f"k={k}", check_membership(family.component(k))))
     return instances
 
 
@@ -620,7 +606,7 @@ def main(argv=None):
         else:
             cfg = SuiteConfig.from_file(args.config)
         runs = run_suite(cfg)
-        emit_report(runs, cfg.out)
+        emit_report(runs, cfg.out and _resolve_path(cfg.base_dir, cfg.out))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(_usage_text(), file=sys.stderr)

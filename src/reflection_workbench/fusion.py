@@ -34,22 +34,20 @@ def block_labels(prefix, count):
     return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
 
-def _block_product(k, m, n, build, primed, t, u_labels=None, v_labels=None, flipped=False):
+def _block_product(k, m, n, build, primed, t, flipped=False):
     """The ordered product of two-leg factors on a (k, m) block layout.
 
-    The legs are the u-block (u_labels, default u1..uk) followed by the
-    v-block (v_labels, default v1..vm).  For each leg i of the outer block
-    (the u-block, or the v-block when flipped) and each leg j of the other
-    block, build(label_i, label_j) acts at (i, j); j runs descending for
-    the plain product and ascending for the primed one, whose factors
-    carry tau on their outer leg.  An empty block gives the identity.
+    The legs are the u-block u1..uk followed by the v-block v1..vm.  For
+    each leg i of the outer block (the u-block, or the v-block when
+    flipped) and each leg j of the other block, build(label_i, label_j)
+    acts at (i, j); j runs descending for the plain product and ascending
+    for the primed one, whose factors carry tau on their outer leg.  An
+    empty block gives the identity.
     """
     if k < 0 or m < 0:
         raise ValueError("block sizes must be nonnegative")
-    u_labels = block_labels("u", k) if u_labels is None else tuple(u_labels)
-    v_labels = block_labels("v", m) if v_labels is None else tuple(v_labels)
-    if len(u_labels) != k or len(v_labels) != m:
-        raise ValueError("label count does not match block size")
+    u_labels = block_labels("u", k)
+    v_labels = block_labels("v", m)
     if t is None:
         t = orthogonal_transposition(n)
     u_block = tuple(zip(u_labels, range(1, k + 1)))
@@ -66,16 +64,14 @@ def _block_product(k, m, n, build, primed, t, u_labels=None, v_labels=None, flip
     return op_chain(legs, factors)
 
 
-def fused_r(k, m, n, primed=False, t=None, u_labels=None, v_labels=None):
+def fused_r(k, m, n, primed=False, t=None):
     """The fused operator on k + m auxiliary legs.
 
     km = 0 gives the identity.  Otherwise the ordered product over i = 1..k
     of the R_{i,j}(u_i, v_j) factors, with j descending m..1 for the plain
     operator and ascending 1..m for the primed one (tau on the u_i leg).
     """
-    return _block_product(
-        k, m, n, lambda a, b: yang_r(n, a, b), primed, t, u_labels, v_labels
-    )
+    return _block_product(k, m, n, lambda a, b: yang_r(n, a, b), primed, t)
 
 
 def fused_r_prime_flipped(k, m, n, t=None):

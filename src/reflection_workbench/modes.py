@@ -531,24 +531,15 @@ def verify_twisted_embedding(n, d=2, t=None):
     needs pairs with level sum up to 2d, which the level-(2d-1) relation
     set provides.
     """
-    if d < 1:
-        raise ValueError(f"level cap must be >= 1, got {d}")
     if t is None:
         t = orthogonal_transposition(n)
     relations = expand_relation("twisted_re", n, d, t)
     rules = derive_rules(n, 2 * d - 1)
     images = twisted_generator_images(n, d, t)
-
-    def image(gen):
-        got = images.get(gen)
-        if got is None:
-            raise ValueError(f"no substitution image for generator {gen}")
-        return got
-
     witness = None
     failures = 0
     for p in relations:
-        residue = normal_form(substitute_gens(p, image), rules)
+        residue = normal_form(substitute_gens(p, images.__getitem__), rules)
         if not residue.is_zero():
             failures += 1
             if witness is None:

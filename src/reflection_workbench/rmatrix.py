@@ -2,8 +2,9 @@
 
 R(u,v) = (u-v) Id - P on two labelled legs, its quasi-inverse partner
 R-bar with the central factor zeta = (u-v)^2 - 1, the tau-twisted forms
-R' and R'' (computed, then checked equal for this family), and the
-truncated Laurent expansion of Id - P/(u-v).
+R' and R'', and the truncated Laurent expansion of Id - P/(u-v).  For
+this family R'' = R'; check_tau_symmetry reports that as its
+primes_coincide side and fails without it.
 """
 
 from __future__ import annotations
@@ -36,13 +37,18 @@ def flip_p(n, uvar=None, vvar=None, roles=("auxiliary", "auxiliary")):
     return TensorOp(legs, entries)
 
 
-def yang_r(n, uvar="u", vvar="v", roles=("auxiliary", "auxiliary")):
-    """(uvar - vvar) Id - P on two legs labelled uvar, vvar."""
+def _yang(n, uvar, vvar, roles, sign):
+    """(uvar - vvar) Id + sign P on two legs labelled uvar, vvar."""
     if uvar == vvar:
         raise ValueError(f"spectral variables must differ, both are {uvar!r}")
     legs = (LegSpace(n, uvar, roles[0]), LegSpace(n, vvar, roles[1]))
     scalar = LaurentPoly.var(uvar) - LaurentPoly.var(vvar)
-    return op_scale(identity_op(legs), scalar) - flip_p(n, uvar, vvar, roles)
+    return op_scale(identity_op(legs), scalar) + op_scale(flip_p(n, uvar, vvar, roles), sign)
+
+
+def yang_r(n, uvar="u", vvar="v", roles=("auxiliary", "auxiliary")):
+    """(uvar - vvar) Id - P on two legs labelled uvar, vvar."""
+    return _yang(n, uvar, vvar, roles, -1)
 
 
 def zeta_factor(uvar="u", vvar="v"):
@@ -52,26 +58,19 @@ def zeta_factor(uvar="u", vvar="v"):
 
 def yang_r_bar(n, uvar="u", vvar="v", roles=("auxiliary", "auxiliary")):
     """The quasi-inverse partner: returns ((u-v) Id + P, (u-v)^2 - 1)."""
-    if uvar == vvar:
-        raise ValueError(f"spectral variables must differ, both are {uvar!r}")
-    legs = (LegSpace(n, uvar, roles[0]), LegSpace(n, vvar, roles[1]))
-    scalar = LaurentPoly.var(uvar) - LaurentPoly.var(vvar)
-    r_bar = op_scale(identity_op(legs), scalar) + flip_p(n, uvar, vvar, roles)
-    return r_bar, zeta_factor(uvar, vvar)
+    return _yang(n, uvar, vvar, roles, 1), zeta_factor(uvar, vvar)
+
+
+def primed_pair(op, t):
+    """The twisted images of a two-leg operator: (tau on leg 1 of op, its
+    site flip)."""
+    prime = tau_on_leg(op, 1, t)
+    return prime, site_permute(prime, (2, 1))
 
 
 def r_primes(n, t, uvar="u", vvar="v"):
-    """R' = tau on leg 1 of R, and R'' = site flip of R'.
-
-    For this family R'' coincides with R'; that equality is checked
-    rather than assumed, keeping the generic code path honest.
-    """
-    r = yang_r(n, uvar, vvar)
-    r_prime = tau_on_leg(r, 1, t)
-    r_double_prime = site_permute(r_prime, (2, 1))
-    if r_double_prime != r_prime:
-        raise ValueError("site flip of R' does not reproduce R'")
-    return r_prime, r_double_prime
+    """R' = tau on leg 1 of R, and R'' = site flip of R'."""
+    return primed_pair(yang_r(n, uvar, vvar), t)
 
 
 def breve_r_series(n, uvar="u", vvar="v", K=DEFAULT_TRUNCATION):
@@ -91,15 +90,14 @@ def breve_r_series(n, uvar="u", vvar="v", K=DEFAULT_TRUNCATION):
 
 @dataclass(frozen=True)
 class RFamily:
-    """The Yang family bundle: R, its quasi-inverse partner, the twisted
-    forms, and the central factor zeta.  build validates sizes only; that
-    R R-bar = zeta Id is what check_quasi_inverse reports."""
+    """The Yang family bundle: R, its quasi-inverse partner and the twisted
+    forms.  build validates sizes only; the identities among them are what
+    check_quasi_inverse and check_tau_symmetry report."""
 
     n: int
     t: Transposition
     r: TensorOp
     r_bar: TensorOp
-    zeta: LaurentPoly
     r_prime: TensorOp
     r_double_prime: TensorOp
     uvar: str = "u"
@@ -112,6 +110,5 @@ class RFamily:
         if t.n != n:
             raise ValueError(f"transposition size {t.n} does not match n={n}")
         r = yang_r(n, uvar, vvar)
-        r_bar, zeta = yang_r_bar(n, uvar, vvar)
-        r_prime, r_double_prime = r_primes(n, t, uvar, vvar)
-        return RFamily(n, t, r, r_bar, zeta, r_prime, r_double_prime, uvar, vvar)
+        r_bar, _ = yang_r_bar(n, uvar, vvar)
+        return RFamily(n, t, r, r_bar, *primed_pair(r, t), uvar, vvar)

@@ -31,7 +31,7 @@ from .kernel import (
     site_permute,
     tau_on_leg,
 )
-from .rmatrix import flip_p, yang_r
+from .rmatrix import flip_p, primed_pair, yang_r
 
 
 @dataclass(frozen=True)
@@ -141,12 +141,21 @@ def check_quasi_inverse(r, r_bar, zeta):
 
 
 def check_tau_symmetry(r, t):
-    """tau_1 tau_2 R = R_21: transposing both legs of R is its site flip."""
+    """tau_1 tau_2 R = R_21: transposing both legs of R is its site flip.
+
+    The primes side states R'' = R' for the twisted images of R (see
+    primed_pair); its verdict is the primes_coincide param.
+    """
     whole = (1, 2)
     both_legs = tau_on_leg(tau_on_leg(r, 1, t), 2, t)
-    sides = [("", [(both_legs, whole)], [(site_permute(r, (2, 1)), whole)])]
-    params = {"n": r.legs[0].dim, "kind": t.kind}
-    return _compare("tau_symmetry", params, r.legs, sides)
+    r_prime, r_double_prime = primed_pair(r, t)
+    sides = [
+        ("", [(both_legs, whole)], [(site_permute(r, (2, 1)), whole)]),
+        ("primes", [(r_double_prime, whole)], [(r_prime, whole)]),
+    ]
+    verdicts, witness = compare_sides(r.legs, sides)
+    params = {"n": r.legs[0].dim, "kind": t.kind, "primes_coincide": verdicts["primes"]}
+    return CheckReport("tau_symmetry", params, witness is None, witness)
 
 
 def check_pairing(series, order):
@@ -228,10 +237,8 @@ def check_conjugate_re(fam, s1, s2):
     the double-primed one, mirroring the plain reflection equation with
     the sides' roles exchanged.
     """
-    r_bar = fam.r_bar
-    r_bar_prime = tau_on_leg(r_bar, 1, fam.t)
-    r_bar_double = site_permute(r_bar_prime, (2, 1))
-    ambient, sides = _re_sides(r_bar, r_bar_double, r_bar_prime, s1, s2)
+    r_bar_prime, r_bar_double = primed_pair(fam.r_bar, fam.t)
+    ambient, sides = _re_sides(fam.r_bar, r_bar_double, r_bar_prime, s1, s2)
     params = {"n": fam.n, "kind": fam.t.kind}
     return _compare("conjugate_re", params, ambient, sides)
 
@@ -242,7 +249,7 @@ def _swap_adjacent(i, total):
     return tuple(sigma)
 
 
-def check_membership(h, fam):
+def check_membership(h):
     """R_{i,i+1} h = sigma_{i,i+1}(h) R_{i,i+1} for all adjacent aux pairs."""
     aux_count = 0
     for position, leg in enumerate(h.legs, start=1):
@@ -253,8 +260,6 @@ def check_membership(h, fam):
     if aux_count < 2:
         raise ValueError("membership needs at least two auxiliary legs labelled u1, u2, ...")
     n = h.legs[0].dim
-    if n != fam.n:
-        raise ValueError(f"family size {fam.n} does not match legs of dimension {n}")
     whole = _span(1, len(h.legs))
     sides = []
     for i in range(1, aux_count):
@@ -283,10 +288,9 @@ def check_characteristic(family, fam, k, i, primed_middle=True):
     relabel = {f"u{b}": f"u{i + b}" for b in range(1, j + 1) if i}
     if relabel:
         second = op_substitute(second, relabel)
-    labels = block_labels("u", k)
-    middle = fused_r(
-        i, j, fam.n, primed=primed_middle, t=fam.t, u_labels=labels[:i], v_labels=labels[i:]
-    )
+    middle = fused_r(i, j, fam.n, primed=primed_middle, t=fam.t)
+    if j:
+        middle = op_substitute(middle, {f"v{b}": f"u{i + b}" for b in range(1, j + 1)})
     rhs = [
         (first, _span(1, i) + coeff_targets),
         (middle, _span(1, k)),

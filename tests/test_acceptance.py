@@ -122,7 +122,7 @@ def test_criterion_04_character_families():
                 report = check_fused_re(family, fam, k, m)
                 assert report.passed, (t.n, t.sign, k, m, report.witness)
         for k in (2, 3):
-            report = check_membership(family.component(k), fam)
+            report = check_membership(family.component(k))
             assert report.passed, (t.n, t.sign, k, report.witness)
         for k in range(4):
             for i in range(k + 1):

@@ -23,6 +23,7 @@ from reflection_workbench.cli import (
     emit_report,
     form_transposition,
     load_matrix,
+    main,
     report_document,
     run_suite,
 )
@@ -277,6 +278,16 @@ def test_out_file_written_and_stdout_quiet(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["body"]["passed"] is True
     assert doc["timing"]["per_check"][0]["name"] == "ybe"
+
+
+def test_relative_out_resolves_against_the_config_dir(tmp_path, monkeypatch):
+    cfg_dir = tmp_path / "cfgdir"
+    cfg_dir.mkdir()
+    path = make_config(cfg_dir, [{"name": "ybe", "n": 2}], out="report.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["suite", "--config", path]) == 0
+    assert json.loads((cfg_dir / "report.json").read_text())["body"]["passed"] is True
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_legacy_parallelism_key_loads_and_runs(tmp_path):

@@ -187,8 +187,6 @@ def test_fused_r_prime_flipped_single_is_r_prime():
 def test_fused_r_prime_flipped_validates_blocks():
     with pytest.raises(ValueError, match="nonnegative"):
         fused_r_prime_flipped(-1, 1, 2)
-    with pytest.raises(ValueError, match="label count"):
-        fused_r(1, 2, 2, u_labels=("a",), v_labels=("b",))
 
 
 def test_breve_product_validates_blocks():

@@ -18,6 +18,7 @@ from reflection_workbench.kernel import (
     Frozen,
     LaurentPoly,
     LegSpace,
+    TensorOp,
     matrix_on_leg,
     op_chain,
     orthogonal_transposition,
@@ -64,8 +65,10 @@ def test_value_classes_refuse_rebinding_and_deletion(name):
 
 def test_constructors_compute_no_identity(monkeypatch):
     """Constructors validate shapes and labels only: no compose, no factor
-    chain and no check runs while they build.  Every module binding is
-    patched, so a call through any import path is counted."""
+    chain, no operator comparison and no check runs while they build.
+    Every module binding is patched, so a call through any import path is
+    counted; TensorOp.__eq__ is patched on the class, which `!=` also
+    goes through."""
     watched = {id(tensor_compose): tensor_compose, id(op_chain): op_chain}
     for name, fn in vars(verify).items():
         if name.startswith("check_") and callable(fn):
@@ -86,6 +89,7 @@ def test_constructors_compute_no_identity(monkeypatch):
         for attr, value in list(vars(module).items()):
             if watched.get(id(value)) is value:
                 monkeypatch.setattr(module, attr, wrappers[id(value)])
+    monkeypatch.setattr(TensorOp, "__eq__", counting(TensorOp.__eq__))
 
     skew = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
     t = orthogonal_transposition(3)

@@ -106,14 +106,6 @@ def test_r_double_prime_equals_r_prime(n, t_builder):
     assert r_double == r_prime
 
 
-def test_r_primes_refuses_a_site_flip_that_changes_r_prime(monkeypatch):
-    from reflection_workbench import rmatrix
-
-    monkeypatch.setattr(rmatrix, "site_permute", lambda op, sigma: op * 2)
-    with pytest.raises(ValueError, match="site flip of R' does not reproduce R'"):
-        r_primes(2, orthogonal_transposition(2))
-
-
 @pytest.mark.parametrize(
     "n,t_builder",
     [(2, orthogonal_transposition), (3, orthogonal_transposition),

@@ -118,6 +118,25 @@ def test_tau_symmetry_fails_for_perturbed_r(t, row, col, lhs, rhs):
     assert report.witness == {"row": row, "col": col, "lhs": lhs, "rhs": rhs}
 
 
+def test_tau_symmetry_fails_when_r_double_prime_differs(monkeypatch):
+    # a site flip that doubles R' breaks R'' = R': the primes side fails
+    # with a witness, both for the check and for the command line
+    from reflection_workbench import cli, rmatrix
+
+    monkeypatch.setattr(rmatrix, "site_permute", lambda op, sigma: op * 2)
+    report = check_tau_symmetry(yang_r(2), orthogonal_transposition(2))
+    assert not report.passed
+    assert report.params["primes_coincide"] is False
+    assert report.witness == {
+        "row": [1, 1],
+        "col": [1, 1],
+        "lhs": "-2*u - 2*v - 2",
+        "rhs": "-u - v - 1",
+        "side": "primes",
+    }
+    assert cli.main(["check", "tau_symmetry", "--n", "2"]) == 1
+
+
 def test_pairing_fails_past_the_series_order():
     series = pairing_series(2, 3)
     assert check_pairing(series, 3).passed
@@ -217,47 +236,42 @@ def test_conjugate_re_recorded_verdicts(x):
 
 def test_membership_of_fused_character():
     t = orthogonal_transposition(2)
-    fam = RFamily.build(2, t)
     chi2 = GradedFamily.from_character(IDENTITY2, t, k_max=2).component(2)
-    assert check_membership(chi2, fam).passed
+    assert check_membership(chi2).passed
     chi3 = GradedFamily.from_character(SKEW, t, k_max=3).component(3)
-    assert check_membership(chi3, fam).passed
+    assert check_membership(chi3).passed
 
 
 def test_membership_fails_for_plain_r_factor():
     # two bare sites holding R(u1,u2) itself do NOT satisfy the exchange
     # condition; the fused (2,1)-block below is the object that does.
-    fam = RFamily.build(2)
     h = yang_r(2, "u1", "u2")
-    report = check_membership(h, fam)
+    report = check_membership(h)
     assert not report.passed
 
 
 def test_membership_of_fused_block_is_ybe_in_disguise():
-    fam = RFamily.build(2)
     h = fused_r(2, 1, 2)  # legs u1, u2, v1
-    report = check_membership(h, fam)
+    report = check_membership(h)
     assert report.passed
 
 
 def test_membership_fails_for_asymmetric_diagonal():
     from reflection_workbench.kernel import tensor_product
 
-    fam = RFamily.build(2)
     d1 = matrix_on_leg(
         ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2))), LegSpace(2, "u1")
     )
     d2 = matrix_on_leg(
         ((Fraction(3), Fraction(0)), (Fraction(0), Fraction(5))), LegSpace(2, "u2")
     )
-    report = check_membership(tensor_product(d1, d2), fam)
+    report = check_membership(tensor_product(d1, d2))
     assert not report.passed
 
 
 def test_membership_requires_two_aux_legs():
-    fam = RFamily.build(2)
     with pytest.raises(ValueError):
-        check_membership(matrix_on_leg(IDENTITY2, LegSpace(2, "u1")), fam)
+        check_membership(matrix_on_leg(IDENTITY2, LegSpace(2, "u1")))
 
 
 @pytest.mark.parametrize("x,kind", [(IDENTITY2, "orthogonal"), (SKEW, "symplectic")])
