@@ -45,6 +45,7 @@ from .evaluation import (
 )
 from .fusion import GradedFamily, symmetry_sign
 from .kernel import (
+    LaurentPoly,
     Transposition,
     format_rational,
     identity_matrix,
@@ -138,7 +139,8 @@ class SuiteConfig:
     "parallelism" >= 1; it is validated and has no effect.  base_dir
     records where a loaded file lived so its relative paths stay
     meaningful; it is derived context, not part of the configuration
-    value.
+    value.  from_json_dict is the one validator: a SuiteConfig built
+    directly is taken as it is.
     """
 
     checks: tuple
@@ -146,27 +148,6 @@ class SuiteConfig:
     defaults: dict
     out: str | None
     base_dir: str | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "checks", tuple(dict(c) for c in self.checks))
-        object.__setattr__(self, "inputs", dict(self.inputs))
-        object.__setattr__(self, "defaults", dict(self.defaults))
-        for record in self.checks:
-            _validate_record(record)
-        extra_inputs = set(self.inputs) - {"x", "g"}
-        if extra_inputs:
-            raise UsageError(f"unknown input file keys: {sorted(extra_inputs)}")
-        for key, value in self.inputs.items():
-            if not isinstance(value, str):
-                raise UsageError(f'input path "{key}" must be a string, got {value!r}')
-        if set(self.defaults) != set(PARAM_DEFAULTS):
-            raise UsageError(
-                f"defaults must have exactly the keys {sorted(PARAM_DEFAULTS)}"
-            )
-        for key, value in self.defaults.items():
-            _validate_int(key, value)
-        if self.out is not None and not isinstance(self.out, str):
-            raise UsageError(f"out must be a path string, got {self.out!r}")
 
     @staticmethod
     def from_json_dict(data, base_dir=None):
@@ -177,24 +158,36 @@ class SuiteConfig:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         if "checks" not in data or not isinstance(data["checks"], list):
             raise UsageError('config needs a "checks" list')
-        defaults = dict(PARAM_DEFAULTS)
         supplied = data.get("defaults", {})
         if not isinstance(supplied, dict):
             raise UsageError('"defaults" must be an object')
         unknown = set(supplied) - set(PARAM_DEFAULTS)
         if unknown:
             raise UsageError(f"unknown default keys: {sorted(unknown)}")
-        defaults.update(supplied)
+        defaults = {**PARAM_DEFAULTS, **supplied}
         inputs = data.get("inputs", {})
         if not isinstance(inputs, dict):
             raise UsageError('"inputs" must be an object')
         if "parallelism" in data:
             _validate_int("parallelism", data["parallelism"])
+        for record in data["checks"]:
+            _validate_record(record)
+        unknown = set(inputs) - {"x", "g"}
+        if unknown:
+            raise UsageError(f"unknown input file keys: {sorted(unknown)}")
+        for key, value in inputs.items():
+            if not isinstance(value, str):
+                raise UsageError(f'input path "{key}" must be a string, got {value!r}')
+        for key, value in defaults.items():
+            _validate_int(key, value)
+        out = data.get("out")
+        if out is not None and not isinstance(out, str):
+            raise UsageError(f"out must be a path string, got {out!r}")
         return SuiteConfig(
             checks=tuple(data["checks"]),
             inputs=inputs,
             defaults=defaults,
-            out=data.get("out"),
+            out=out,
             base_dir=base_dir,
         )
 
@@ -244,12 +237,6 @@ class _CheckSpec:
     summary: str
 
 
-@dataclass(frozen=True)
-class _Job:
-    spec: _CheckSpec
-    resolved: dict
-
-
 def _resolve_path(base_dir, path):
     if base_dir is None or os.path.isabs(path):
         return path
@@ -257,25 +244,17 @@ def _resolve_path(base_dir, path):
 
 
 def _resolve_record(record, cfg):
-    """Turn one check record into a runnable job, loading any input files."""
+    """Turn one check record into a runnable (spec, resolved) job, loading
+    any input files."""
     spec = REGISTRY[record["name"]]
-    g_matrix = None
-    if "g" in spec.needs:
-        path = record.get("g", cfg.inputs.get("g"))
-        if path is not None:
-            g_matrix = load_matrix(_resolve_path(cfg.base_dir, path))
-    x_matrix = None
-    if "x" in spec.needs:
-        path = record.get("x", cfg.inputs.get("x"))
-        if path is not None:
-            x_matrix = load_matrix(_resolve_path(cfg.base_dir, path))
+    loaded = {}
+    for key in ("g", "x"):
+        path = record.get(key, cfg.inputs.get(key))
+        if key in spec.needs and path is not None:
+            loaded[key] = load_matrix(_resolve_path(cfg.base_dir, path))
 
     n = record.get("n")
-    sizes = {}
-    if g_matrix is not None:
-        sizes["g"] = len(g_matrix)
-    if x_matrix is not None:
-        sizes["x"] = len(x_matrix)
+    sizes = {key: len(matrix) for key, matrix in loaded.items()}
     if n is not None:
         for source, size in sizes.items():
             if size != n:
@@ -298,12 +277,12 @@ def _resolve_record(record, cfg):
     resolved = {"n": n}
     public = {"n": n}
     if "g" in spec.needs:
-        t = form_transposition(g_matrix) if g_matrix is not None else orthogonal_transposition(n)
+        t = form_transposition(loaded["g"]) if "g" in loaded else orthogonal_transposition(n)
         resolved["t"] = t
         public["kind"] = t.kind
         public["g"] = _matrix_strings(t.g)
     if "x" in spec.needs:
-        x = x_matrix if x_matrix is not None else identity_matrix(n)
+        x = loaded["x"] if "x" in loaded else identity_matrix(n)
         try:
             symmetry_sign(x)
         except ValueError as exc:
@@ -312,16 +291,13 @@ def _resolve_record(record, cfg):
         public["x"] = _matrix_strings(x)
     for key in ("K", "kmax", "level"):
         if key in spec.needs:
-            value = record.get(key, cfg.defaults[key])
-            resolved[key] = value
-            public[key] = value
+            resolved[key] = public[key] = record.get(key, cfg.defaults[key])
     least = _KMAX_MINIMA.get(spec.name, 0)
-    if "kmax" in resolved and resolved["kmax"] < least:
+    if resolved.get("kmax", least) < least:
         raise UsageError(
             f'check "{spec.name}": kmax must be >= {least}, got {resolved["kmax"]}'
         )
-    resolved["public"] = public
-    return _Job(spec, resolved)
+    return spec, dict(resolved, public=public)
 
 
 # -- runners ---------------------------------------------------------
@@ -345,9 +321,10 @@ def _run_tau_symmetry(p):
 
 
 def _run_rtt_evaluation(p):
-    rep = eval_t(p["n"])
-    inner = check_rtt(yang_r(p["n"]), rep.t_poly)
-    return replace(inner, params=dict(inner.params, denominator=str(rep.denom)))
+    t_op = eval_t(p["n"])
+    inner = check_rtt(yang_r(p["n"]), t_op)
+    u, z = (LaurentPoly.var(leg.spectral_var) for leg in t_op.legs)
+    return replace(inner, params=dict(inner.params, denominator=str(u - z)))
 
 
 def _run_twisted_evaluation(p):
@@ -471,13 +448,13 @@ def _badge(name, public, result):
     return CheckReport(name, params, not failed, witness)
 
 
-def _execute(job):
+def _execute(spec, resolved):
     """Run one job: (its registry report, the milliseconds its runner took).
     This is the one clock of the package."""
     started = time.perf_counter()
-    result = job.spec.runner(job.resolved)
+    result = spec.runner(resolved)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return _badge(job.spec.name, job.resolved["public"], result), elapsed_ms
+    return _badge(spec.name, resolved["public"], result), elapsed_ms
 
 
 def _report_sort_key(run):
@@ -494,7 +471,7 @@ def run_suite(cfg):
     does not depend on the order of the records.
     """
     jobs = [_resolve_record(record, cfg) for record in cfg.checks]
-    return sorted((_execute(job) for job in jobs), key=_report_sort_key)
+    return sorted((_execute(*job) for job in jobs), key=_report_sort_key)
 
 
 def report_document(runs):
@@ -572,6 +549,7 @@ def _config_from_check_args(args):
         value = getattr(args, key)
         if value is not None:
             record[key] = value
+    _validate_record(record)
     return SuiteConfig(
         checks=(record,),
         inputs={},

@@ -6,6 +6,10 @@ N-dimensional space at a formal evaluation point: the basic T-operator
 pair of L-operators with their three defining relations, the truncated
 pairing expansion, and coaction images of reflection-equation solutions.
 
+eval_t returns the plain operator on legs (auxiliary u, quantum z);
+build_twisted_s and coaction_image read the labels and the size off
+those legs, and tau_on_leg refuses a transposition of another size.
+
 Every identity in scope is multilinear in each series factor separately,
 so each factor is replaced by its denominator-cleared polynomial
 representative; the dropped scalar denominators cancel between the two
@@ -27,61 +31,18 @@ from .rmatrix import breve_r_series, yang_r, yang_r_bar
 from .verify import CheckReport, compare_sides
 
 
-class EvalRep(Frozen):
-    """A one-auxiliary-leg solution of the RTT relation at an evaluation
-    point.
-
-    t_poly acts on legs (auxiliary uvar, quantum zvar) and is the cleared
-    representative of a rational function with denominator denom.  Only
-    the legs and labels are validated; the RTT relation is what check_rtt
-    reports.
-    """
-
-    __slots__ = ("n", "zvar", "t_poly", "denom")
-
-    def __init__(self, n, zvar, t_poly, denom):
-        if len(t_poly.legs) != 2:
-            raise ValueError("t_poly must act on exactly two legs")
-        aux, quantum = t_poly.legs
-        if aux.dim != n or quantum.dim != n:
-            raise ValueError(f"t_poly legs must both have dimension {n}")
-        if aux.spectral_var is None:
-            raise ValueError("the auxiliary leg needs a spectral label")
-        if quantum.spectral_var != zvar:
-            raise ValueError(
-                f"quantum leg is labelled {quantum.spectral_var!r}, expected {zvar!r}"
-            )
-        if aux.spectral_var == zvar:
-            raise ValueError(f"spectral labels clash, both are {zvar!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "zvar", zvar)
-        object.__setattr__(self, "t_poly", t_poly)
-        object.__setattr__(self, "denom", denom)
-
-    @property
-    def uvar(self):
-        return self.t_poly.legs[0].spectral_var
-
-    def __repr__(self):
-        return f"EvalRep(n={self.n}, uvar={self.uvar!r}, zvar={self.zvar!r})"
-
-
 def eval_t(n, uvar="u", zvar="z"):
-    """The basic evaluation image of the generator series: the cleared
-    representative (u - z) Id - P of Id - P/(u - z), with denom u - z."""
-    if uvar == zvar:
-        raise ValueError(f"spectral variables must differ, both are {uvar!r}")
-    t_poly = yang_r(n, uvar, zvar, roles=("auxiliary", "quantum"))
-    denom = LaurentPoly.var(uvar) - LaurentPoly.var(zvar)
-    return EvalRep(n, zvar, t_poly, denom)
+    """The basic evaluation image of the generator series on legs
+    (auxiliary uvar, quantum zvar): the cleared representative
+    (u - z) Id - P of Id - P/(u - z).  That it satisfies the RTT relation
+    is what check_rtt reports."""
+    return yang_r(n, uvar, zvar, roles=("auxiliary", "quantum"))
 
 
-def build_twisted_s(rep, t):
+def build_twisted_s(t_op, t):
     """The twisted solution: t applied on the auxiliary leg of T (sending
     u to -u) composed with T itself, ((-u - z) Id - Q)((u - z) Id - P)."""
-    if t.n != rep.n:
-        raise ValueError(f"transposition size {t.n} does not match n={rep.n}")
-    return tensor_compose(tau_on_leg(rep.t_poly, 1, t), rep.t_poly)
+    return tensor_compose(tau_on_leg(t_op, 1, t), t_op)
 
 
 class DoubleEval(Frozen):
@@ -167,34 +128,31 @@ def pairing_series(n, K):
     return breve_r_series(n, "z", "w", K)
 
 
-def coaction_image(s, rep, t):
+def coaction_image(s, t_op, t):
     """The evaluation coaction applied to a reflection-equation solution:
     [t on the auxiliary leg of T, at -u] . S . T on the block enlarged by
-    the representation leg of rep.
+    the quantum leg of the evaluation operator t_op.
 
-    s acts on (auxiliary leg at rep's uvar, coefficient block); the image
-    acts on the same legs followed by rep's quantum leg.  Label collisions
-    between the two blocks are an error, never silently renamed.
+    s acts on (auxiliary leg at t_op's auxiliary label, coefficient
+    block); the image acts on the same legs followed by t_op's quantum
+    leg.  Label collisions between the two blocks are an error, never
+    silently renamed.
     """
     if not s.legs:
         raise ValueError("the solution needs at least the auxiliary leg")
-    aux = s.legs[0]
-    if aux.spectral_var is None:
-        raise ValueError("the solution's auxiliary leg must carry a spectral label")
-    if aux.spectral_var != rep.uvar:
+    lead, (aux, quantum) = s.legs[0], t_op.legs
+    if (lead.dim, lead.spectral_var) != (aux.dim, aux.spectral_var):
         raise ValueError(
-            f"solution label {aux.spectral_var!r} does not match "
-            f"the representative's {rep.uvar!r}"
+            f"solution leg (dim {lead.dim}, label {lead.spectral_var!r}) does not "
+            f"match the evaluation operator's (dim {aux.dim}, label {aux.spectral_var!r})"
         )
-    if aux.dim != rep.n or t.n != rep.n:
-        raise ValueError("dimension mismatch between solution, representative, and form")
-    if rep.zvar in s.variables:
+    if quantum.spectral_var in s.variables:
         raise ValueError(
-            f"evaluation label {rep.zvar!r} collides with the solution's variables"
+            f"evaluation label {quantum.spectral_var!r} collides with the solution's variables"
         )
     m = len(s.legs)
-    ambient = s.legs + (rep.t_poly.legs[1],)
+    ambient = s.legs + (quantum,)
     outer = (1, m + 1)
-    twisted = tau_on_leg(rep.t_poly, 1, t)
+    twisted = tau_on_leg(t_op, 1, t)
     middle = tuple(range(1, m + 1))
-    return op_chain(ambient, [(twisted, outer), (s, middle), (rep.t_poly, outer)])
+    return op_chain(ambient, [(twisted, outer), (s, middle), (t_op, outer)])

@@ -100,8 +100,6 @@ class RFamily:
     r_bar: TensorOp
     r_prime: TensorOp
     r_double_prime: TensorOp
-    uvar: str = "u"
-    vvar: str = "v"
 
     @staticmethod
     def build(n, t=None, uvar="u", vvar="v"):
@@ -111,4 +109,4 @@ class RFamily:
             raise ValueError(f"transposition size {t.n} does not match n={n}")
         r = yang_r(n, uvar, vvar)
         r_bar, _ = yang_r_bar(n, uvar, vvar)
-        return RFamily(n, t, r, r_bar, *primed_pair(r, t), uvar, vvar)
+        return RFamily(n, t, r, r_bar, *primed_pair(r, t))

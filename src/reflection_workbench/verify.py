@@ -270,6 +270,17 @@ def check_membership(h):
     return _compare("membership", params, h.legs, sides)
 
 
+def _require_one_form(chi, fam):
+    """Refuse components built on another form than fam's R' and R''.
+    Transposition has no __eq__, so the values are compared."""
+    seed_t = chi.seed.t
+    if (seed_t.n, seed_t.sign, seed_t.g) != (fam.n, fam.t.sign, fam.t.g):
+        raise ValueError(
+            f"the graded family's form ({seed_t.kind}, n={seed_t.n}) is not the "
+            f"R-matrix family's ({fam.t.kind}, n={fam.n})"
+        )
+
+
 def check_characteristic(family, fam, k, i, primed_middle=True):
     """S^(k) = S^(i)_1 (R')^(i),(k-i) S^(k-i)_2 for one partition.
 
@@ -279,6 +290,7 @@ def check_characteristic(family, fam, k, i, primed_middle=True):
     """
     if not 0 <= i <= k <= family.k_max:
         raise ValueError(f"need 0 <= i <= k <= {family.k_max}, got i={i}, k={k}")
+    _require_one_form(family, fam)
     j = k - i
     whole = family.component(k)
     legs = whole.legs
@@ -310,6 +322,7 @@ def _fused_blocks(chi, fam, k, m):
     """Common layout for the fused componentwise checks: ambient legs and
     the factors chi^(k) on the u-block and chi^(m), relabelled, on the
     v-block."""
+    _require_one_form(chi, fam)
     coeff = chi.coeff_legs
     u_labels = block_labels("u", k)
     v_labels = block_labels("v", m)

@@ -225,6 +225,46 @@ def test_suite_level_input_files_apply_to_all_checks(tmp_path):
     assert kinds == {"membership": "symplectic", "twisted_evaluation": "symplectic"}
 
 
+# every config and record error, with its full text; files named here are
+# written by the test next to the config
+CONFIG_ERRORS = [
+    ([], "config must be a JSON object"),
+    ({"checks": {}}, 'config needs a "checks" list'),
+    ({"checks": [3]}, "check record must be an object, got 3"),
+    ({"checks": [], "inputs": {"y": "y.json"}}, "unknown input file keys: ['y']"),
+    ({"checks": [], "inputs": {"g": 3}}, 'input path "g" must be a string, got 3'),
+    ({"checks": [], "defaults": []}, '"defaults" must be an object'),
+    ({"checks": [], "defaults": {"Q": 1}}, "unknown default keys: ['Q']"),
+    ({"checks": [], "out": 3}, "out must be a path string, got 3"),
+    (
+        {"checks": [{"name": "tau_symmetry", "g": 3}]},
+        '"g" must be a file path string, got 3',
+    ),
+    (
+        {"checks": [{"name": "membership", "g": "g.json", "x": "x4.json"}]},
+        'check "membership": matrix sizes disagree: g=2, x=4',
+    ),
+    (
+        {"checks": [{"name": "tau_symmetry", "g": "g1.json"}]},
+        'check "tau_symmetry": matrices must be at least 2x2',
+    ),
+]
+
+
+@pytest.mark.parametrize("data, message", CONFIG_ERRORS, ids=[m for _, m in CONFIG_ERRORS])
+def test_config_and_record_errors_keep_their_text(tmp_path, capsys, data, message):
+    write_json(tmp_path / "g.json", SKEW_JSON)
+    write_json(tmp_path / "g1.json", {"n": 1, "entries": [["1"]]})
+    identity4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    write_json(tmp_path / "x4.json", {"n": 4, "entries": identity4})
+    with pytest.raises(UsageError) as caught:
+        run_suite(SuiteConfig.from_json_dict(data, base_dir=str(tmp_path)))
+    assert str(caught.value) == message
+    path = write_json(tmp_path / "config.json", data)
+    assert main(["suite", "--config", path]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
 # -- suite runs ---------------------------------------------------------
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from reflection_workbench.evaluation import (
     DoubleEval,
-    EvalRep,
     build_twisted_s,
     check_double_relations,
     coaction_image,
@@ -45,29 +44,24 @@ def u_minus_z():
 
 
 def test_eval_t_shape_and_rtt():
-    rep = eval_t(2)
-    assert rep.n == 2
-    assert rep.uvar == "u"
-    assert rep.zvar == "z"
-    assert rep.t_poly.legs[0].role == "auxiliary"
-    assert rep.t_poly.legs[1].role == "quantum"
-    assert rep.denom == u_minus_z()
-    assert check_rtt(yang_r(2), rep.t_poly).passed
+    t_op = eval_t(2)
+    assert t_op.legs == (LegSpace(2, "u", "auxiliary"), LegSpace(2, "z", "quantum"))
+    assert check_rtt(yang_r(2), t_op).passed
 
 
 def test_eval_t_diagonal_entry():
-    rep = eval_t(2)
+    t_op = eval_t(2)
     expected = u_minus_z() - 1
-    assert extract_entry(rep.t_poly, (1, 1), (1, 1)) == expected
-    assert str(extract_entry(rep.t_poly, (1, 1), (1, 1))) == "u - z - 1"
+    assert extract_entry(t_op, (1, 1), (1, 1)) == expected
+    assert str(extract_entry(t_op, (1, 1), (1, 1))) == "u - z - 1"
 
 
 def test_eval_t_cross_multiplies_to_cleared_form():
-    rep = eval_t(3)
-    cleared = op_scale(identity_op(rep.t_poly.legs), rep.denom) - flip_p(
+    t_op = eval_t(3)
+    cleared = op_scale(identity_op(t_op.legs), u_minus_z()) - flip_p(
         3, "u", "z", QUANTUM_ROLES
     )
-    assert rep.t_poly == cleared
+    assert t_op == cleared
 
 
 def test_eval_t_rejects_variable_clash():
@@ -76,18 +70,15 @@ def test_eval_t_rejects_variable_clash():
 
 
 def test_eval_t_at_zero_point_still_passes_rtt():
-    rep = eval_t(2)
-    pinned = op_substitute(rep.t_poly, {"z": 0})
+    pinned = op_substitute(eval_t(2), {"z": 0})
     assert pinned.legs[1].spectral_var is None
     assert check_rtt(yang_r(2), pinned).passed
 
 
 def test_check_rtt_fails_for_non_rtt_operator():
-    # the constructor validates legs and labels only; the identity is
-    # reported by check_rtt, with a witness
-    bad = eval_t(2).t_poly - flip_p(2, "u", "z", QUANTUM_ROLES)
-    rep = EvalRep(2, "z", bad, u_minus_z())
-    report = check_rtt(yang_r(2), rep.t_poly)
+    # the identity is reported by check_rtt, with a witness
+    bad = eval_t(2) - flip_p(2, "u", "z", QUANTUM_ROLES)
+    report = check_rtt(yang_r(2), bad)
     assert not report.passed
     assert report.witness == {
         "row": [1, 1, 2],
@@ -95,11 +86,6 @@ def test_check_rtt_fails_for_non_rtt_operator():
         "lhs": "-2*u^2 + 2*u*v + 2*u*z + 2*u - 2*v*z - 2*z",
         "rhs": "-2*u^2 + 2*u*v + 2*u*z + 4*u - 2*v*z - 2*v - 2*z",
     }
-
-
-def test_eval_rep_rejects_wrong_quantum_label():
-    with pytest.raises(ValueError, match="quantum leg"):
-        EvalRep(2, "w", eval_t(2).t_poly, u_minus_z())
 
 
 # -- build_twisted_s ---------------------------------------------------------
@@ -128,9 +114,8 @@ def test_build_twisted_s_degenerate_scalar():
     from reflection_workbench.rmatrix import RFamily
 
     legs = (LegSpace(2, "u"), LegSpace(2, "z", "quantum"))
-    rep = EvalRep(2, "z", op_scale(identity_op(legs), u_minus_z()), u_minus_z())
     t = orthogonal_transposition(2)
-    twisted = build_twisted_s(rep, t)
+    twisted = build_twisted_s(op_scale(identity_op(legs), u_minus_z()), t)
     scalar = (LaurentPoly.const(-1) * LaurentPoly.var("u") - LaurentPoly.var("z")) * (
         u_minus_z()
     )
@@ -270,13 +255,13 @@ def test_pairing_rejects_negative_order():
 
 
 def test_coaction_on_trivial_solution_reproduces_twisted_s():
-    rep = eval_t(2)
+    t_op = eval_t(2)
     t = orthogonal_transposition(2)
     coeff = LegSpace(2, None, "quantum")
     trivial = identity_op((LegSpace(2, "u"), coeff))
-    image = coaction_image(trivial, rep, t)
-    ambient = (LegSpace(2, "u"), coeff, rep.t_poly.legs[1])
-    assert image == embed_legs(build_twisted_s(rep, t), (1, 3), ambient)
+    image = coaction_image(trivial, t_op, t)
+    ambient = (LegSpace(2, "u"), coeff, t_op.legs[1])
+    assert image == embed_legs(build_twisted_s(t_op, t), (1, 3), ambient)
 
 
 @pytest.mark.parametrize(
@@ -291,35 +276,32 @@ def test_coaction_image_passes_re(x, kind):
         if kind == "orthogonal"
         else symplectic_transposition(2)
     )
-    rep = eval_t(2)
-    image = coaction_image(matrix_on_leg(x, LegSpace(2, "u")), rep, t)
+    image = coaction_image(matrix_on_leg(x, LegSpace(2, "u")), eval_t(2), t)
     second = op_substitute(image, {"u": "v"})
     assert check_re(RFamily.build(2, t), image, second).passed
 
 
 def test_coaction_with_degenerate_rep_is_scalar_multiple():
     legs = (LegSpace(2, "u"), LegSpace(2, "z", "quantum"))
-    rep = EvalRep(2, "z", op_scale(identity_op(legs), u_minus_z()), u_minus_z())
+    t_op = op_scale(identity_op(legs), u_minus_z())
     t = orthogonal_transposition(2)
     s = matrix_on_leg(SKEW, LegSpace(2, "u"))
-    image = coaction_image(s, rep, t)
+    image = coaction_image(s, t_op, t)
     scalar = (LaurentPoly.const(-1) * LaurentPoly.var("u") - LaurentPoly.var("z")) * (
         u_minus_z()
     )
-    ambient = s.legs + (rep.t_poly.legs[1],)
+    ambient = s.legs + (t_op.legs[1],)
     assert image == op_scale(embed_legs(s, (1,), ambient), scalar)
 
 
 def test_coaction_rejects_label_collision():
-    rep = eval_t(2)
     t = orthogonal_transposition(2)
     clashing = identity_op((LegSpace(2, "u"), LegSpace(2, "z")))
     with pytest.raises(ValueError, match="collides"):
-        coaction_image(clashing, rep, t)
+        coaction_image(clashing, eval_t(2), t)
 
 
 def test_coaction_rejects_mismatched_auxiliary_label():
-    rep = eval_t(2)
     t = orthogonal_transposition(2)
     with pytest.raises(ValueError, match="does not match"):
-        coaction_image(matrix_on_leg(IDENTITY2, LegSpace(2, "x")), rep, t)
+        coaction_image(matrix_on_leg(IDENTITY2, LegSpace(2, "x")), eval_t(2), t)

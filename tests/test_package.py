@@ -44,7 +44,6 @@ FROZEN_CASES = {
         lambda: GradedFamily.from_character(IDENTITY2, orthogonal_transposition(2)),
         "k_max",
     ),
-    "EvalRep": (lambda: eval_t(2), "t_poly"),
     "DoubleEval": (lambda: eval_double(2), "l_plus"),
 }
 
@@ -94,7 +93,7 @@ def test_constructors_compute_no_identity(monkeypatch):
     skew = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
     t = orthogonal_transposition(3)
     t2 = symplectic_transposition(2)
-    rep = eval_t(3)
+    t_op = eval_t(3)
     pair = eval_double(3)
     seed = character_seed(skew, t2)
     SeedSolution(matrix_on_leg(skew, LegSpace(2, "u")), t2)
@@ -102,7 +101,7 @@ def test_constructors_compute_no_identity(monkeypatch):
     RFamily.build(3, t)
     GradedFamily.from_character(skew, t2, k_max=2)
     assert calls == []
-    assert (rep.n, pair.n, seed.t.n) == (3, 3, 2)
+    assert (t_op.legs[0].dim, pair.n, seed.t.n) == (3, 3, 2)
 
 
 def test_source_has_no_assert_statements():

@@ -14,6 +14,7 @@ from reflection_workbench.kernel import (
     LaurentPoly,
     LegSpace,
     TensorOp,
+    Transposition,
     embed_legs,
     identity_op,
     matrix_on_leg,
@@ -340,6 +341,29 @@ def test_intertwiner_fails_for_non_character():
     report = check_intertwiner(family, fam, 2, 1, 1)
     assert not report.passed
     assert report.witness is not None
+
+
+MISMATCHED_CHECKS = {
+    "fused_re": lambda chi, fam: check_fused_re(chi, fam, 1, 1),
+    "intertwiner": lambda chi, fam: check_intertwiner(chi, fam, 2, 1, 1),
+    "characteristic": lambda chi, fam: check_characteristic(chi, fam, 2, 1),
+}
+MISMATCHED_FORMS = {
+    # the reported case: orthogonal R-matrices, symplectic components
+    "sign": (orthogonal_transposition(2), symplectic_transposition(2), IDENTITY2),
+    "g": (orthogonal_transposition(2), Transposition(SYMMETRIC_GENERIC, 1), IDENTITY2),
+    "n": (orthogonal_transposition(3), orthogonal_transposition(2), IDENTITY2),
+}
+
+
+@pytest.mark.parametrize("form", sorted(MISMATCHED_FORMS))
+@pytest.mark.parametrize("check", sorted(MISMATCHED_CHECKS))
+def test_fused_checks_refuse_two_forms(check, form):
+    fam_t, chi_t, x = MISMATCHED_FORMS[form]
+    fam = RFamily.build(fam_t.n, fam_t)
+    chi = GradedFamily.from_character(x, chi_t, k_max=2)
+    with pytest.raises(ValueError, match="is not the R-matrix family's"):
+        MISMATCHED_CHECKS[check](chi, fam)
 
 
 def test_report_json_shape():
