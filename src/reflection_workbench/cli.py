@@ -17,7 +17,8 @@ section that is allowed to vary between runs.
 
 Exit codes: 0 when every check passed, 1 when any check failed, 2 for
 usage or input errors (unknown check name, malformed matrix or config
-file, parameter out of bounds).
+file, parameter out of bounds, or a report file that cannot be opened,
+which is found before the first check runs).
 
 Paths inside a config file are resolved relative to the config file's
 directory; paths given on the command line are resolved relative to the
@@ -43,7 +44,7 @@ from .evaluation import (
     eval_t,
     pairing_series,
 )
-from .fusion import GradedFamily, symmetry_sign
+from .fusion import GradedFamily
 from .kernel import (
     LaurentPoly,
     Transposition,
@@ -72,8 +73,6 @@ from .verify import (
 DEFAULT_N = 2
 PARAM_DEFAULTS = {"K": 8, "kmax": 3, "level": 2}
 _INT_MINIMA = {"n": 2, "K": 0, "kmax": 0, "level": 1, "parallelism": 1}
-# below these a check has no instance that can fail and would pass vacuously
-_KMAX_MINIMA = {"fused_re": 1, "intertwiner": 1, "membership": 2, "characteristic": 2}
 
 
 class UsageError(ValueError):
@@ -110,9 +109,9 @@ def load_matrix(path):
 
 
 def form_transposition(g):
-    """Wrap a loaded form matrix, inferring the symmetry sign."""
+    """Wrap a loaded form matrix; Transposition reads the sign off g."""
     try:
-        return Transposition(g, symmetry_sign(g))
+        return Transposition(g)
     except ValueError as exc:
         raise UsageError(f"form matrix rejected: {exc}") from None
 
@@ -191,6 +190,11 @@ class SuiteConfig:
             base_dir=base_dir,
         )
 
+    @property
+    def report_path(self):
+        """out resolved against the config file's directory; None for stdout."""
+        return self.out and _resolve_path(self.base_dir, self.out)
+
     @staticmethod
     def from_file(path):
         base_dir = os.path.dirname(os.path.abspath(path))
@@ -235,6 +239,8 @@ class _CheckSpec:
     needs: frozenset
     runner: object
     summary: str
+    # below this a check has no instance that can fail and would pass vacuously
+    least_kmax: int = 0
 
 
 def _resolve_path(base_dir, path):
@@ -281,21 +287,21 @@ def _resolve_record(record, cfg):
         resolved["t"] = t
         public["kind"] = t.kind
         public["g"] = _matrix_strings(t.g)
-    if "x" in spec.needs:
-        x = loaded["x"] if "x" in loaded else identity_matrix(n)
-        try:
-            symmetry_sign(x)
-        except ValueError as exc:
-            raise UsageError(f'check "{spec.name}": {exc}') from None
-        resolved["x"] = x
-        public["x"] = _matrix_strings(x)
     for key in ("K", "kmax", "level"):
         if key in spec.needs:
             resolved[key] = public[key] = record.get(key, cfg.defaults[key])
-    least = _KMAX_MINIMA.get(spec.name, 0)
-    if resolved.get("kmax", least) < least:
+    if "x" in spec.needs:
+        x = loaded["x"] if "x" in loaded else identity_matrix(n)
+        # characteristic_unprimed takes no kmax: it runs at (k, i) = (2, 1)
+        k_max = resolved.get("kmax", 2)
+        try:
+            resolved["chi"] = GradedFamily.from_character(x, resolved["t"], k_max=k_max)
+        except ValueError as exc:
+            raise UsageError(f'check "{spec.name}": {exc}') from None
+        public["x"] = _matrix_strings(x)
+    if resolved.get("kmax", 0) < spec.least_kmax:
         raise UsageError(
-            f'check "{spec.name}": kmax must be >= {least}, got {resolved["kmax"]}'
+            f'check "{spec.name}": kmax must be >= {spec.least_kmax}, got {resolved["kmax"]}'
         )
     return spec, dict(resolved, public=public)
 
@@ -303,7 +309,8 @@ def _resolve_record(record, cfg):
 # -- runners ---------------------------------------------------------
 #
 # A runner returns its inner CheckReport, or its list of (tag, report)
-# instances; _execute badges either one under the registry name.
+# instances; _execute badges either one under the registry name.  The
+# character runners read the graded family p["chi"] built at resolution.
 
 
 def _run_ybe(p):
@@ -311,9 +318,7 @@ def _run_ybe(p):
 
 
 def _run_quasi_inverse(p):
-    r = yang_r(p["n"])
-    r_bar, zeta = yang_r_bar(p["n"])
-    return check_quasi_inverse(r, r_bar, zeta)
+    return check_quasi_inverse(yang_r(p["n"]), *yang_r_bar(p["n"]))
 
 
 def _run_tau_symmetry(p):
@@ -344,50 +349,34 @@ def _run_pairing(p):
 
 def _run_fused_re(p):
     fam = RFamily.build(p["n"], p["t"])
-    family = GradedFamily.from_character(p["x"], p["t"], k_max=p["kmax"])
-    instances = []
-    for k in range(1, p["kmax"] + 1):
-        for m in range(1, p["kmax"] + 1):
-            instances.append((f"k={k},m={m}", check_fused_re(family, fam, k, m)))
-    return instances
+    span = range(1, p["kmax"] + 1)
+    return [(f"k={k},m={m}", check_fused_re(p["chi"], fam, k, m)) for k in span for m in span]
 
 
 def _run_membership(p):
     # the exchange condition compares adjacent sites, so the smallest
     # component with any content is k = 2
-    family = GradedFamily.from_character(p["x"], p["t"], k_max=p["kmax"])
-    instances = []
-    for k in range(2, p["kmax"] + 1):
-        instances.append((f"k={k}", check_membership(family.component(k))))
-    return instances
+    return [(f"k={k}", check_membership(p["chi"].component(k))) for k in range(2, p["kmax"] + 1)]
 
 
 def _run_characteristic(p):
     fam = RFamily.build(p["n"], p["t"])
-    family = GradedFamily.from_character(p["x"], p["t"], k_max=p["kmax"])
-    instances = []
-    for k in range(0, p["kmax"] + 1):
-        for i in range(0, k + 1):
-            instances.append((f"k={k},i={i}", check_characteristic(family, fam, k, i)))
-    return instances
+    return [(f"k={k},i={i}", check_characteristic(p["chi"], fam, k, i))
+            for k in range(p["kmax"] + 1) for i in range(k + 1)]
 
 
 def _run_characteristic_unprimed(p):
     # negative control: the middle factor must be the primed block, and
     # this check deliberately runs the unprimed variant at (k, i) = (2, 1)
     fam = RFamily.build(p["n"], p["t"])
-    family = GradedFamily.from_character(p["x"], p["t"], k_max=2)
-    return check_characteristic(family, fam, 2, 1, primed_middle=False)
+    return check_characteristic(p["chi"], fam, 2, 1, primed_middle=False)
 
 
 def _run_intertwiner(p):
     fam = RFamily.build(p["n"], p["t"])
-    family = GradedFamily.from_character(p["x"], p["t"], k_max=p["kmax"])
-    instances = []
-    for k in range(1, p["kmax"] + 1):
-        for m in range(1, p["kmax"] + 1):
-            instances.append((f"k={k},m={m}", check_intertwiner(family, fam, p["K"], k, m)))
-    return instances
+    span = range(1, p["kmax"] + 1)
+    return [(f"k={k},m={m}", check_intertwiner(p["chi"], fam, p["K"], k, m))
+            for k in span for m in span]
 
 
 def _run_embedding(p):
@@ -412,15 +401,15 @@ REGISTRY = {
         _CheckSpec("pairing", frozenset({"n", "K"}), _run_pairing,
                    "cross-multiplied series expansion to order K"),
         _CheckSpec("fused_re", frozenset({"n", "g", "x", "kmax"}), _run_fused_re,
-                   "fused reflection equation for character components"),
+                   "fused reflection equation for character components", least_kmax=1),
         _CheckSpec("membership", frozenset({"n", "g", "x", "kmax"}), _run_membership,
-                   "exchange condition for fused character components"),
+                   "exchange condition for fused character components", least_kmax=2),
         _CheckSpec("characteristic", frozenset({"n", "g", "x", "kmax"}), _run_characteristic,
-                   "characteristic identities over all partitions"),
+                   "characteristic identities over all partitions", least_kmax=2),
         _CheckSpec("characteristic_unprimed", frozenset({"n", "g", "x"}), _run_characteristic_unprimed,
                    "negative control with the unprimed middle factor"),
         _CheckSpec("intertwiner", frozenset({"n", "g", "x", "K", "kmax"}), _run_intertwiner,
-                   "truncated intertwining identity for characters"),
+                   "truncated intertwining identity for characters", least_kmax=1),
         _CheckSpec("embedding", frozenset({"n", "g", "level"}), _run_embedding,
                    "mode-level embedding into the untwisted algebra"),
     )
@@ -434,11 +423,9 @@ def _badge(name, public, result):
     """The registry report for a runner's result.  An inner report keeps
     its params under the public ones; a list of (tag, report) instances
     lists its tags, and the witness cites the first failing instance."""
-    params = dict(public)
     if isinstance(result, CheckReport):
-        for key, value in result.params.items():
-            params.setdefault(key, value)
-        return CheckReport(name, params, result.passed, result.witness)
+        return CheckReport(name, {**result.params, **public}, result.passed, result.witness)
+    params = dict(public)
     params["instances"] = [tag for tag, _ in result]
     failed = [(tag, report) for tag, report in result if not report.passed]
     witness = None
@@ -466,11 +453,14 @@ def run_suite(cfg):
     """Resolve, run, and sort every check in the configuration; return
     (report, elapsed_ms) pairs.
 
-    All input files are loaded before any check runs, so input errors
-    surface as UsageError without partial execution.  The sorted result
-    does not depend on the order of the records.
+    All input files are loaded, and the report file is opened, before
+    any check runs, so input errors surface as UsageError without partial
+    execution.  The sorted result does not depend on the order of the
+    records.
     """
     jobs = [_resolve_record(record, cfg) for record in cfg.checks]
+    if cfg.report_path is not None:
+        _write_report(cfg.report_path, "")
     return sorted((_execute(*job) for job in jobs), key=_report_sort_key)
 
 
@@ -497,12 +487,16 @@ def emit_report(runs, path=None):
     if path is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write report to {path}: {exc}") from None
+        _write_report(path, text)
     return document
+
+
+def _write_report(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write report to {path}: {exc}") from None
 
 
 # -- command line ---------------------------------------------------------
@@ -544,18 +538,9 @@ def _build_parser():
 
 
 def _config_from_check_args(args):
-    record = {"name": args.name}
-    for key in ("n", "g", "x", "K", "kmax", "level"):
-        value = getattr(args, key)
-        if value is not None:
-            record[key] = value
-    _validate_record(record)
-    return SuiteConfig(
-        checks=(record,),
-        inputs={},
-        defaults=dict(PARAM_DEFAULTS),
-        out=args.out,
-    )
+    keys = ("name", "n", "g", "x", "K", "kmax", "level")
+    record = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    return SuiteConfig.from_json_dict({"checks": [record], "out": args.out})
 
 
 def _summary_lines(reports):
@@ -584,7 +569,7 @@ def main(argv=None):
         else:
             cfg = SuiteConfig.from_file(args.config)
         runs = run_suite(cfg)
-        emit_report(runs, cfg.out and _resolve_path(cfg.base_dir, cfg.out))
+        emit_report(runs, cfg.report_path)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(_usage_text(), file=sys.stderr)

@@ -23,6 +23,7 @@ from .kernel import (
     op_chain,
     op_substitute,
     orthogonal_transposition,
+    symmetry_sign,
     tau_on_leg,
 )
 from .rmatrix import breve_r_series, yang_r
@@ -153,34 +154,6 @@ def fused_s(seed, k):
             r_prime = tau_on_leg(yang_r(n, labels[i - 1], labels[j - 1]), 1, seed.t)
             factors.append((r_prime, (i, j)))
     return op_chain(legs, factors)
-
-
-def symmetry_sign(x):
-    """+1 for a symmetric matrix, -1 for skew; error with the violated
-    entry pair otherwise (the zero matrix counts as symmetric)."""
-    n = len(x)
-    if any(len(row) != n for row in x):
-        raise ValueError("matrix is not square")
-    symmetric_violation = None
-    skew_violation = None
-    for i in range(n):
-        for j in range(n):
-            if symmetric_violation is None and x[i][j] != x[j][i]:
-                symmetric_violation = (i + 1, j + 1)
-            if skew_violation is None and x[i][j] != -x[j][i]:
-                skew_violation = (i + 1, j + 1)
-    if symmetric_violation is None:
-        return 1
-    if skew_violation is None:
-        return -1
-    si, sj = symmetric_violation
-    ki, kj = skew_violation
-    raise ValueError(
-        "matrix is neither symmetric nor skew: "
-        f"x[{si}][{sj}]={x[si - 1][sj - 1]} vs x[{sj}][{si}]={x[sj - 1][si - 1]} "
-        f"breaks symmetry, x[{ki}][{kj}]={x[ki - 1][kj - 1]} vs "
-        f"-x[{kj}][{ki}]={-x[kj - 1][ki - 1]} breaks skewness"
-    )
 
 
 def character_seed(x, t):

@@ -418,24 +418,46 @@ def mat_inverse(a):
     return tuple(tuple(row[n:]) for row in work)
 
 
+def symmetry_sign(x):
+    """+1 for a symmetric matrix, -1 for skew; error with the violated
+    entry pair otherwise (the zero matrix counts as symmetric)."""
+    n = len(x)
+    if any(len(row) != n for row in x):
+        raise ValueError("matrix is not square")
+    symmetric_violation = None
+    skew_violation = None
+    for i in range(n):
+        for j in range(n):
+            if symmetric_violation is None and x[i][j] != x[j][i]:
+                symmetric_violation = (i + 1, j + 1)
+            if skew_violation is None and x[i][j] != -x[j][i]:
+                skew_violation = (i + 1, j + 1)
+    if symmetric_violation is None:
+        return 1
+    if skew_violation is None:
+        return -1
+    si, sj = symmetric_violation
+    ki, kj = skew_violation
+    raise ValueError(
+        "matrix is neither symmetric nor skew: "
+        f"x[{si}][{sj}]={x[si - 1][sj - 1]} vs x[{sj}][{si}]={x[sj - 1][si - 1]} "
+        f"breaks symmetry, x[{ki}][{kj}]={x[ki - 1][kj - 1]} vs "
+        f"-x[{kj}][{ki}]={-x[kj - 1][ki - 1]} breaks skewness"
+    )
+
+
 class Transposition(Frozen):
-    """The involutive anti-automorphism A -> g.A^T.g^-1 for g with g^T = sign.g."""
+    """The involutive anti-automorphism A -> g.A^T.g^-1 for an invertible g
+    with g^T = sign.g; the sign is read off g by symmetry_sign."""
 
     __slots__ = ("g", "g_inv", "sign", "n")
 
-    def __init__(self, g, sign):
+    def __init__(self, g):
         g = tuple(tuple(Fraction(x) for x in row) for row in g)
-        n = len(g)
-        if any(len(row) != n for row in g):
-            raise ValueError("form matrix must be square")
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        if mat_transpose(g) != tuple(tuple(sign * x for x in row) for row in g):
-            raise ValueError("form matrix does not satisfy g^T = sign*g")
+        object.__setattr__(self, "sign", symmetry_sign(g))
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "g_inv", mat_inverse(g))
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", len(g))
 
     @property
     def kind(self):
@@ -452,7 +474,7 @@ class Transposition(Frozen):
 
 def orthogonal_transposition(n):
     """Plain matrix transpose: g is the identity form."""
-    return Transposition(identity_matrix(n), 1)
+    return Transposition(identity_matrix(n))
 
 
 def symplectic_transposition(n):
@@ -464,7 +486,7 @@ def symplectic_transposition(n):
     for i in range(half):
         g[i][half + i] = Fraction(1)
         g[half + i][i] = Fraction(-1)
-    return Transposition(g, -1)
+    return Transposition(g)
 
 
 def parse_matrix_json(data):

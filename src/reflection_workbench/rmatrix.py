@@ -68,9 +68,9 @@ def primed_pair(op, t):
     return prime, site_permute(prime, (2, 1))
 
 
-def r_primes(n, t, uvar="u", vvar="v"):
-    """R' = tau on leg 1 of R, and R'' = site flip of R'."""
-    return primed_pair(yang_r(n, uvar, vvar), t)
+def r_primes(n, t):
+    """R' = tau on leg 1 of R(u, v), and R'' = site flip of R'."""
+    return primed_pair(yang_r(n), t)
 
 
 def breve_r_series(n, uvar="u", vvar="v", K=DEFAULT_TRUNCATION):

@@ -12,10 +12,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from reflection_workbench import cli
 from reflection_workbench.cli import (
     PARAM_DEFAULTS,
     SuiteConfig,
@@ -27,6 +29,7 @@ from reflection_workbench.cli import (
     report_document,
     run_suite,
 )
+from reflection_workbench.verify import CheckReport
 
 SKEW_JSON = {"n": 2, "entries": [["0", "1"], ["-1", "0"]]}
 # sha256 of json.dumps(body, sort_keys=True) for configs/suite.json; a
@@ -248,6 +251,21 @@ CONFIG_ERRORS = [
         {"checks": [{"name": "tau_symmetry", "g": "g1.json"}]},
         'check "tau_symmetry": matrices must be at least 2x2',
     ),
+    (
+        {"checks": [{"name": "tau_symmetry", "g": "lopsided.json"}]},
+        "form matrix rejected: matrix is neither symmetric nor skew: "
+        "x[1][2]=2 vs x[2][1]=3 breaks symmetry, x[1][1]=1 vs -x[1][1]=-1 breaks skewness",
+    ),
+    (
+        {"checks": [{"name": "tau_symmetry", "g": "zero.json"}]},
+        "form matrix rejected: matrix is singular",
+    ),
+    # the x error comes before the kmax floor
+    (
+        {"checks": [{"name": "characteristic", "x": "lopsided.json", "kmax": 1}]},
+        'check "characteristic": matrix is neither symmetric nor skew: '
+        "x[1][2]=2 vs x[2][1]=3 breaks symmetry, x[1][1]=1 vs -x[1][1]=-1 breaks skewness",
+    ),
 ]
 
 
@@ -257,6 +275,8 @@ def test_config_and_record_errors_keep_their_text(tmp_path, capsys, data, messag
     write_json(tmp_path / "g1.json", {"n": 1, "entries": [["1"]]})
     identity4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
     write_json(tmp_path / "x4.json", {"n": 4, "entries": identity4})
+    write_json(tmp_path / "lopsided.json", {"n": 2, "entries": [["1", "2"], ["3", "4"]]})
+    write_json(tmp_path / "zero.json", {"n": 2, "entries": [["0", "0"], ["0", "0"]]})
     with pytest.raises(UsageError) as caught:
         run_suite(SuiteConfig.from_json_dict(data, base_dir=str(tmp_path)))
     assert str(caught.value) == message
@@ -328,6 +348,24 @@ def test_relative_out_resolves_against_the_config_dir(tmp_path, monkeypatch):
     assert main(["suite", "--config", path]) == 0
     assert json.loads((cfg_dir / "report.json").read_text())["body"]["passed"] is True
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("how", ["check", "suite"])
+def test_unwritable_out_is_refused_before_any_check(tmp_path, monkeypatch, capsys, how):
+    calls = []
+
+    def spy(p):
+        calls.append(p)
+        return CheckReport("ybe", {}, True, None)
+
+    monkeypatch.setitem(cli.REGISTRY, "ybe", replace(cli.REGISTRY["ybe"], runner=spy))
+    if how == "check":
+        argv = ["check", "ybe", "--out", str(tmp_path / "missing_dir" / "r.json")]
+    else:
+        argv = ["suite", "--config", make_config(tmp_path, [{"name": "ybe"}], out="")]
+    assert main(argv) == 2
+    assert "error: cannot write report to " in capsys.readouterr().err
+    assert calls == []
 
 
 def test_legacy_parallelism_key_loads_and_runs(tmp_path):
@@ -417,7 +455,6 @@ def test_kmax_without_instances_exits_two(name, kmax, least):
 
 def test_aggregate_witness_names_the_failing_instance():
     from reflection_workbench.cli import _badge
-    from reflection_workbench.verify import CheckReport
 
     good = CheckReport("inner", {}, True, None)
     bad = CheckReport("inner", {}, False, {"row": [1], "col": [1], "lhs": "0", "rhs": "1"})

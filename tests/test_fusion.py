@@ -15,7 +15,6 @@ from reflection_workbench.fusion import (
     fused_r_prime_flipped,
     fused_s,
     omega_factor,
-    symmetry_sign,
 )
 from reflection_workbench.kernel import (
     LaurentPoly,
@@ -26,6 +25,7 @@ from reflection_workbench.kernel import (
     matrix_on_leg,
     op_substitute,
     orthogonal_transposition,
+    symmetry_sign,
     symplectic_transposition,
     tau_on_leg,
     tensor_compose,

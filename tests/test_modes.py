@@ -418,12 +418,12 @@ def entrywise_images(n, d, t):
 FORMS = {
     "orth2": orthogonal_transposition(2),
     "sympl2": symplectic_transposition(2),
-    "sym2": Transposition([[1, 2], [2, Fraction(1, 3)]], 1),
+    "sym2": Transposition([[1, 2], [2, Fraction(1, 3)]]),
     "orth3": orthogonal_transposition(3),
-    "sym3": Transposition([[2, 1, 0], [1, 0, 3], [0, 3, Fraction(-1, 2)]], 1),
+    "sym3": Transposition([[2, 1, 0], [1, 0, 3], [0, 3, Fraction(-1, 2)]]),
     "orth4": orthogonal_transposition(4),
     "sympl4": symplectic_transposition(4),
-    "skew4": Transposition([[0, 1, 2, 0], [-1, 0, 0, 3], [-2, 0, 0, 1], [0, -3, -1, 0]], -1),
+    "skew4": Transposition([[0, 1, 2, 0], [-1, 0, 0, 3], [-2, 0, 0, 1], [0, -3, -1, 0]]),
 }
 
 

@@ -1,10 +1,12 @@
 """Package-wide properties: frozen value classes, constructors that compute
-no identity, no `assert` in the source, and one clock, in the CLI."""
+no identity, no `assert` in the source, one clock, in the CLI, and test
+settings under which a failing property test is reported, not fatal."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -137,3 +139,28 @@ def test_only_the_cli_keeps_a_clock():
             if hit:
                 found.append(f"{path.relative_to(root)}:{node.lineno}")
     assert found == []
+
+
+FAILING_PROPERTY_TEST = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_always_fails(value):
+    assert value != value
+"""
+
+
+def test_a_failing_property_test_fails_without_an_internal_error(tmp_path):
+    """With warnings as errors, hypothesis's failure report must not abort
+    the run: pytest exits 1 (a test failed), not 3 (internal error)."""
+    settings = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY_TEST, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(settings), "-p", "no:cacheprovider",
+         "-q", "test_fails.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr

@@ -214,9 +214,9 @@ def test_compose_requires_identical_legs():
 
 def test_transposition_validation():
     with pytest.raises(ValueError):
-        Transposition([[0, 1], [1, 0]], -1)  # symmetric matrix declared skew
+        Transposition([[1, 2], [3, 4]])  # neither symmetric nor skew
     with pytest.raises(ValueError):
-        Transposition([[1, 0], [0, 0]], 1)  # singular
+        Transposition([[1, 0], [0, 0]])  # singular
     with pytest.raises(ValueError):
         symplectic_transposition(3)
 

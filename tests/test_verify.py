@@ -351,7 +351,7 @@ MISMATCHED_CHECKS = {
 MISMATCHED_FORMS = {
     # the reported case: orthogonal R-matrices, symplectic components
     "sign": (orthogonal_transposition(2), symplectic_transposition(2), IDENTITY2),
-    "g": (orthogonal_transposition(2), Transposition(SYMMETRIC_GENERIC, 1), IDENTITY2),
+    "g": (orthogonal_transposition(2), Transposition(SYMMETRIC_GENERIC), IDENTITY2),
     "n": (orthogonal_transposition(3), orthogonal_transposition(2), IDENTITY2),
 }
 
