@@ -17,8 +17,8 @@ section that is allowed to vary between runs.
 
 Exit codes: 0 when every check passed, 1 when any check failed, 2 for
 usage or input errors (unknown check name, malformed matrix or config
-file, parameter out of bounds, or a report file that cannot be opened,
-which is found before the first check runs).
+file, a config with no checks, parameter out of bounds, or a report
+file that cannot be opened, which is found before the first check runs).
 
 Paths inside a config file are resolved relative to the config file's
 directory; paths given on the command line are resolved relative to the
@@ -182,6 +182,8 @@ class SuiteConfig:
         out = data.get("out")
         if out is not None and not isinstance(out, str):
             raise UsageError(f"out must be a path string, got {out!r}")
+        if not data["checks"]:
+            raise UsageError("config has no checks")
         return SuiteConfig(
             checks=tuple(data["checks"]),
             inputs=inputs,

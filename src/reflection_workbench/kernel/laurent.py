@@ -61,6 +61,64 @@ def _coerce_scalar(value):
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
 
 
+def add_into(acc, pairs):
+    """Add (key, coefficient) pairs into the term map acc in place; a key
+    whose coefficient cancels is deleted.  Returns acc."""
+    for key, coeff in pairs:
+        prev = acc.get(key)
+        if prev is None:
+            acc[key] = coeff
+        else:
+            total = prev + coeff
+            if total:
+                acc[key] = total
+            else:
+                del acc[key]
+    return acc
+
+
+def mul_into(acc, a, b):
+    """Add the product of the term maps a and b into acc in place; returns acc.
+
+    Keys multiply componentwise with +: exponent vectors add, and the word
+    part of a mode-series key (u exponent, v exponent, word) concatenates
+    with a's word on the left.  This is the one monomial product.
+    """
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(map(operator.add, ka, kb))
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = ca * cb
+            else:
+                total = prev + ca * cb
+                if total:
+                    acc[key] = total
+                else:
+                    del acc[key]
+    return acc
+
+
+def signed_sum(pieces):
+    """Render (nonzero coefficient, monomial text) pairs as "a - b + c":
+    an empty monomial shows the coefficient alone, a unit coefficient is
+    left off a nonempty monomial, and no pieces render as "0"."""
+    out = ""
+    for coeff, mono in pieces:
+        magnitude = format_rational(abs(coeff))
+        if not mono:
+            body = magnitude
+        elif abs(coeff) == 1:
+            body = mono
+        else:
+            body = f"{magnitude}*{mono}"
+        if out:
+            out += f" - {body}" if coeff < 0 else f" + {body}"
+        else:
+            out = f"-{body}" if coeff < 0 else body
+    return out or "0"
+
+
 class Frozen:
     """Base of the immutable value classes: attributes are set once at
     construction through object.__setattr__ and can be neither rebound
@@ -89,7 +147,7 @@ class LaurentPoly(Frozen):
                 raise ValueError(f"bad variable name: {name!r}")
         order = sorted(range(len(variables)), key=lambda i: variables[i])
         sorted_vars = tuple(variables[i] for i in order)
-        clean = {}
+        pairs = []
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != len(variables):
@@ -99,20 +157,10 @@ class LaurentPoly(Frozen):
             if any(not isinstance(e, int) for e in exps):
                 raise ValueError(f"non-integer exponent in {exps}")
             coeff = _coerce_scalar(coeff)
-            if coeff == 0:
-                continue
-            key = tuple(exps[i] for i in order)
-            prev = clean.get(key)
-            if prev is None:
-                clean[key] = coeff
-            else:
-                total = prev + coeff
-                if total:
-                    clean[key] = total
-                else:
-                    del clean[key]
+            if coeff:
+                pairs.append((tuple(exps[i] for i in order), coeff))
         object.__setattr__(self, "variables", sorted_vars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", add_into({}, pairs))
 
     # -- constructors ------------------------------------------------------
 
@@ -182,18 +230,7 @@ class LaurentPoly(Frozen):
         else:
             ctx = LaurentPoly._union_vars(self, other)
             a, b = self.aligned(ctx), other.aligned(ctx)
-        terms = dict(a.terms)
-        for exps, coeff in b.terms.items():
-            prev = terms.get(exps)
-            if prev is None:
-                terms[exps] = coeff
-            else:
-                total = prev + coeff
-                if total:
-                    terms[exps] = total
-                else:
-                    del terms[exps]
-        return LaurentPoly._raw(ctx, terms)
+        return LaurentPoly._raw(ctx, add_into(dict(a.terms), b.terms.items()))
 
     __radd__ = __add__
 
@@ -224,20 +261,7 @@ class LaurentPoly(Frozen):
         else:
             ctx = LaurentPoly._union_vars(self, other)
             a, b = self.aligned(ctx), other.aligned(ctx)
-        terms = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                key = tuple(map(operator.add, ea, eb))
-                prev = terms.get(key)
-                if prev is None:
-                    terms[key] = ca * cb
-                else:
-                    total = prev + ca * cb
-                    if total:
-                        terms[key] = total
-                    else:
-                        del terms[key]
-        return LaurentPoly._raw(ctx, terms)
+        return LaurentPoly._raw(ctx, mul_into({}, a.terms, b.terms))
 
     __rmul__ = __mul__
 
@@ -298,7 +322,7 @@ class LaurentPoly(Frozen):
             sorted(set(kept) | {t[1] for t in norm.values() if t[0] == "var"})
         )
         pos = {name: i for i, name in enumerate(new_vars)}
-        terms = {}
+        pairs = []
         for exps, coeff in self.terms.items():
             vec = [0] * len(new_vars)
             c = coeff
@@ -316,13 +340,8 @@ class LaurentPoly(Frozen):
                         raise ValueError("substituting 0 into a negative power")
                     c *= point**e
             if c:
-                key = tuple(vec)
-                total = terms.get(key, Fraction(0)) + c
-                if total:
-                    terms[key] = total
-                else:
-                    del terms[key]
-        return LaurentPoly(new_vars, terms)
+                pairs.append((tuple(vec), c))
+        return LaurentPoly(new_vars, add_into({}, pairs))
 
     # -- interrogation -----------------------------------------------------
 
@@ -341,31 +360,13 @@ class LaurentPoly(Frozen):
         return LaurentPoly(self.variables, terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         pieces = []
         for exps in sorted(self.terms, reverse=True):
-            coeff = self.terms[exps]
-            factors = []
-            for name, e in zip(self.variables, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            if not mono:
-                body = format_rational(abs(coeff))
-            elif abs(coeff) == 1:
-                body = mono
-            else:
-                body = f"{format_rational(abs(coeff))}*{mono}"
-            sign = "-" if coeff < 0 else "+"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+            factors = (
+                name if e == 1 else f"{name}^{e}" for name, e in zip(self.variables, exps) if e
+            )
+            pieces.append((self.terms[exps], "*".join(factors)))
+        return signed_sum(pieces)
 
     def __repr__(self):
         return f"LaurentPoly({self})"

@@ -10,11 +10,10 @@ single shared variable context (entry variables plus all leg labels).
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import Frozen, LaurentPoly, parse_rational
+from .laurent import Frozen, LaurentPoly, mul_into, parse_rational
 
 ROLES = ("auxiliary", "quantum")
 
@@ -166,23 +165,9 @@ def tensor_compose(a, b):
     # multiply-accumulate on raw term dicts; every intermediate stays an
     # exact Fraction, only the wrapping is skipped
     acc = {}
-    plus = operator.add
     for (row, mid), left in a_entries.items():
-        lterms = left.terms
         for col, rterms in by_row.get(mid, ()):
-            bucket = acc.setdefault((row, col), {})
-            for ea, ca in lterms.items():
-                for eb, cb in rterms.items():
-                    key = tuple(map(plus, ea, eb))
-                    prev = bucket.get(key)
-                    if prev is None:
-                        bucket[key] = ca * cb
-                    else:
-                        total = prev + ca * cb
-                        if total:
-                            bucket[key] = total
-                        else:
-                            del bucket[key]
+            mul_into(acc.setdefault((row, col), {}), left.terms, rterms)
     entries = {
         key: LaurentPoly._raw(ctx, terms) for key, terms in acc.items() if terms
     }

@@ -11,6 +11,10 @@ relations, and the twisted generator images are derived from the series
 product S(u) = t(T(-u)) T(u); no commutator or image formula is
 transcribed from anywhere else.  A series entry is a term map
 {(u exponent, v exponent, word): nonzero exact coefficient}.
+
+Series entries and NCPoly terms are summed and multiplied by the kernel's
+term-map core (add_into, mul_into).  NCPoly checks words and coefficients
+in its public constructor only; internal results are wrapped by NCPoly._raw.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .kernel import Frozen, format_rational, orthogonal_transposition
+from .kernel import Frozen, add_into, mul_into, orthogonal_transposition, signed_sum
+from .kernel.laurent import _coerce_scalar
 from .rmatrix import r_primes, yang_r
 from .verify import CheckReport
 
@@ -70,26 +75,23 @@ class NCPoly(Frozen):
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
+        pairs = []
         for word, coeff in (terms or {}).items():
             word = tuple(word)
             if not all(isinstance(gen, ModeGen) for gen in word):
                 raise ValueError(f"word {word} contains a non-generator")
-            if not isinstance(coeff, (int, Fraction)):
-                raise TypeError(f"coefficient must be rational, got {type(coeff).__name__}")
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            prev = clean.get(word)
-            if prev is None:
-                clean[word] = coeff
-            else:
-                total = prev + coeff
-                if total:
-                    clean[word] = total
-                else:
-                    del clean[word]
-        object.__setattr__(self, "terms", clean)
+            coeff = _coerce_scalar(coeff)
+            if coeff:
+                pairs.append((word, coeff))
+        object.__setattr__(self, "terms", add_into({}, pairs))
+
+    @staticmethod
+    def _raw(terms):
+        """Wrap a clean term map (ModeGen word tuples, nonzero exact
+        coefficients): the fast path for internal results."""
+        poly = object.__new__(NCPoly)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     @staticmethod
     def zero():
@@ -110,38 +112,29 @@ class NCPoly(Frozen):
     __hash__ = None
 
     def __add__(self, other):
-        merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            total = merged.get(word, Fraction(0)) + coeff
-            if total:
-                merged[word] = total
-            else:
-                merged.pop(word, None)
-        return NCPoly(merged)
+        if not isinstance(other, NCPoly):
+            return NotImplemented
+        return NCPoly._raw(add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        return NCPoly({word: -coeff for word, coeff in self.terms.items()})
+        return NCPoly._raw({word: -coeff for word, coeff in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, NCPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return NCPoly.zero()
-            return NCPoly({word: coeff * other for word, coeff in self.terms.items()})
+            return NCPoly._raw({word: coeff * other for word, coeff in self.terms.items()})
         if not isinstance(other, NCPoly):
             return NotImplemented
-        acc = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                word = wa + wb
-                total = acc.get(word, Fraction(0)) + ca * cb
-                if total:
-                    acc[word] = total
-                else:
-                    del acc[word]
-        return NCPoly(acc)
+        products = (
+            (wa + wb, ca * cb) for wa, ca in self.terms.items() for wb, cb in other.terms.items()
+        )
+        return NCPoly._raw(add_into({}, products))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -152,23 +145,10 @@ class NCPoly(Frozen):
         return max((gen.level for word in self.terms for gen in word), default=0)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for word in sorted(self.terms, key=word_key, reverse=True):
-            coeff = self.terms[word]
-            if word:
-                body = "*".join(str(gen) for gen in word)
-                if abs(coeff) != 1:
-                    body = f"{format_rational(abs(coeff))}*{body}"
-            else:
-                body = format_rational(abs(coeff))
-            pieces.append(("-" if coeff < 0 else "+", body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_sum(
+            (self.terms[word], "*".join(str(gen) for gen in word))
+            for word in sorted(self.terms, key=word_key, reverse=True)
+        )
 
     def __repr__(self):
         return f"NCPoly({self})"
@@ -213,26 +193,6 @@ def series_matrix(family, n, d, var="u"):
 # -- matrix plumbing for the two-leg expansion -------------------------------
 
 
-def _series_mul(a, b):
-    """Product of two term maps: exponents add, words concatenate."""
-    out = {}
-    for (ua, va, wa), ca in a.items():
-        for (ub, vb, wb), cb in b.items():
-            key = (ua + ub, va + vb, wa + wb)
-            out[key] = out.get(key, 0) + ca * cb
-    return {key: coeff for key, coeff in out.items() if coeff}
-
-
-def _series_add(acc, terms):
-    """Add the term map terms into acc in place, dropping zeros."""
-    for key, coeff in terms.items():
-        total = acc.get(key, 0) + coeff
-        if total:
-            acc[key] = total
-        else:
-            del acc[key]
-
-
 def _mat_mul_series(a, b):
     size = len(a)
     out = []
@@ -241,8 +201,7 @@ def _mat_mul_series(a, b):
         for c in range(size):
             acc = {}
             for m in range(size):
-                if a[r][m] and b[m][c]:
-                    _series_add(acc, _series_mul(a[r][m], b[m][c]))
+                mul_into(acc, a[r][m], b[m][c])
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -268,7 +227,7 @@ def _two_leg_scalar(op, n):
 def _kron(a, b):
     """The Kronecker product of two series matrices: entry (i*m + p,
     j*m + q) is a[i][j] * b[p][q], with b of size m."""
-    return tuple(tuple(_series_mul(x, y) for x in ra for y in rb) for ra in a for rb in b)
+    return tuple(tuple(mul_into({}, x, y) for x in ra for y in rb) for ra in a for rb in b)
 
 
 def _unit(n):
@@ -289,16 +248,11 @@ def _collect_buckets(lhs, rhs, n):
         i, a = r // n + 1, r % n + 1
         for c in range(size):
             j, b = c // n + 1, c % n + 1
-            for sign, entry in ((1, lhs[r][c]), (-1, rhs[r][c])):
-                for (eu, ev, word), coeff in entry.items():
-                    acc = raw.setdefault((-eu, -ev, i, a, j, b), {})
-                    acc[word] = acc.get(word, 0) + sign * coeff
-    buckets = {}
-    for key, terms in raw.items():
-        p = NCPoly(terms)
-        if not p.is_zero():
-            buckets[key] = p
-    return buckets
+            diff = add_into(dict(lhs[r][c]), ((k, -x) for k, x in rhs[r][c].items()))
+            # each (u exponent, v exponent, word) key lands in one bucket
+            for (eu, ev, word), coeff in diff.items():
+                raw.setdefault((-eu, -ev, i, a, j, b), {})[word] = coeff
+    return {key: NCPoly._raw(terms) for key, terms in raw.items()}
 
 
 def _rtt_buckets(n, length):
@@ -453,7 +407,7 @@ def normal_form(p, rs):
                 f"word of total level {word_level(word)} exceeds the "
                 f"rewrite level cap {rs.level_cap}"
             )
-    acc = {}
+    done = []
     work = list(p.terms.items())
     while work:
         word, coeff = work.pop()
@@ -463,11 +417,7 @@ def normal_form(p, rs):
                 pos = idx
                 break
         if pos is None:
-            total = acc.get(word, Fraction(0)) + coeff
-            if total:
-                acc[word] = total
-            else:
-                acc.pop(word, None)
+            done.append((word, coeff))
             continue
         pair = (word[pos], word[pos + 1])
         rule = rs.rules.get(pair)
@@ -478,19 +428,19 @@ def normal_form(p, rs):
             )
         for rword, rcoeff in rule.terms.items():
             work.append((word[:pos] + rword + word[pos + 2 :], coeff * rcoeff))
-    return NCPoly(acc)
+    return NCPoly._raw(add_into({}, done))
 
 
 def substitute_gens(p, image):
     """Replace every generator by its NCPoly image (a callable); words map
     to ordered products of the images."""
-    result = NCPoly.zero()
+    acc = {}
     for word, coeff in p.terms.items():
         factor = NCPoly({(): coeff})
         for gen in word:
             factor = factor * image(gen)
-        result = result + factor
-    return result
+        add_into(acc, factor.terms.items())
+    return NCPoly._raw(acc)
 
 
 def twisted_generator_images(n, d, t):
@@ -516,7 +466,7 @@ def twisted_generator_images(n, d, t):
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 entry = s_mat[i - 1][j - 1]
-                images[ModeGen("S", i, j, k)] = NCPoly(
+                images[ModeGen("S", i, j, k)] = NCPoly._raw(
                     {w: c for (eu, _, w), c in entry.items() if eu == -k}
                 )
     return images

@@ -239,6 +239,8 @@ CONFIG_ERRORS = [
     ({"checks": [], "defaults": []}, '"defaults" must be an object'),
     ({"checks": [], "defaults": {"Q": 1}}, "unknown default keys: ['Q']"),
     ({"checks": [], "out": 3}, "out must be a path string, got 3"),
+    # an empty suite would pass vacuously; refused after every other config fault
+    ({"checks": []}, "config has no checks"),
     (
         {"checks": [{"name": "tau_symmetry", "g": 3}]},
         '"g" must be a file path string, got 3',
@@ -310,15 +312,6 @@ def test_suite_with_failure_exits_one(tmp_path):
     assert by_name["ybe"]["passed"] is True
     assert by_name["characteristic_unprimed"]["passed"] is False
     assert by_name["characteristic_unprimed"]["witness"] is not None
-
-
-def test_empty_suite_is_valid_and_passes(tmp_path):
-    path = make_config(tmp_path, [])
-    proc = run_cli("suite", "--config", path)
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert doc["body"]["checks"] == []
-    assert doc["body"]["passed"] is True
 
 
 def test_suite_malformed_config_exits_two(tmp_path):

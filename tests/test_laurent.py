@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from reflection_workbench.kernel import LaurentPoly, format_rational, parse_rational
+from reflection_workbench.kernel import (
+    LaurentPoly,
+    add_into,
+    format_rational,
+    mul_into,
+    parse_rational,
+)
 
 U = LaurentPoly.var("u")
 V = LaurentPoly.var("v")
@@ -152,3 +158,45 @@ def test_point_evaluation_is_a_ring_homomorphism(p, q):
 def test_double_negation_substitution_is_identity(p):
     once = p.substitute({"u": "-u", "v": "-v"})
     assert once.substitute({"u": "-u", "v": "-v"}) == p
+
+
+# -- the shared term-map core ---------------------------------------------------
+
+
+def test_add_into_deletes_cancelled_keys_in_place():
+    acc = {(1,): 2, (0,): 1}
+    out = add_into(acc, [((1,), -2), ((2,), 3), ((0,), Fraction(1, 2))])
+    assert out is acc
+    assert acc == {(0,): Fraction(3, 2), (2,): 3}
+
+
+def test_mul_into_adds_exponents_and_keeps_the_left_word_first():
+    a = {(-1, 0, ("x",)): 2}
+    b = {(0, -2, ("y",)): 3, (1, 0, ()): -1}
+    acc = {(-1, -2, ("x", "y")): -6, (5, 5, ()): 1}
+    out = mul_into(acc, a, b)
+    assert out is acc
+    assert acc == {(0, 0, ("x",)): -2, (5, 5, ()): 1}
+    assert mul_into({}, b, a) == {(-1, -2, ("y", "x")): 6, (0, 0, ("x",)): -2}
+
+
+# (exponent, word) keys over a tiny range, so products collide and cancel often
+term_maps = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=-1, max_value=1),
+        st.lists(st.sampled_from("xy"), max_size=1).map(tuple),
+    ),
+    st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2)]),
+    max_size=4,
+)
+
+
+@given(term_maps, term_maps, term_maps)
+def test_mul_into_matches_a_naive_expansion(acc, a, b):
+    expected = dict(acc)
+    for (ea, wa), ca in a.items():
+        for (eb, wb), cb in b.items():
+            key = (ea + eb, wa + wb)
+            expected[key] = expected.get(key, 0) + ca * cb
+    expected = {key: coeff for key, coeff in expected.items() if coeff}
+    assert mul_into(dict(acc), a, b) == expected

@@ -84,6 +84,29 @@ def test_ncpoly_product_keeps_word_order():
     assert (xp * yp) * 2 - 2 * (xp * yp) == NCPoly.zero()
 
 
+def test_ncpoly_refuses_a_plain_number_summand():
+    with pytest.raises(TypeError):
+        NCPoly.one() + 1
+    with pytest.raises(TypeError):
+        NCPoly.one() - 1
+    with pytest.raises(TypeError):
+        1 + NCPoly.one()
+
+
+def test_ncpoly_arithmetic_does_not_revalidate(monkeypatch):
+    """Words and coefficients are checked where they enter; sums,
+    negations and products of checked polynomials are wrapped as they are."""
+    x, y = t_gen(1, 2), t_gen(2, 1)
+    p, q = NCPoly({(x,): 1}), NCPoly({(y,): Fraction(1, 2)})
+
+    def refuse(self, terms=None):
+        raise AssertionError("the validating constructor ran")
+
+    monkeypatch.setattr(NCPoly, "__init__", refuse)
+    text = "-1/2*T1[2,1]*T1[1,2] + 1/2*T1[1,2]*T1[2,1] - 2*T1[1,2]"
+    assert str(p * q - q * p + (-p) * 2) == text
+
+
 def test_ncpoly_text_sorts_leading_word_first():
     x, y = t_gen(1, 1), t_gen(1, 2)
     p = NCPoly({(): Fraction(-3, 2), (x,): 1, (y, x): -1})

@@ -1,6 +1,7 @@
 """Package-wide properties: frozen value classes, constructors that compute
-no identity, no `assert` in the source, one clock, in the CLI, and test
-settings under which a failing property test is reported, not fatal."""
+no identity, no `assert` in the source, one clock, in the CLI, one
+monomial product, in the Laurent kernel, and test settings under which a
+failing property test is reported, not fatal."""
 
 from __future__ import annotations
 
@@ -106,38 +107,58 @@ def test_constructors_compute_no_identity(monkeypatch):
     assert (t_op.legs[0].dim, pair.n, seed.t.n) == (3, 3, 2)
 
 
-def test_source_has_no_assert_statements():
-    """Checks must not vanish under `python -O`, so src raises instead."""
+def _source_trees():
+    """(path relative to the package, parsed module) for every source file."""
     root = pathlib.Path(reflection_workbench.__file__).parent
-    found = []
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [
-            f"{path.relative_to(root)}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assert)
-        ]
+        yield path.relative_to(root).as_posix(), tree
+
+
+def _imports(node, module):
+    """Whether node is an import statement that names module at top level."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == module for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == module
+    return False
+
+
+def test_source_has_no_assert_statements():
+    """Checks must not vanish under `python -O`, so src raises instead."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
 
 
 def test_only_the_cli_keeps_a_clock():
     """Checks are timed once, by cli._execute around each runner; no other
     module imports or calls `time`."""
-    root = pathlib.Path(reflection_workbench.__file__).parent
-    found = []
-    for path in sorted(root.rglob("*.py")):
-        if path == root / "cli.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                hit = any(alias.name.split(".")[0] == "time" for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                hit = (node.module or "").split(".")[0] == "time"
-            else:
-                hit = isinstance(node, ast.Name) and node.id == "time"
-            if hit:
-                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _source_trees()
+        if name != "cli.py"
+        for node in ast.walk(tree)
+        if _imports(node, "time") or (isinstance(node, ast.Name) and node.id == "time")
+    ]
+    assert found == []
+
+
+def test_only_the_laurent_kernel_imports_operator():
+    """The monomial product is kernel.laurent.mul_into, the one place that
+    adds keys componentwise with operator.add; no other module imports
+    `operator` to keep a second copy."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _source_trees()
+        if name != "kernel/laurent.py"
+        for node in ast.walk(tree)
+        if _imports(node, "operator")
+    ]
     assert found == []
 
 
