@@ -35,24 +35,27 @@ def block_labels(prefix, count):
     return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
 
+def block_legs(k, m, n):
+    """The (k, m) block layout: legs u1..uk followed by v1..vm."""
+    return tuple(LegSpace(n, name) for name in block_labels("u", k) + block_labels("v", m))
+
+
 def _block_product(k, m, n, build, primed, t, flipped=False):
-    """The ordered product of two-leg factors on a (k, m) block layout.
+    """The ordered (op, targets) factors of a product on a (k, m) block layout.
 
     The legs are the u-block u1..uk followed by the v-block v1..vm.  For
     each leg i of the outer block (the u-block, or the v-block when
     flipped) and each leg j of the other block, build(label_i, label_j)
     acts at (i, j); j runs descending for the plain product and ascending
     for the primed one, whose factors carry tau on their outer leg.  An
-    empty block gives the identity.
+    empty block gives no factors.
     """
     if k < 0 or m < 0:
         raise ValueError("block sizes must be nonnegative")
-    u_labels = block_labels("u", k)
-    v_labels = block_labels("v", m)
     if t is None:
         t = orthogonal_transposition(n)
-    u_block = tuple(zip(u_labels, range(1, k + 1)))
-    v_block = tuple(zip(v_labels, range(k + 1, k + m + 1)))
+    u_block = tuple(zip(block_labels("u", k), range(1, k + 1)))
+    v_block = tuple(zip(block_labels("v", m), range(k + 1, k + m + 1)))
     outer, inner = (v_block, u_block) if flipped else (u_block, v_block)
     if not primed:
         inner = inner[::-1]
@@ -61,8 +64,13 @@ def _block_product(k, m, n, build, primed, t, flipped=False):
         for b, j in inner:
             factor = build(a, b)
             factors.append((tau_on_leg(factor, 1, t) if primed else factor, (i, j)))
-    legs = tuple(LegSpace(n, name) for name in u_labels + v_labels)
-    return op_chain(legs, factors)
+    return factors
+
+
+def fused_r_factors(k, m, n, primed=False, t=None, flipped=False):
+    """The R-matrix factors of fused_r (or, flipped and primed, of
+    fused_r_prime_flipped) on the block_legs(k, m, n) layout."""
+    return _block_product(k, m, n, lambda a, b: yang_r(n, a, b), primed, t, flipped)
 
 
 def fused_r(k, m, n, primed=False, t=None):
@@ -72,14 +80,14 @@ def fused_r(k, m, n, primed=False, t=None):
     of the R_{i,j}(u_i, v_j) factors, with j descending m..1 for the plain
     operator and ascending 1..m for the primed one (tau on the u_i leg).
     """
-    return _block_product(k, m, n, lambda a, b: yang_r(n, a, b), primed, t)
+    return op_chain(block_legs(k, m, n), fused_r_factors(k, m, n, primed, t))
 
 
 def fused_r_prime_flipped(k, m, n, t=None):
     """The block-swapped primed fused operator: the subscript-reversal of
     the primed fused_r built on the (m, k) block layout.  Each factor is
     R'(v_i, u_j) with tau acting on the v_i leg, embedded at (k+i, j)."""
-    return _block_product(k, m, n, lambda a, b: yang_r(n, a, b), True, t, flipped=True)
+    return op_chain(block_legs(k, m, n), fused_r_factors(k, m, n, True, t, flipped=True))
 
 
 def omega_factor(k):
@@ -129,12 +137,10 @@ class SeedSolution(Frozen):
         return op_substitute(self.s, {self.spectral_var: label})
 
 
-def fused_s(seed, k):
-    """The k-th graded component: prod_{i=1..k} ( S_i prod_{j>i} R'_{ij} ).
-
-    Auxiliary legs are labelled u1..uk; component 0 is the identity on the
-    seed's coefficient block.
-    """
+def fused_s_factors(seed, k):
+    """The factors of the k-th graded component, in product order:
+    prod_{i=1..k} ( S_i prod_{j>i} R'_{ij} ) on the legs u1..uk followed
+    by the seed's coefficient block.  k = 0 gives no factors."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     coeff = seed.coeff_legs
@@ -145,7 +151,6 @@ def fused_s(seed, k):
             raise ValueError(
                 f"coefficient label {leg.spectral_var!r} collides with auxiliary labels"
             )
-    legs = tuple(LegSpace(n, name) for name in labels) + coeff
     coeff_targets = tuple(range(k + 1, k + 1 + len(coeff)))
     factors = []
     for i in range(1, k + 1):
@@ -153,7 +158,17 @@ def fused_s(seed, k):
         for j in range(i + 1, k + 1):
             r_prime = tau_on_leg(yang_r(n, labels[i - 1], labels[j - 1]), 1, seed.t)
             factors.append((r_prime, (i, j)))
-    return op_chain(legs, factors)
+    return factors
+
+
+def fused_s(seed, k):
+    """The k-th graded component: the product of fused_s_factors(seed, k).
+
+    Auxiliary legs are labelled u1..uk; component 0 is the identity on the
+    seed's coefficient block.
+    """
+    factors = fused_s_factors(seed, k)
+    return op_chain(block_legs(k, 0, seed.t.n) + seed.coeff_legs, factors)
 
 
 def character_seed(x, t):
@@ -190,21 +205,35 @@ class GradedFamily(Frozen):
     def coeff_legs(self):
         return self.seed.coeff_legs
 
-    def component(self, k):
+    def _require_k(self, k):
         if not 0 <= k <= self.k_max:
             raise ValueError(f"component {k} outside 0..{self.k_max}")
+
+    def factors(self, k):
+        """The factor list whose product is component(k)."""
+        self._require_k(k)
+        return fused_s_factors(self.seed, k)
+
+    def component(self, k):
+        self._require_k(k)
         cached = self._cache.get(k)
         if cached is None:
             cached = self._cache[k] = fused_s(self.seed, k)
         return cached
 
 
-def breve_product(k, m, n, factor_order, primed=False, t=None):
-    """Product of per-factor truncated breve series on (k, m) blocks, in the
-    fused-operator factor order, with NO total-order filter applied."""
+def breve_factors(k, m, n, factor_order, primed=False, t=None):
+    """The per-factor truncated breve series on (k, m) blocks, in the
+    fused-operator factor order."""
     return _block_product(
         k, m, n, lambda a, b: breve_r_series(n, a, b, factor_order), primed, t
     )
+
+
+def breve_product(k, m, n, factor_order, primed=False, t=None):
+    """Product of breve_factors on the block_legs(k, m, n) layout, with NO
+    total-order filter applied."""
+    return op_chain(block_legs(k, m, n), breve_factors(k, m, n, factor_order, primed, t))
 
 
 def fused_breve(k, m, n, K, primed=False, t=None):

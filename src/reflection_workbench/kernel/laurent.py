@@ -82,11 +82,14 @@ def mul_into(acc, a, b):
 
     Keys multiply componentwise with +: exponent vectors add, and the word
     part of a mode-series key (u exponent, v exponent, word) concatenates
-    with a's word on the left.  This is the one monomial product.
+    with a's word on the left.  This is the one monomial product.  A key of
+    a with no nonzero part (the unit monomial) leaves b's keys as they are,
+    so those products skip the key sum.
     """
     for ka, ca in a.items():
+        shift = any(ka)
         for kb, cb in b.items():
-            key = tuple(map(operator.add, ka, kb))
+            key = tuple(map(operator.add, ka, kb)) if shift else kb
             prev = acc.get(key)
             if prev is None:
                 acc[key] = ca * cb

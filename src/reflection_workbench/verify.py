@@ -1,31 +1,29 @@
 """Exact identity predicates.
 
 Every equation asserted about the R-matrix / fusion / reflection-equation
-structures becomes a named check returning a CheckReport.  A failing check
-carries the lexicographically first disagreeing entry as a witness; a pass
-means the complete entry set of both sides was compared exactly.
+structures becomes a named check returning a CheckReport.  A check states
+each side as a factor list of small (op, targets) factors; compare_sides
+evaluates the sides one basis column at a time, applying the factors right
+to left, and never holds a whole side.  A pass means every column of both
+sides was compared exactly; a failing check carries the lexicographically
+first disagreeing (row, col) entry as a witness, kept as a running minimum
+over the columns.
 A report holds no timing: the command line times each registered check
 once, around its whole runner.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .fusion import (
-    block_labels,
-    breve_product,
-    fused_r,
-    fused_r_prime_flipped,
-)
+from .fusion import block_labels, block_legs, breve_factors, fused_r_factors
 from .kernel import (
     LaurentPoly,
-    LegSpace,
-    TensorOp,
     extract_entry,
     fresh_label,
     identity_op,
-    op_chain,
+    mul_into,
     op_scale,
     op_substitute,
     site_permute,
@@ -50,6 +48,11 @@ class CheckReport:
         }
 
 
+def _witness(row, col, lhs, rhs):
+    """The witness dict for a differing (row, col) and its two entries."""
+    return {"row": list(row), "col": list(col), "lhs": str(lhs), "rhs": str(rhs)}
+
+
 def first_witness(lhs, rhs):
     """The lexicographically first (row, col) where lhs and rhs differ, with
     both entries rendered, or None when every entry agrees.  An entry stored
@@ -64,36 +67,96 @@ def first_witness(lhs, rhs):
     if not differing:
         return None
     row, col = min(differing)
-    return {
-        "row": list(row),
-        "col": list(col),
-        "lhs": str(extract_entry(lhs, row, col)),
-        "rhs": str(extract_entry(rhs, row, col)),
-    }
+    return _witness(row, col, extract_entry(lhs, row, col), extract_entry(rhs, row, col))
 
 
-def _truncated(op, keep):
-    return TensorOp(op.legs, {key: poly.filtered(keep) for key, poly in op.entries.items()})
+def _prepared(op, targets, ambient, context):
+    """A factor ready for column application: its 0-based target slots and
+    its entries grouped by column, as (row, term map) pairs aligned to
+    context.  The factor's legs must be the ambient legs at its targets."""
+    targets = tuple(targets)
+    if len(set(targets)) != len(targets) or not all(1 <= p <= len(ambient) for p in targets):
+        raise ValueError(f"targets {targets} are not distinct positions 1..{len(ambient)}")
+    if tuple(ambient[p - 1] for p in targets) != op.legs:
+        raise ValueError(
+            f"factor legs {op.legs} do not match the ambient legs at targets {targets}"
+        )
+    by_col = {}
+    for (row, col), poly in op.entries.items():
+        by_col.setdefault(col, []).append((row, poly.aligned(context).terms))
+    return tuple(p - 1 for p in targets), by_col
+
+
+def _column(factors, col, one):
+    """The column e_col of the product of the prepared factors: each factor
+    applied right to left, as a map row -> nonzero term map."""
+    vector = {col: one}
+    for slots, by_col in reversed(factors):
+        out = {}
+        for row, terms in vector.items():
+            for sub_row, factor_terms in by_col.get(tuple(row[s] for s in slots), ()):
+                target = list(row)
+                for s, value in zip(slots, sub_row):
+                    target[s] = value
+                mul_into(out.setdefault(tuple(target), {}), factor_terms, terms)
+        vector = {row: terms for row, terms in out.items() if terms}
+    return vector
+
+
+def _kept(vector, context, keep):
+    """The vector with each entry's terms filtered by keep, which sees each
+    monomial as an exponent dict over context."""
+    kept = {}
+    for row, terms in vector.items():
+        terms = {e: c for e, c in terms.items() if keep(dict(zip(context, e)))}
+        if terms:
+            kept[row] = terms
+    return kept
 
 
 def compare_sides(ambient, sides, keep=None):
     """Compare a list of (label, lhs factors, rhs factors); return the
     verdict of each label and the witness.
 
-    Each side is the op_chain of its factors over the ambient legs; with
-    keep, only the monomials it accepts are compared.  All sides are fully
-    compared (no shortcut); the witness is the first_witness of the first
-    failing side in order, or None when every side agrees.
+    Each side is the ordered product of its (op, targets) factors on the
+    ambient legs, evaluated one basis column at a time: the factors are
+    applied right to left to e_col, so no side is ever built whole.  Every
+    factor's legs must equal the ambient legs at its targets.  With keep,
+    only the monomials it accepts are compared.  Every column of every
+    side is compared (no shortcut); the witness is the least differing
+    (row, col) of the first failing side in order, rendered as
+    first_witness renders it, or None when every side agrees.
     """
+    ambient = tuple(ambient)
+    context = {leg.spectral_var for leg in ambient if leg.spectral_var is not None}
+    for _label, lhs, rhs in sides:
+        for op, _targets in lhs + rhs:
+            context.update(op.variables)
+    context = tuple(sorted(context))
+    one = {(0,) * len(context): 1}
+    columns = list(itertools.product(*(range(1, leg.dim + 1) for leg in ambient)))
+
+    def prepare(factors):
+        return [_prepared(op, targets, ambient, context) for op, targets in factors]
+
+    prepared = [(label, prepare(lhs), prepare(rhs)) for label, lhs, rhs in sides]
     verdicts = {}
     witness = None
-    for label, lhs, rhs in sides:
-        lhs, rhs = op_chain(ambient, lhs), op_chain(ambient, rhs)
-        if keep is not None:
-            lhs, rhs = _truncated(lhs, keep), _truncated(rhs, keep)
-        found = first_witness(lhs, rhs)
-        verdicts[label] = found is None
-        if found is not None and witness is None:
+    for label, lhs, rhs in prepared:
+        least = None
+        for col in columns:
+            left, right = _column(lhs, col, one), _column(rhs, col, one)
+            if keep is not None:
+                left, right = _kept(left, context, keep), _kept(right, context, keep)
+            for row in left.keys() | right.keys():
+                if (least is None or row < least[0]) and left.get(row) != right.get(row):
+                    least = (row, col, left.get(row, {}), right.get(row, {}))
+        verdicts[label] = least is None
+        if least is not None and witness is None:
+            row, col, left, right = least
+            found = _witness(
+                row, col, LaurentPoly._raw(context, left), LaurentPoly._raw(context, right)
+            )
             witness = dict(found, side=label) if label else found
     return verdicts, witness
 
@@ -281,9 +344,24 @@ def _require_one_form(chi, fam):
         )
 
 
+def _placed(factors, positions, relabel=None):
+    """A factor list moved onto an ambient layout: target p of each factor
+    goes to positions[p - 1], and with relabel each factor's spectral
+    labels are renamed (the relabel of their product, factor by factor)."""
+    placed = []
+    for op, targets in factors:
+        mapping = {a: b for a, b in (relabel or {}).items() if a in op.variables}
+        if mapping:
+            op = op_substitute(op, mapping)
+        placed.append((op, tuple(positions[p - 1] for p in targets)))
+    return placed
+
+
 def check_characteristic(family, fam, k, i, primed_middle=True):
     """S^(k) = S^(i)_1 (R')^(i),(k-i) S^(k-i)_2 for one partition.
 
+    The left side is the component S^(k) whole; the right side splices
+    the factor lists of S^(i), the fused middle and S^(k-i).
     primed_middle=False deliberately drops the tau twist on the middle
     factor; that variant must fail for a generic seed and exists as a
     negative control.
@@ -295,19 +373,16 @@ def check_characteristic(family, fam, k, i, primed_middle=True):
     whole = family.component(k)
     legs = whole.legs
     coeff_targets = _span(k + 1, len(legs))
-    first = family.component(i)
-    second = family.component(j)
-    relabel = {f"u{b}": f"u{i + b}" for b in range(1, j + 1) if i}
-    if relabel:
-        second = op_substitute(second, relabel)
-    middle = fused_r(i, j, fam.n, primed=primed_middle, t=fam.t)
-    if j:
-        middle = op_substitute(middle, {f"v{b}": f"u{i + b}" for b in range(1, j + 1)})
-    rhs = [
-        (first, _span(1, i) + coeff_targets),
-        (middle, _span(1, k)),
-        (second, _span(i + 1, k) + coeff_targets),
-    ]
+    middle = fused_r_factors(i, j, fam.n, primed=primed_middle, t=fam.t)
+    rhs = (
+        _placed(family.factors(i), _span(1, i) + coeff_targets)
+        + _placed(middle, _span(1, k), {f"v{b}": f"u{i + b}" for b in range(1, j + 1)})
+        + _placed(
+            family.factors(j),
+            _span(i + 1, k) + coeff_targets,
+            {f"u{b}": f"u{i + b}" for b in range(1, j + 1)},
+        )
+    )
     params = {
         "n": fam.n,
         "k": k,
@@ -320,8 +395,8 @@ def check_characteristic(family, fam, k, i, primed_middle=True):
 
 def _fused_blocks(chi, fam, k, m):
     """Common layout for the fused componentwise checks: ambient legs and
-    the factors chi^(k) on the u-block and chi^(m), relabelled, on the
-    v-block."""
+    the factor lists of chi^(k) on the u-block and chi^(m), relabelled, on
+    the v-block."""
     _require_one_form(chi, fam)
     coeff = chi.coeff_legs
     u_labels = block_labels("u", k)
@@ -329,30 +404,30 @@ def _fused_blocks(chi, fam, k, m):
     for leg in coeff:
         if leg.spectral_var in set(u_labels) | set(v_labels):
             raise ValueError("coefficient labels collide with block labels")
-    ambient = tuple(LegSpace(fam.n, name) for name in u_labels + v_labels) + coeff
+    ambient = block_legs(k, m, fam.n) + coeff
     coeff_targets = _span(k + m + 1, len(ambient))
-    chi_m = chi.component(m)
-    relabel = {f"u{b}": f"v{b}" for b in range(1, m + 1)}
-    if relabel:
-        chi_m = op_substitute(chi_m, relabel)
     return (
         ambient,
-        (chi.component(k), _span(1, k) + coeff_targets),
-        (chi_m, _span(k + 1, k + m) + coeff_targets),
+        _placed(chi.factors(k), _span(1, k) + coeff_targets),
+        _placed(
+            chi.factors(m),
+            _span(k + 1, k + m) + coeff_targets,
+            {f"u{b}": f"v{b}" for b in range(1, m + 1)},
+        ),
     )
 
 
 def check_fused_re(chi, fam, k, m):
     """Componentwise reflection equation for a graded family:
     R^(k),(m) chi^(k)_1 (R')^(k),(m) chi^(m)_2
-      = chi^(m)_2 (R'')^(k),(m) chi^(k)_1 R^(k),(m)."""
+      = chi^(m)_2 (R'')^(k),(m) chi^(k)_1 R^(k),(m),
+    each fused block spliced in as its factor list."""
     n = fam.n
     ambient, chi_k, chi_m = _fused_blocks(chi, fam, k, m)
-    block = _span(1, k + m)
-    plain = (fused_r(k, m, n), block)
-    primed = (fused_r(k, m, n, primed=True, t=fam.t), block)
-    flipped = (fused_r_prime_flipped(k, m, n, fam.t), block)
-    sides = [("", [plain, chi_k, primed, chi_m], [chi_m, flipped, chi_k, plain])]
+    plain = fused_r_factors(k, m, n)
+    primed = fused_r_factors(k, m, n, primed=True, t=fam.t)
+    flipped = fused_r_factors(k, m, n, primed=True, t=fam.t, flipped=True)
+    sides = [("", plain + chi_k + primed + chi_m, chi_m + flipped + chi_k + plain)]
     params = {"n": n, "k": k, "m": m, "kind": fam.t.kind}
     return _compare("fused_re", params, ambient, sides)
 
@@ -366,10 +441,9 @@ def check_intertwiner(chi, fam, K, k, m):
     n = fam.n
     slack = k * (k - 1) // 2
     ambient, chi_k, chi_m = _fused_blocks(chi, fam, k, m)
-    block = _span(1, k + m)
-    breve = (breve_product(k, m, n, K + slack, primed=False, t=fam.t), block)
-    breve_p = (breve_product(k, m, n, K + slack, primed=True, t=fam.t), block)
-    sides = [("", [breve, chi_k, breve_p, chi_m], [chi_m, breve_p, chi_k, breve])]
+    breve = breve_factors(k, m, n, K + slack, primed=False, t=fam.t)
+    breve_p = breve_factors(k, m, n, K + slack, primed=True, t=fam.t)
+    sides = [("", breve + chi_k + breve_p + chi_m, chi_m + breve_p + chi_k + breve)]
     u_labels = set(block_labels("u", k))
 
     def low_order(exps):

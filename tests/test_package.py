@@ -67,11 +67,11 @@ def test_value_classes_refuse_rebinding_and_deletion(name):
 
 def test_constructors_compute_no_identity(monkeypatch):
     """Constructors validate shapes and labels only: no compose, no factor
-    chain, no operator comparison and no check runs while they build.
-    Every module binding is patched, so a call through any import path is
-    counted; TensorOp.__eq__ is patched on the class, which `!=` also
-    goes through."""
-    watched = {id(tensor_compose): tensor_compose, id(op_chain): op_chain}
+    chain, no column comparison, no operator comparison and no check runs
+    while they build.  Every module binding is patched, so a call through
+    any import path is counted; TensorOp.__eq__ is patched on the class,
+    which `!=` also goes through."""
+    watched = {id(fn): fn for fn in (tensor_compose, op_chain, verify.compare_sides)}
     for name, fn in vars(verify).items():
         if name.startswith("check_") and callable(fn):
             watched[id(fn)] = fn
