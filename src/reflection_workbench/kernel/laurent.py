@@ -82,14 +82,64 @@ def mul_into(acc, a, b):
 
     Keys multiply componentwise with +: exponent vectors add, and the word
     part of a mode-series key (u exponent, v exponent, word) concatenates
-    with a's word on the left.  This is the one monomial product.  A key of
-    a with no nonzero part (the unit monomial) leaves b's keys as they are,
-    so those products skip the key sum.
+    with a's word on the left.  This is the monomial product on tuple keys
+    (mul_packed_into is the one on packed keys).  A key of a with no
+    nonzero part (the unit monomial) leaves b's keys as they are, so those
+    products skip the key sum.
     """
     for ka, ca in a.items():
         shift = any(ka)
         for kb, cb in b.items():
             key = tuple(map(operator.add, ka, kb)) if shift else kb
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = ca * cb
+            else:
+                total = prev + ca * cb
+                if total:
+                    acc[key] = total
+                else:
+                    del acc[key]
+    return acc
+
+
+def pack(exps, width):
+    """The exponent vector exps as one int: the sum of e_i * 2^(width * i).
+
+    The fields are plain signed digits, so pack(a) + pack(b) == pack(a + b)
+    for any a and b, and the key is unique (unpack reads it back) while
+    every |e_i| < 2^(width - 1).  A vector outside that box raises
+    ValueError, so an overflow never passes silently.
+    """
+    bound = 1 << (width - 1)
+    key = 0
+    for i, e in enumerate(exps):
+        if not -bound < e < bound:
+            raise ValueError(f"exponent {e} does not fit a packed field of width {width}")
+        key += e << (width * i)
+    return key
+
+
+def unpack(key, arity, width):
+    """The exponent vector of arity fields packed into key (pack's inverse):
+    each field is read back as a balanced digit in -2^(width-1)..2^(width-1)-1."""
+    half, full = 1 << (width - 1), 1 << width
+    exps = []
+    for _ in range(arity):
+        e = key & (full - 1)
+        if e >= half:
+            e -= full
+        exps.append(e)
+        key = (key - e) >> width
+    return tuple(exps)
+
+
+def mul_packed_into(acc, a, b):
+    """mul_into for term maps keyed by packed exponent vectors (see pack):
+    the monomial product is one int add, so there is no unit-key branch."""
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb
             prev = acc.get(key)
             if prev is None:
                 acc[key] = ca * cb

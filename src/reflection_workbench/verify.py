@@ -4,10 +4,13 @@ Every equation asserted about the R-matrix / fusion / reflection-equation
 structures becomes a named check returning a CheckReport.  A check states
 each side as a factor list of small (op, targets) factors; compare_sides
 evaluates the sides one basis column at a time, applying the factors right
-to left, and never holds a whole side.  A pass means every column of both
-sides was compared exactly; a failing check carries the lexicographically
-first disagreeing (row, col) entry as a witness, kept as a running minimum
-over the columns.
+to left, and never holds a whole side.  Inside a column each monomial is
+one int (kernel.pack) over the check's variable context, wide enough for
+every exponent the column can reach, so a monomial product is one int
+add; keep and the witness see exponent tuples again.  A pass means every
+column of both sides was compared exactly; a failing check carries the
+lexicographically first disagreeing (row, col) entry as a witness, kept
+as a running minimum over the columns.
 A report holds no timing: the command line times each registered check
 once, around its whole runner.
 """
@@ -23,11 +26,13 @@ from .kernel import (
     extract_entry,
     fresh_label,
     identity_op,
-    mul_into,
+    mul_packed_into,
     op_scale,
     op_substitute,
+    pack,
     site_permute,
     tau_on_leg,
+    unpack,
 )
 from .rmatrix import flip_p, primed_pair, yang_r
 
@@ -70,10 +75,26 @@ def first_witness(lhs, rhs):
     return _witness(row, col, extract_entry(lhs, row, col), extract_entry(rhs, row, col))
 
 
-def _prepared(op, targets, ambient, context):
+def _reach(factors):
+    """Per variable, the sum over the factors of the largest |exponent| of
+    that variable in any term of the factor."""
+    reach = {}
+    for op, _targets in factors:
+        top = {}
+        for poly in op.entries.values():
+            for exps in poly.terms:
+                for name, e in zip(poly.variables, exps):
+                    top[name] = max(top.get(name, 0), abs(e))
+        for name, e in top.items():
+            reach[name] = reach.get(name, 0) + e
+    return reach.values()
+
+
+def _prepared(op, targets, ambient, context, width):
     """A factor ready for column application: its 0-based target slots and
-    its entries grouped by column, as (row, term map) pairs aligned to
-    context.  The factor's legs must be the ambient legs at its targets."""
+    its entries grouped by column, as (row, term map) pairs over context
+    with packed keys.  The factor's legs must be the ambient legs at its
+    targets."""
     targets = tuple(targets)
     if len(set(targets)) != len(targets) or not all(1 <= p <= len(ambient) for p in targets):
         raise ValueError(f"targets {targets} are not distinct positions 1..{len(ambient)}")
@@ -83,14 +104,15 @@ def _prepared(op, targets, ambient, context):
         )
     by_col = {}
     for (row, col), poly in op.entries.items():
-        by_col.setdefault(col, []).append((row, poly.aligned(context).terms))
+        terms = {pack(e, width): c for e, c in poly.aligned(context).terms.items()}
+        by_col.setdefault(col, []).append((row, terms))
     return tuple(p - 1 for p in targets), by_col
 
 
-def _column(factors, col, one):
+def _column(factors, col):
     """The column e_col of the product of the prepared factors: each factor
-    applied right to left, as a map row -> nonzero term map."""
-    vector = {col: one}
+    applied right to left, as a map row -> nonzero packed term map."""
+    vector = {col: {0: 1}}
     for slots, by_col in reversed(factors):
         out = {}
         for row, terms in vector.items():
@@ -98,17 +120,28 @@ def _column(factors, col, one):
                 target = list(row)
                 for s, value in zip(slots, sub_row):
                     target[s] = value
-                mul_into(out.setdefault(tuple(target), {}), factor_terms, terms)
+                mul_packed_into(out.setdefault(tuple(target), {}), factor_terms, terms)
         vector = {row: terms for row, terms in out.items() if terms}
     return vector
 
 
-def _kept(vector, context, keep):
+def _unpacked(terms, context, width):
+    """A packed term map as the LaurentPoly over context it stands for."""
+    return LaurentPoly._raw(
+        context, {unpack(key, len(context), width): c for key, c in terms.items()}
+    )
+
+
+def _kept(vector, context, width, keep):
     """The vector with each entry's terms filtered by keep, which sees each
     monomial as an exponent dict over context."""
     kept = {}
     for row, terms in vector.items():
-        terms = {e: c for e, c in terms.items() if keep(dict(zip(context, e)))}
+        terms = {
+            key: c
+            for key, c in terms.items()
+            if keep(dict(zip(context, unpack(key, len(context), width))))
+        }
         if terms:
             kept[row] = terms
     return kept
@@ -121,10 +154,12 @@ def compare_sides(ambient, sides, keep=None):
     Each side is the ordered product of its (op, targets) factors on the
     ambient legs, evaluated one basis column at a time: the factors are
     applied right to left to e_col, so no side is ever built whole.  Every
-    factor's legs must equal the ambient legs at its targets.  With keep,
-    only the monomials it accepts are compared.  Every column of every
-    side is compared (no shortcut); the witness is the least differing
-    (row, col) of the first failing side in order, rendered as
+    factor's legs must equal the ambient legs at its targets.  Monomials
+    are packed into ints over the check's variable context (kernel.pack),
+    with a field width that holds every exponent a column can reach.  With
+    keep, only the monomials it accepts are compared.  Every column of
+    every side is compared (no shortcut); the witness is the least
+    differing (row, col) of the first failing side in order, rendered as
     first_witness renders it, or None when every side agrees.
     """
     ambient = tuple(ambient)
@@ -133,11 +168,14 @@ def compare_sides(ambient, sides, keep=None):
         for op, _targets in lhs + rhs:
             context.update(op.variables)
     context = tuple(sorted(context))
-    one = {(0,) * len(context): 1}
+    # a column term is a product of at most one term of each factor of its
+    # side, so its |e_i| is at most that side's reach <= B_i < 2^(width - 1)
+    reaches = (b for _, lhs, rhs in sides for half in (lhs, rhs) for b in _reach(half))
+    width = 1 + max((b.bit_length() for b in reaches), default=0)
     columns = list(itertools.product(*(range(1, leg.dim + 1) for leg in ambient)))
 
     def prepare(factors):
-        return [_prepared(op, targets, ambient, context) for op, targets in factors]
+        return [_prepared(op, targets, ambient, context, width) for op, targets in factors]
 
     prepared = [(label, prepare(lhs), prepare(rhs)) for label, lhs, rhs in sides]
     verdicts = {}
@@ -145,9 +183,10 @@ def compare_sides(ambient, sides, keep=None):
     for label, lhs, rhs in prepared:
         least = None
         for col in columns:
-            left, right = _column(lhs, col, one), _column(rhs, col, one)
+            left, right = _column(lhs, col), _column(rhs, col)
             if keep is not None:
-                left, right = _kept(left, context, keep), _kept(right, context, keep)
+                left = _kept(left, context, width, keep)
+                right = _kept(right, context, width, keep)
             for row in left.keys() | right.keys():
                 if (least is None or row < least[0]) and left.get(row) != right.get(row):
                     least = (row, col, left.get(row, {}), right.get(row, {}))
@@ -155,7 +194,7 @@ def compare_sides(ambient, sides, keep=None):
         if least is not None and witness is None:
             row, col, left, right = least
             found = _witness(
-                row, col, LaurentPoly._raw(context, left), LaurentPoly._raw(context, right)
+                row, col, _unpacked(left, context, width), _unpacked(right, context, width)
             )
             witness = dict(found, side=label) if label else found
     return verdicts, witness

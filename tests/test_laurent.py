@@ -3,14 +3,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from reflection_workbench.kernel import (
     LaurentPoly,
     add_into,
     format_rational,
     mul_into,
+    mul_packed_into,
+    pack,
     parse_rational,
+    unpack,
 )
 
 U = LaurentPoly.var("u")
@@ -200,3 +203,62 @@ def test_mul_into_matches_a_naive_expansion(acc, a, b):
             expected[key] = expected.get(key, 0) + ca * cb
     expected = {key: coeff for key, coeff in expected.items() if coeff}
     assert mul_into(dict(acc), a, b) == expected
+
+
+# -- packed monomial keys -------------------------------------------------------
+
+
+@st.composite
+def boxed_vectors(draw, count=1):
+    """A field width, an arity and count exponent vectors inside the box
+    |e_i| < 2^(width - 1) that width packs uniquely."""
+    width = draw(st.integers(1, 6))
+    arity = draw(st.integers(0, 4))
+    top = (1 << (width - 1)) - 1
+    vector = st.tuples(*(st.integers(-top, top) for _ in range(arity)))
+    return (width, arity) + tuple(draw(vector) for _ in range(count))
+
+
+@given(boxed_vectors())
+def test_unpack_inverts_pack_inside_the_box(case):
+    width, arity, exps = case
+    assert unpack(pack(exps, width), arity, width) == exps
+
+
+@given(boxed_vectors(count=2))
+def test_packed_keys_add_as_exponent_vectors(case):
+    width, arity, a, b = case
+    total = tuple(x + y for x, y in zip(a, b))
+    assume(all(abs(e) < 1 << (width - 1) for e in total))
+    assert pack(a, width) + pack(b, width) == pack(total, width)
+    assert unpack(pack(a, width) + pack(b, width), arity, width) == total
+
+
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(0, 3), st.sampled_from([-1, 1]))
+def test_pack_refuses_a_vector_just_outside_the_box(width, before, after, sign):
+    edge = sign << (width - 1)
+    pad, tail = (0,) * before, (0,) * after
+    last_inside = pad + (edge - sign,) + tail
+    assert unpack(pack(last_inside, width), len(last_inside), width) == last_inside
+    with pytest.raises(ValueError, match="does not fit"):
+        pack(pad + (edge,) + tail, width)
+
+
+# two-variable maps whose products reach |e| <= 4 < 2^(4 - 1), with few
+# exponents and coefficients, so products collide and cancel often
+pair_maps = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.sampled_from([-2, -1, 1, 2, Fraction(1, 2)]),
+    max_size=5,
+)
+
+
+@given(pair_maps, pair_maps, pair_maps)
+@example({}, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1})  # the two u*v cancel
+def test_packed_product_matches_mul_into(acc, a, b):
+    def packed(terms):
+        return {pack(e, 4): c for e, c in terms.items()}
+
+    out = mul_packed_into(packed(acc), packed(a), packed(b))
+    assert {unpack(key, 2, 4): c for key, c in out.items()} == mul_into(dict(acc), a, b)
+

@@ -149,9 +149,9 @@ def test_only_the_cli_keeps_a_clock():
 
 
 def test_only_the_laurent_kernel_imports_operator():
-    """The monomial product is kernel.laurent.mul_into, the one place that
-    adds keys componentwise with operator.add; no other module imports
-    `operator` to keep a second copy."""
+    """The monomial product on tuple keys is kernel.laurent.mul_into, the
+    one place that adds keys componentwise with operator.add; no other
+    module imports `operator` to keep a second copy."""
     found = [
         f"{name}:{node.lineno}"
         for name, tree in _source_trees()

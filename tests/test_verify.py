@@ -299,11 +299,11 @@ def test_characteristic_unprimed_middle_fails():
     assert report.witness is not None
 
 
-@pytest.mark.parametrize("k,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("k,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)])
 def test_fused_re_for_characters(k, m):
     t = orthogonal_transposition(2)
     fam = RFamily.build(2, t)
-    family = GradedFamily.from_character(IDENTITY2, t, k_max=2)
+    family = GradedFamily.from_character(IDENTITY2, t, k_max=3)
     report = check_fused_re(family, fam, k, m)
     assert report.passed, report.witness
 
@@ -311,9 +311,10 @@ def test_fused_re_for_characters(k, m):
 def test_fused_re_symplectic_character():
     t = symplectic_transposition(2)
     fam = RFamily.build(2, t)
-    family = GradedFamily.from_character(SKEW, t, k_max=2)
-    report = check_fused_re(family, fam, 2, 2)
-    assert report.passed, report.witness
+    family = GradedFamily.from_character(SKEW, t, k_max=3)
+    for k, m in [(2, 2), (3, 1), (1, 3)]:
+        report = check_fused_re(family, fam, k, m)
+        assert report.passed, (k, m, report.witness)
 
 
 @pytest.mark.parametrize("x", [IDENTITY2, SKEW])
@@ -452,13 +453,14 @@ KEEPS = {
 def factor_problems(draw):
     """An ambient of 1-3 labelled legs of dimension 2-3 and 1-2 sides of
     1-4 random factors each.  Entries have at most two terms with
-    exponents in -1..1 and coefficients +-1, so products often cancel; a
-    right half is sometimes the left half again, so sides also pass."""
+    exponents in -3..3 and coefficients +-1, so products often cancel and
+    reach the edge of the packed-key box; a right half is sometimes the
+    left half again, so sides also pass."""
     dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
     ambient = tuple(LegSpace(d, label) for d, label in zip(dims, "uvw"))
     labels = tuple(leg.spectral_var for leg in ambient)
     polys = st.dictionaries(
-        st.tuples(*(st.integers(-1, 1) for _ in labels)), st.sampled_from([-1, 1]), max_size=2
+        st.tuples(*(st.integers(-3, 3) for _ in labels)), st.sampled_from([-1, 1]), max_size=2
     ).map(lambda terms: LaurentPoly(labels, terms))
 
     def factor():
@@ -497,6 +499,25 @@ def test_column_engine_keeps_the_least_row_across_columns():
     verdicts, witness = compare_sides(ambient, sides)
     assert verdicts == {"": False}
     assert witness == {"row": [1], "col": [2], "lhs": "u", "rhs": "0"}
+    assert (verdicts, witness) == whole_operator_compare(ambient, sides)
+
+
+def test_column_engine_keys_hold_exponents_on_the_edge_of_the_box():
+    # every factor reaches |e_u| = 2 and each side is two factors, so
+    # B_u = 4, B_v = 1 and keys are 4 bits wide; the columns land on u^4
+    # and u^-4.  Fields one bit narrower still hold every factor's terms,
+    # but alias u^4 with u^-4*v, and the two sides would look equal.
+    ambient = (LegSpace(2, "u"),)
+    u, v, inv_u = LaurentPoly.var("u"), LaurentPoly.var("v"), LaurentPoly.var("u", -1)
+    f = TensorOp(ambient, {((1,), (1,)): u**2 + inv_u**2})
+    g = TensorOp(ambient, {((1,), (1,)): inv_u**2})
+    h = TensorOp(ambient, {((1,), (1,)): inv_u**2 * v + inv_u**2 + 2 * u**2})
+    sides = [("", [(f, (1,)), (f, (1,))], [(g, (1,)), (h, (1,))])]
+    verdicts, witness = compare_sides(ambient, sides)
+    assert verdicts == {"": False}
+    assert witness == {
+        "row": [1], "col": [1], "lhs": "u^4 + 2 + u^-4", "rhs": "2 + u^-4*v + u^-4"
+    }
     assert (verdicts, witness) == whole_operator_compare(ambient, sides)
 
 
