@@ -398,11 +398,6 @@ class LaurentPoly(Frozen):
 
     # -- interrogation -----------------------------------------------------
 
-    def term_items(self):
-        """Canonically ordered (exponent-dict, coefficient) pairs."""
-        for exps in sorted(self.terms):
-            yield dict(zip(self.variables, exps)), self.terms[exps]
-
     def filtered(self, keep):
         """Sub-sum of terms whose exponent dict satisfies the predicate."""
         terms = {

@@ -189,6 +189,28 @@ def op_chain(ambient, factors):
     return identity_op(ambient) if result is None else result
 
 
+def column_product(factors, col, unit, mul):
+    """The column e_col of the ordered product of prepared factors, as a
+    map row -> nonzero term map; the factors are applied right to left.
+
+    A prepared factor is (0-based target slots, {factor column: [(factor
+    row, term map)]}).  The start entry is {unit: 1}, and mul(acc, a, b)
+    (mul_into or mul_packed_into) adds the factor's term map a times the
+    column's b into acc, so a word key keeps the factor's word on the left.
+    """
+    vector = {col: {unit: 1}}
+    for slots, by_col in reversed(factors):
+        out = {}
+        for row, terms in vector.items():
+            for sub_row, factor_terms in by_col.get(tuple(row[s] for s in slots), ()):
+                target = list(row)
+                for s, value in zip(slots, sub_row):
+                    target[s] = value
+                mul(out.setdefault(tuple(target), {}), factor_terms, terms)
+        vector = {row: terms for row, terms in out.items() if terms}
+    return vector
+
+
 def tensor_product(a, b):
     """Leg concatenation: legs(a) followed by legs(b), entries multiply."""
     legs = a.legs + b.legs

@@ -12,8 +12,12 @@ product S(u) = t(T(-u)) T(u); no commutator or image formula is
 transcribed from anywhere else.  A series entry is a term map
 {(u exponent, v exponent, word): nonzero exact coefficient}.
 
-Series entries and NCPoly terms are summed and multiplied by the kernel's
-term-map core (add_into, mul_into).  NCPoly checks words and coefficients
+A relation is stated as two factor lists on two n-dimensional legs, each
+series matrix a one-leg factor on its own slot and each R-matrix a
+two-leg factor, and each side is evaluated one column at a time by the
+kernel's column engine (column_product with mul_into), as verify
+evaluates its checks.  Series entries and NCPoly terms are summed by the
+kernel's term-map core (add_into).  NCPoly checks words and coefficients
 in its public constructor only; internal results are wrapped by NCPoly._raw.
 """
 
@@ -21,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
-from .kernel import Frozen, add_into, mul_into, orthogonal_transposition, signed_sum
+from .kernel import Frozen, add_into, column_product, mul_into, orthogonal_transposition, signed_sum
 from .kernel.laurent import _coerce_scalar
 from .rmatrix import r_primes, yang_r
 from .verify import CheckReport
@@ -190,21 +193,7 @@ def series_matrix(family, n, d, var="u"):
     return tuple(rows)
 
 
-# -- matrix plumbing for the two-leg expansion -------------------------------
-
-
-def _mat_mul_series(a, b):
-    size = len(a)
-    out = []
-    for r in range(size):
-        row = []
-        for c in range(size):
-            acc = {}
-            for m in range(size):
-                mul_into(acc, a[r][m], b[m][c])
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+# -- factor lists for the two-leg expansion ----------------------------------
 
 
 def _scalar_matrix(rows):
@@ -212,66 +201,60 @@ def _scalar_matrix(rows):
     return tuple(tuple({(0, 0, ()): x} if x else {} for x in row) for row in rows)
 
 
-def _two_leg_scalar(op, n):
-    """The n^2 x n^2 scalar matrix of a two-leg operator, row-major."""
-    size = n * n
-    rows = [[{} for _ in range(size)] for _ in range(size)]
+def _leg_factor(matrix, slot):
+    """An n x n matrix of series term maps as a prepared one-leg factor on
+    the 0-based slot (see kernel.column_product)."""
+    by_col = {}
+    for i, row in enumerate(matrix, start=1):
+        for j, terms in enumerate(row, start=1):
+            by_col.setdefault((j,), []).append(((i,), terms))
+    return (slot,), by_col
+
+
+def _two_leg_factor(op):
+    """A two-leg operator in u and v as a prepared factor on both slots."""
+    by_col = {}
     for (row, col), poly in op.entries.items():
-        r = (row[0] - 1) * n + (row[1] - 1)
-        c = (col[0] - 1) * n + (col[1] - 1)
-        for exps, coeff in poly.term_items():
-            rows[r][c][(exps.get("u", 0), exps.get("v", 0), ())] = coeff
-    return tuple(tuple(row) for row in rows)
-
-
-def _kron(a, b):
-    """The Kronecker product of two series matrices: entry (i*m + p,
-    j*m + q) is a[i][j] * b[p][q], with b of size m."""
-    return tuple(tuple(mul_into({}, x, y) for x in ra for y in rb) for ra in a for rb in b)
-
-
-def _unit(n):
-    """The n x n unit matrix; its int coefficient keeps the types of the
-    series it multiplies."""
-    return _scalar_matrix([[int(i == j) for j in range(n)] for i in range(n)])
+        terms = {(eu, ev, ()): c for (eu, ev), c in poly.aligned(("u", "v")).terms.items()}
+        by_col.setdefault(col, []).append((row, terms))
+    return (0, 1), by_col
 
 
 def _collect_buckets(lhs, rhs, n):
     """Coefficient extraction for two sides given as ordered lists of
-    n^2 x n^2 series matrices, each multiplied left to right: for every
-    matrix entry ((i,a),(j,b)) and every u^(-alpha) v^(-beta) monomial,
-    the NCPoly difference, keyed by (alpha, beta, i, a, j, b)."""
-    lhs, rhs = (reduce(_mat_mul_series, side) for side in (lhs, rhs))
-    size = n * n
+    prepared factors on two n-dimensional legs: for every matrix entry
+    ((i,a),(j,b)) and every u^(-alpha) v^(-beta) monomial, the NCPoly
+    difference, keyed by (alpha, beta, i, a, j, b)."""
     raw = {}
-    for r in range(size):
-        i, a = r // n + 1, r % n + 1
-        for c in range(size):
-            j, b = c // n + 1, c % n + 1
-            diff = add_into(dict(lhs[r][c]), ((k, -x) for k, x in rhs[r][c].items()))
-            # each (u exponent, v exponent, word) key lands in one bucket
-            for (eu, ev, word), coeff in diff.items():
-                raw.setdefault((-eu, -ev, i, a, j, b), {})[word] = coeff
+    for j in range(1, n + 1):
+        for b in range(1, n + 1):
+            diffs = column_product(lhs, (j, b), (0, 0, ()), mul_into)
+            for row, terms in column_product(rhs, (j, b), (0, 0, ()), mul_into).items():
+                add_into(diffs.setdefault(row, {}), ((k, -x) for k, x in terms.items()))
+            for (i, a), diff in diffs.items():
+                # each (u exponent, v exponent, word) key lands in one bucket
+                for (eu, ev, word), coeff in diff.items():
+                    raw.setdefault((-eu, -ev, i, a, j, b), {})[word] = coeff
     return {key: NCPoly._raw(terms) for key, terms in raw.items()}
 
 
 def _rtt_buckets(n, length):
     """Indexed coefficients of R T1(u) T2(v) - T2(v) T1(u) R with series
     truncated at the given length."""
-    r_mat = _two_leg_scalar(yang_r(n), n)
-    t1 = _kron(series_matrix("T", n, length, var="u"), _unit(n))
-    t2 = _kron(_unit(n), series_matrix("T", n, length, var="v"))
-    return _collect_buckets([r_mat, t1, t2], [t2, t1, r_mat], n)
+    r = _two_leg_factor(yang_r(n))
+    t1 = _leg_factor(series_matrix("T", n, length, var="u"), 0)
+    t2 = _leg_factor(series_matrix("T", n, length, var="v"), 1)
+    return _collect_buckets([r, t1, t2], [t2, t1, r], n)
 
 
 def _twisted_buckets(n, length, t):
     """Indexed coefficients of R S1 R' S2 - S2 R'' S1 R with the free
     level-0 normalization for the S series."""
-    r_mat = _two_leg_scalar(yang_r(n), n)
-    rp_mat, rpp_mat = (_two_leg_scalar(op, n) for op in r_primes(n, t))
-    s1 = _kron(series_matrix("S", n, length, var="u"), _unit(n))
-    s2 = _kron(_unit(n), series_matrix("S", n, length, var="v"))
-    return _collect_buckets([r_mat, s1, rp_mat, s2], [s2, rpp_mat, s1, r_mat], n)
+    r = _two_leg_factor(yang_r(n))
+    rp, rpp = (_two_leg_factor(op) for op in r_primes(n, t))
+    s1 = _leg_factor(series_matrix("S", n, length, var="u"), 0)
+    s2 = _leg_factor(series_matrix("S", n, length, var="v"), 1)
+    return _collect_buckets([r, s1, rp, s2], [s2, rpp, s1, r], n)
 
 
 def expand_relation(relation, n, d, t=None):
@@ -459,13 +442,15 @@ def twisted_generator_images(n, d, t):
         )
         for p in range(n)
     )
-    factors = [_scalar_matrix(t.g), flipped, _scalar_matrix(t.g_inv), tee]
-    s_mat = reduce(_mat_mul_series, factors)
+    factors = [
+        _leg_factor(m, 0) for m in (_scalar_matrix(t.g), flipped, _scalar_matrix(t.g_inv), tee)
+    ]
+    columns = [column_product(factors, (j,), (0, 0, ()), mul_into) for j in range(1, n + 1)]
     images = {}
     for k in range(d + 1):
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                entry = s_mat[i - 1][j - 1]
+                entry = columns[j - 1].get((i,), {})
                 images[ModeGen("S", i, j, k)] = NCPoly._raw(
                     {w: c for (eu, _, w), c in entry.items() if eu == -k}
                 )

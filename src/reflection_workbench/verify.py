@@ -3,14 +3,17 @@
 Every equation asserted about the R-matrix / fusion / reflection-equation
 structures becomes a named check returning a CheckReport.  A check states
 each side as a factor list of small (op, targets) factors; compare_sides
-evaluates the sides one basis column at a time, applying the factors right
-to left, and never holds a whole side.  Inside a column each monomial is
-one int (kernel.pack) over the check's variable context, wide enough for
-every exponent the column can reach, so a monomial product is one int
-add; keep and the witness see exponent tuples again.  A pass means every
-column of both sides was compared exactly; a failing check carries the
-lexicographically first disagreeing (row, col) entry as a witness, kept
-as a running minimum over the columns.
+evaluates the sides one basis column at a time through the kernel's column
+engine (column_product), applying the factors right to left, and never
+holds a whole side.  Every factor's legs must be the ambient legs at its
+targets; _prepared refuses any other layout for every check.  Inside a
+column each monomial is one int (kernel.pack) over the check's variable
+context, wide enough for every exponent the column can reach, so a
+monomial product is one int add; keep and the witness see exponent
+tuples again.  A pass means every column of both sides was compared
+exactly; a failing check carries the lexicographically first
+disagreeing (row, col) entry as a witness, kept as a running minimum
+over the columns.
 A report holds no timing: the command line times each registered check
 once, around its whole runner.
 """
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from .fusion import block_labels, block_legs, breve_factors, fused_r_factors
 from .kernel import (
     LaurentPoly,
+    column_product,
     extract_entry,
     fresh_label,
     identity_op,
@@ -109,22 +113,6 @@ def _prepared(op, targets, ambient, context, width):
     return tuple(p - 1 for p in targets), by_col
 
 
-def _column(factors, col):
-    """The column e_col of the product of the prepared factors: each factor
-    applied right to left, as a map row -> nonzero packed term map."""
-    vector = {col: {0: 1}}
-    for slots, by_col in reversed(factors):
-        out = {}
-        for row, terms in vector.items():
-            for sub_row, factor_terms in by_col.get(tuple(row[s] for s in slots), ()):
-                target = list(row)
-                for s, value in zip(slots, sub_row):
-                    target[s] = value
-                mul_packed_into(out.setdefault(tuple(target), {}), factor_terms, terms)
-        vector = {row: terms for row, terms in out.items() if terms}
-    return vector
-
-
 def _unpacked(terms, context, width):
     """A packed term map as the LaurentPoly over context it stands for."""
     return LaurentPoly._raw(
@@ -183,7 +171,8 @@ def compare_sides(ambient, sides, keep=None):
     for label, lhs, rhs in prepared:
         least = None
         for col in columns:
-            left, right = _column(lhs, col), _column(rhs, col)
+            left = column_product(lhs, col, 0, mul_packed_into)
+            right = column_product(rhs, col, 0, mul_packed_into)
             if keep is not None:
                 left = _kept(left, context, width, keep)
                 right = _kept(right, context, width, keep)
@@ -230,8 +219,6 @@ def check_ybe(r):
 
 def check_quasi_inverse(r, r_bar, zeta):
     """r r_bar = zeta Id and r_bar r = zeta Id."""
-    if r.legs != r_bar.legs:
-        raise ValueError("check_quasi_inverse: mismatched legs")
     whole = _span(1, len(r.legs))
     target = [(op_scale(identity_op(r.legs), zeta), whole)]
     sides = [
@@ -283,10 +270,6 @@ def check_rtt(r, t_op):
         raise ValueError("check_rtt expects an R-matrix on two legs")
     a = r.legs[0].spectral_var
     b = r.legs[1].spectral_var
-    if not t_op.legs or t_op.legs[0].spectral_var != a:
-        raise ValueError(f"t_op's auxiliary leg must carry the label {a!r}")
-    if t_op.legs[0].dim != r.legs[0].dim:
-        raise ValueError("t_op auxiliary dimension does not match R")
     if b in t_op.variables:
         raise ValueError(f"t_op must not already depend on {b!r}")
     coeff = t_op.legs[1:]
@@ -304,15 +287,6 @@ def _re_sides(r, r_prime, r_double_prime, s1, s2):
     the ambient legs and the one side R S1 R' S2 = S2 R'' S1 R."""
     if not s1.legs or not s2.legs:
         raise ValueError("solutions need at least the auxiliary leg")
-    if s1.legs[1:] != s2.legs[1:]:
-        raise ValueError("solutions must share the coefficient block")
-    if (s1.legs[0].dim, s2.legs[0].dim) != (r.legs[0].dim, r.legs[1].dim):
-        raise ValueError("solution leg dimensions do not match the R-matrix")
-    if (s1.legs[0].spectral_var, s2.legs[0].spectral_var) != (
-        r.legs[0].spectral_var,
-        r.legs[1].spectral_var,
-    ):
-        raise ValueError("solution labels do not match the R-matrix labels")
     coeff = s1.legs[1:]
     ambient = (s1.legs[0], s2.legs[0]) + coeff
     coeff_targets = _span(3, len(ambient))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -29,10 +30,9 @@ from reflection_workbench.modes import (
     word_key,
     word_level,
     _collect_buckets,
-    _kron,
+    _leg_factor,
     _relations,
     _rtt_buckets,
-    _unit,
 )
 
 ORTH2 = orthogonal_transposition(2)
@@ -217,8 +217,8 @@ def test_twisted_level_one_fixture():
 
 
 def test_identity_structure_leaves_only_commutators():
-    t1 = _kron(series_matrix("T", 2, 2, var="u"), _unit(2))
-    t2 = _kron(_unit(2), series_matrix("T", 2, 2, var="v"))
+    t1 = _leg_factor(series_matrix("T", 2, 2, var="u"), 0)
+    t2 = _leg_factor(series_matrix("T", 2, 2, var="v"), 1)
     buckets = _collect_buckets([t1, t2], [t2, t1], 2)
     kept = _relations(buckets, 1)
     assert len(kept) == 12
@@ -456,6 +456,36 @@ def test_twisted_images_match_the_entrywise_formula(form, d):
     t = FORMS[form]
     images = twisted_generator_images(t.n, d, t)
     assert images == entrywise_images(t.n, d, t)
+
+
+GOLDEN_MODE_DIGESTS = {
+    "orth2": (
+        orthogonal_transposition(2),
+        "1b3fa5e65b0d5c8a4446bef4e5214dfe7904e41b4c54dab22bdeb830201eaeb4",
+    ),
+    "diag3": (
+        Transposition([[2, 0, 0], [0, -3, 0], [0, 0, 5]]),
+        "117682fb0e2742fd1f11f14a1e234e7808d2e29bb21ae35e98461932a489eedf",
+    ),
+    "sympl4": (
+        symplectic_transposition(4),
+        "c26c6539dd20bfeecb8146d10b379e17c895297f3d807eeb5dc155e820c705e3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_MODE_DIGESTS))
+def test_mode_layer_texts_are_golden(case):
+    """The level-2 twisted relations, the level-3 rules and the level-2
+    twisted images, as canonical texts, hash to fixed digests."""
+    t, digest = GOLDEN_MODE_DIGESTS[case]
+    images = twisted_generator_images(t.n, 2, t)
+    texts = [
+        relations_to_text(expand_relation("twisted_re", t.n, 2, t)),
+        rules_to_text(derive_rules(t.n, 3)),
+        "\n".join(sorted(f"{gen} -> {image}" for gen, image in images.items())),
+    ]
+    assert hashlib.sha256("\n\n".join(texts).encode()).hexdigest() == digest
 
 
 def test_twisted_images_refuse_a_form_of_another_size():

@@ -1,7 +1,8 @@
 """Package-wide properties: frozen value classes, constructors that compute
 no identity, no `assert` in the source, one clock, in the CLI, one
-monomial product, in the Laurent kernel, and test settings under which a
-failing property test is reported, not fatal."""
+monomial product, in the Laurent kernel, one product of term maps, in the
+kernel, and test settings under which a failing property test is
+reported, not fatal."""
 
 from __future__ import annotations
 
@@ -158,6 +159,26 @@ def test_only_the_laurent_kernel_imports_operator():
         if name != "kernel/laurent.py"
         for node in ast.walk(tree)
         if _imports(node, "operator")
+    ]
+    assert found == []
+
+
+def test_only_the_kernel_multiplies_term_maps():
+    """Ordered factor lists are multiplied by kernel.column_product (and the
+    whole-operator reference tensor_compose): no module outside kernel/
+    calls mul_into or mul_packed_into, though it may pass either one to
+    column_product as its monomial product."""
+    products = {"mul_into", "mul_packed_into"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _source_trees()
+        if not name.startswith("kernel/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id in products)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr in products)
+        )
     ]
     assert found == []
 

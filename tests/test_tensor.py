@@ -11,6 +11,7 @@ from reflection_workbench.kernel import (
     LegSpace,
     TensorOp,
     Transposition,
+    column_product,
     embed_legs,
     extract_entry,
     identity_matrix,
@@ -19,6 +20,7 @@ from reflection_workbench.kernel import (
     mat_inverse,
     mat_mul,
     matrix_on_leg,
+    mul_into,
     op_substitute,
     orthogonal_transposition,
     parse_matrix_json,
@@ -102,6 +104,15 @@ def test_tensor_product_with_trivial_leg():
     extended = tensor_product(p, one_leg)
     assert extended.dims == (2, 2, 1)
     assert extract_entry(extended, (1, 2, 1), (2, 1, 1)) == ONE
+
+
+def test_column_product_keeps_the_left_factors_word_first():
+    # two one-leg factors whose only entry carries the word a, then b:
+    # the product a*b applied to e_1 is the word (a, b), left word first
+    a = ((0,), {(1,): [((1,), {(0, 0, ("a",)): 1})]})
+    b = ((0,), {(1,): [((1,), {(0, 0, ("b",)): 1})]})
+    assert column_product([a, b], (1,), (0, 0, ()), mul_into) == {(1,): {(0, 0, ("a", "b")): 1}}
+    assert column_product([b, a], (1,), (0, 0, ()), mul_into) == {(1,): {(0, 0, ("b", "a")): 1}}
 
 
 def test_embed_flip_into_outer_legs():

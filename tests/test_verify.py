@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reflection_workbench import verify
 from reflection_workbench.evaluation import pairing_series
 from reflection_workbench.fusion import (
     GradedFamily,
@@ -17,6 +18,7 @@ from reflection_workbench.kernel import (
     LegSpace,
     TensorOp,
     Transposition,
+    column_product,
     embed_legs,
     identity_op,
     matrix_on_leg,
@@ -219,6 +221,50 @@ def test_re_rejects_mismatched_layout():
     s2 = constant_solution(IDENTITY2, "w")
     with pytest.raises(ValueError):
         check_re(fam, s1, s2)
+
+
+def coefficient_solution(label, coeff_label):
+    """A solution with one coefficient leg: R(label, coeff_label) with the
+    second leg quantum."""
+    return yang_r(2, label, coeff_label, roles=("auxiliary", "quantum"))
+
+
+IDENTITY3 = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
+
+MISMATCHED_LAYOUTS = {
+    "re_label": lambda: check_re(
+        RFamily.build(2), constant_solution(IDENTITY2, "u"), constant_solution(IDENTITY2, "w")
+    ),
+    "re_dimension": lambda: check_re(
+        RFamily.build(2), constant_solution(IDENTITY2, "u"), constant_solution(IDENTITY3, "v")
+    ),
+    "re_coefficient_block": lambda: check_re(
+        RFamily.build(2), coefficient_solution("u", "z"), coefficient_solution("v", "y")
+    ),
+    "rtt_label": lambda: check_rtt(yang_r(2), coefficient_solution("w", "z")),
+    "rtt_dimension": lambda: check_rtt(
+        yang_r(2), yang_r(3, "u", "z", roles=("auxiliary", "quantum"))
+    ),
+    "rtt_no_legs": lambda: check_rtt(yang_r(2), TensorOp((), {((), ()): LaurentPoly.var("u")})),
+    "quasi_inverse_dimension": lambda: check_quasi_inverse(yang_r(2), *yang_r_bar(3)),
+    "quasi_inverse_label": lambda: check_quasi_inverse(yang_r(2), *yang_r_bar(2, "u", "w")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_LAYOUTS))
+def test_mismatched_layouts_are_refused_before_any_column(case, monkeypatch):
+    """A solution, T or partner whose legs disagree with the R-matrix's is a
+    ValueError while the sides are stated, before any column is built."""
+    columns = []
+
+    def counting(*args):
+        columns.append(args)
+        return column_product(*args)
+
+    monkeypatch.setattr(verify, "column_product", counting)
+    with pytest.raises(ValueError):
+        MISMATCHED_LAYOUTS[case]()
+    assert columns == []
 
 
 def test_conjugate_re_identity_passes():
