@@ -211,6 +211,90 @@ def column_product(factors, col, unit, mul):
     return vector
 
 
+# the largest leg dimension whose 2^n * n! signed permutations are searched
+SYMMETRY_SEARCH_MAX_N = 5
+
+
+def _sign_conditions(op, perm):
+    """The conditions on the signs s under which the permutation perm
+    (1-based) takes op to s(r) s(c) op(r, c) at (perm r, perm c) for
+    every stored entry, or None when no signs can: some entry's image is
+    neither the entry nor its negative.  s(r) s(c) is -1 to the number of
+    flipped components of r and c, so each entry gives one condition
+    (mask, parity): bit i of mask is how often i occurs in r and c, mod 2,
+    and the flips that mask selects must number parity mod 2.  perm is a
+    bijection, so the stored entries then map onto the stored entries."""
+    entries = op.entries
+    conditions = set()
+    for (row, col), poly in entries.items():
+        image = entries.get((tuple(perm[i] for i in row), tuple(perm[i] for i in col)))
+        if image is None:
+            return None
+        if image.terms == poly.terms:
+            parity = 0
+        elif image.terms == {e: -c for e, c in poly.terms.items()}:
+            parity = 1
+        else:
+            return None
+        mask = 0
+        for i in row + col:
+            mask ^= 1 << i
+        conditions.add((mask, parity))
+    return conditions
+
+
+def signed_symmetries(ambient, ops):
+    """Every signed permutation w with W op W^-1 = op for each op in ops,
+    where W is w on every leg; ops must sit on ambient legs.
+
+    w sends e_i to s_i e_sigma(i) and is written as the tuple of the
+    s_i * sigma(i).  W commutes with an op on any targets exactly when
+    op(sigma r, sigma c) = s(r) s(c) op(r, c) on its own legs, since the
+    identity on the other legs satisfies it.  The result is the stabilizer
+    of ops, so a group.  Each sigma is tested on every entry of each
+    distinct op once, the ops with the fewest entries first, and each of
+    its 2^n sign vectors on the conditions found (see _sign_conditions),
+    so all 2^n n! candidates are decided.  The list is empty, and nothing
+    is tried, unless the ambient legs share one dimension
+    n <= SYMMETRY_SEARCH_MAX_N.
+    """
+    dims = {leg.dim for leg in ambient}
+    if len(dims) != 1 or max(dims) > SYMMETRY_SEARCH_MAX_N:
+        return []
+    (n,) = dims
+    distinct = sorted({id(op): op for op in ops}.values(), key=lambda op: len(op.entries))
+    group = []
+    for sigma in itertools.permutations(range(1, n + 1)):
+        perm = (0,) + sigma
+        conditions = set()
+        for op in distinct:
+            found = _sign_conditions(op, perm)
+            if found is None:
+                break
+            conditions |= found
+        else:
+            for signs in itertools.product((1, -1), repeat=n):
+                flips = sum(1 << i for i, s in enumerate(signs, 1) if s < 0)
+                if all((mask & flips).bit_count() & 1 == parity for mask, parity in conditions):
+                    group.append(tuple(s * i for s, i in zip(signs, sigma)))
+    return group
+
+
+def orbit_representatives(columns, group):
+    """The least column of each orbit of group (signed permutations, see
+    signed_symmetries) acting by sigma on every component; columns must
+    list every column once, in ascending order.  An empty group leaves
+    every column its own representative."""
+    perms = {(0,) + tuple(abs(i) for i in w) for w in group}
+    seen = set()
+    representatives = []
+    for col in columns:
+        if col not in seen:
+            representatives.append(col)
+            seen.update(tuple(perm[i] for i in col) for perm in perms)
+    return representatives
+
+
 def tensor_product(a, b):
     """Leg concatenation: legs(a) followed by legs(b), entries multiply."""
     legs = a.legs + b.legs

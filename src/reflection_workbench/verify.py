@@ -10,10 +10,10 @@ targets; _prepared refuses any other layout for every check.  Inside a
 column each monomial is one int (kernel.pack) over the check's variable
 context, wide enough for every exponent the column can reach, so a
 monomial product is one int add; keep and the witness see exponent
-tuples again.  A pass means every column of both sides was compared
-exactly; a failing check carries the lexicographically first
-disagreeing (row, col) entry as a witness, kept as a running minimum
-over the columns.
+tuples again.  A pass is a proof: the sides agree exactly on every
+column, compared directly or through a proven symmetry.  A failing
+check carries the lexicographically first disagreeing (row, col) entry
+as a witness, kept as a running minimum over every column.
 A report holds no timing: the command line times each registered check
 once, around its whole runner.
 """
@@ -33,7 +33,9 @@ from .kernel import (
     mul_packed_into,
     op_scale,
     op_substitute,
+    orbit_representatives,
     pack,
+    signed_symmetries,
     site_permute,
     tau_on_leg,
     unpack,
@@ -145,10 +147,20 @@ def compare_sides(ambient, sides, keep=None):
     factor's legs must equal the ambient legs at its targets.  Monomials
     are packed into ints over the check's variable context (kernel.pack),
     with a field width that holds every exponent a column can reach.  With
-    keep, only the monomials it accepts are compared.  Every column of
-    every side is compared (no shortcut); the witness is the least
-    differing (row, col) of the first failing side in order, rendered as
-    first_witness renders it, or None when every side agrees.
+    keep, only the monomials it accepts are compared.
+
+    Columns are first compared only at the least column of each orbit of
+    the signed permutations w (w e_i = s_i e_sigma(i)) that every factor
+    is proven to commute with: kernel.signed_symmetries tests each
+    factor, entry by entry, for F(sigma r, sigma c) = s(r) s(c) F(r, c).
+    W = w on every leg then commutes with each side, so a side's column
+    at sigma c is +-W times its column at c, and two sides that agree at
+    c agree on c's orbit; keep sees only monomials, which W leaves alone.
+    If every representative agrees on every side, every side passes.
+    Otherwise, or when the group moves no column, every column of every
+    side is compared: the witness is the least differing (row, col) of
+    the first failing side in order, rendered as first_witness renders
+    it, or None when every side agrees.
     """
     ambient = tuple(ambient)
     context = {leg.spectral_var for leg in ambient if leg.spectral_var is not None}
@@ -166,19 +178,35 @@ def compare_sides(ambient, sides, keep=None):
         return [_prepared(op, targets, ambient, context, width) for op, targets in factors]
 
     prepared = [(label, prepare(lhs), prepare(rhs)) for label, lhs, rhs in sides]
+
+    def differences(lhs, rhs, col):
+        """(row, lhs entry, rhs entry) for each row where the two columns at
+        col differ; the columns themselves are dropped on return."""
+        left = column_product(lhs, col, 0, mul_packed_into)
+        right = column_product(rhs, col, 0, mul_packed_into)
+        if keep is not None:
+            left = _kept(left, context, width, keep)
+            right = _kept(right, context, width, keep)
+        return [
+            (row, left.get(row, {}), right.get(row, {}))
+            for row in left.keys() | right.keys()
+            if left.get(row) != right.get(row)
+        ]
+
+    group = signed_symmetries(ambient, [op for _, lhs, rhs in sides for op, _ in lhs + rhs])
+    representatives = orbit_representatives(columns, group)
+    if len(representatives) < len(columns) and not any(
+        differences(lhs, rhs, col) for _, lhs, rhs in prepared for col in representatives
+    ):
+        return {label: True for label, _, _ in prepared}, None
     verdicts = {}
     witness = None
     for label, lhs, rhs in prepared:
         least = None
         for col in columns:
-            left = column_product(lhs, col, 0, mul_packed_into)
-            right = column_product(rhs, col, 0, mul_packed_into)
-            if keep is not None:
-                left = _kept(left, context, width, keep)
-                right = _kept(right, context, width, keep)
-            for row in left.keys() | right.keys():
-                if (least is None or row < least[0]) and left.get(row) != right.get(row):
-                    least = (row, col, left.get(row, {}), right.get(row, {}))
+            for row, left, right in differences(lhs, rhs, col):
+                if least is None or row < least[0]:
+                    least = (row, col, left, right)
         verdicts[label] = least is None
         if least is not None and witness is None:
             row, col, left, right = least
@@ -272,6 +300,11 @@ def check_rtt(r, t_op):
     b = r.legs[1].spectral_var
     if b in t_op.variables:
         raise ValueError(f"t_op must not already depend on {b!r}")
+    if t_op.legs and t_op.legs[0].spectral_var != a:
+        raise ValueError(
+            f"t_op's auxiliary leg is labelled {t_op.legs[0].spectral_var!r}, "
+            f"not {a!r} as R's first leg"
+        )
     coeff = t_op.legs[1:]
     ambient = (r.legs[0], r.legs[1]) + coeff
     coeff_targets = _span(3, len(ambient))

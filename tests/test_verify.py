@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflection_workbench import verify
+from reflection_workbench import kernel, verify
 from reflection_workbench.evaluation import pairing_series
 from reflection_workbench.fusion import (
     GradedFamily,
@@ -251,6 +251,12 @@ MISMATCHED_LAYOUTS = {
 }
 
 
+# refusals whose text names both of the legs that disagree
+MISMATCH_TEXTS = {
+    "rtt_label": "t_op's auxiliary leg is labelled 'w', not 'u' as R's first leg",
+}
+
+
 @pytest.mark.parametrize("case", sorted(MISMATCHED_LAYOUTS))
 def test_mismatched_layouts_are_refused_before_any_column(case, monkeypatch):
     """A solution, T or partner whose legs disagree with the R-matrix's is a
@@ -262,9 +268,11 @@ def test_mismatched_layouts_are_refused_before_any_column(case, monkeypatch):
         return column_product(*args)
 
     monkeypatch.setattr(verify, "column_product", counting)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refused:
         MISMATCHED_LAYOUTS[case]()
     assert columns == []
+    if case in MISMATCH_TEXTS:
+        assert str(refused.value) == MISMATCH_TEXTS[case]
 
 
 def test_conjugate_re_identity_passes():
@@ -576,3 +584,195 @@ def test_compare_sides_refuses_a_factor_off_the_ambient_legs():
         compare_sides(ambient, [("", [off], [off])])
     with pytest.raises(ValueError, match="do not match the ambient legs"):
         compare_sides(ambient, [("", [(yang_r(3), (1, 2))], [])])
+
+
+# -- column orbits under proven signed-permutation symmetries -----------------
+
+
+def compose_signed(a, b):
+    """The signed permutation a after b, both written as the tuples of
+    s_i * sigma(i) that signed_symmetries returns."""
+    return tuple(a[abs(x) - 1] if x > 0 else -a[abs(x) - 1] for x in b)
+
+
+def generated_group(generators, n):
+    group = {tuple(range(1, n + 1))}
+    frontier = list(group)
+    while frontier:
+        w = frontier.pop()
+        for g in generators:
+            product = compose_signed(g, w)
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    return group
+
+
+def conjugated(op, w):
+    """W op W^-1 for W = w on every leg of op."""
+    entries = {}
+    for (row, col), poly in op.entries.items():
+        sign = 1
+        for i in row + col:
+            sign = -sign if w[i - 1] < 0 else sign
+        image = (tuple(abs(w[i - 1]) for i in row), tuple(abs(w[i - 1]) for i in col))
+        entries[image] = poly * sign
+    return TensorOp(op.legs, entries)
+
+
+def group_average(op, group):
+    """The exact average of W op W^-1 over the group: it commutes with every W."""
+    total = TensorOp(op.legs, {})
+    for w in group:
+        total = total + conjugated(op, w)
+    return op_scale(total, Fraction(1, len(group)))
+
+
+@st.composite
+def symmetric_problems(draw):
+    """An ambient of 1-3 legs of one dimension n (at most 2 legs when n = 3),
+    a group generated by one or two random signed permutations, and one
+    side whose factors are random factors averaged over that group.  The
+    right half is the left half, the left half's whole product as one
+    factor, or other averaged factors.  With extra, one random factor that
+    is not averaged is put first on the left half, or on both halves."""
+    n = draw(st.sampled_from([2, 3]))
+    ambient = tuple(LegSpace(n, label) for label in "uvw"[: draw(st.integers(1, 5 - n))])
+    labels = tuple(leg.spectral_var for leg in ambient)
+    signed = st.tuples(st.permutations(range(1, n + 1)), st.tuples(*[st.sampled_from([1, -1])] * n))
+    generators = [
+        tuple(s * i for s, i in zip(signs, sigma))
+        for sigma, signs in draw(st.lists(signed, min_size=1, max_size=2))
+    ]
+    group = generated_group(generators, n)
+    polys = st.dictionaries(
+        st.tuples(*(st.integers(-2, 2) for _ in labels)), st.sampled_from([-1, 1]), max_size=2
+    ).map(lambda terms: LaurentPoly(labels, terms))
+
+    def factor():
+        order = draw(st.permutations(range(1, len(ambient) + 1)))
+        targets = tuple(order[: draw(st.integers(1, len(ambient)))])
+        legs = tuple(ambient[p - 1] for p in targets)
+        index = st.tuples(*(st.integers(1, n) for _ in legs))
+        entries = draw(st.dictionaries(st.tuples(index, index), polys, max_size=4))
+        return TensorOp(legs, entries), targets
+
+    def averaged_half():
+        return [(group_average(op, group), targets) for op, targets in
+                (factor() for _ in range(draw(st.integers(1, 3))))]
+
+    lhs = averaged_half()
+    rhs = draw(st.sampled_from(["same", "product", "other"]))
+    if rhs == "same":
+        rhs = list(lhs)
+    elif rhs == "product":
+        rhs = [(op_chain(ambient, lhs), tuple(range(1, len(ambient) + 1)))]
+    else:
+        rhs = averaged_half()
+    extra = draw(st.sampled_from([None, "lhs", "both"]))
+    if extra is not None:
+        asymmetric = factor()
+        lhs = [asymmetric] + lhs
+        if extra == "both":
+            rhs = [asymmetric] + rhs
+    return ambient, group, extra, [("", lhs, rhs)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_problems())
+def test_orbit_representatives_match_the_whole_operator_path(problem):
+    ambient, group, extra, sides = problem
+    ops = [op for _, lhs, rhs in sides for op, _ in lhs + rhs]
+    if extra is None:
+        # averaging imposed the group, and the search proves all of it
+        assert group <= set(kernel.signed_symmetries(ambient, ops))
+    assert compare_sides(ambient, sides) == whole_operator_compare(ambient, sides)
+
+
+def test_every_factor_of_every_side_is_proven_invariant():
+    # A commutes with the swap and B with the swap that negates e_1, so
+    # either one alone would leave column (1,) to stand for (2,), where the
+    # two sides differ; together they admit no swap, and every column is
+    # compared
+    ambient = (LegSpace(2, "u"),)
+    a = matrix_on_leg(((1, 1), (1, 1)), ambient[0])
+    b = matrix_on_leg(((1, -1), (1, 1)), ambient[0])
+    assert (2, 1) in kernel.signed_symmetries(ambient, [a])
+    assert (2, -1) in kernel.signed_symmetries(ambient, [b])
+    assert all(abs(w[0]) == 1 for w in kernel.signed_symmetries(ambient, [a, b]))
+    verdicts, witness = compare_sides(ambient, [("", [(a, (1,))], [(b, (1,))])])
+    assert verdicts == {"": False}
+    assert witness == {"row": [1], "col": [2], "lhs": "1", "rhs": "-1"}
+    # the identity commutes with every swap, diag(1, 2) with none
+    diagonal = matrix_on_leg(((1, 0), (0, 2)), ambient[0])
+    identity = identity_op(ambient)
+    verdicts, witness = compare_sides(ambient, [("", [(identity, (1,))], [(diagonal, (1,))])])
+    assert verdicts == {"": False}
+    assert witness == {"row": [2], "col": [2], "lhs": "1", "rhs": "2"}
+
+
+def counted_search(monkeypatch):
+    """Record, per compare_sides call, the group size found and the
+    representatives kept, and count column_product calls."""
+    seen = {"groups": [], "representatives": [], "columns": 0}
+
+    def search(ambient, ops):
+        group = kernel.signed_symmetries(ambient, ops)
+        seen["groups"].append(len(group))
+        return group
+
+    def representatives(columns, group):
+        kept = kernel.orbit_representatives(columns, group)
+        seen["representatives"].append(len(kept))
+        return kept
+
+    def product(*args):
+        seen["columns"] += 1
+        return column_product(*args)
+
+    monkeypatch.setattr(verify, "signed_symmetries", search)
+    monkeypatch.setattr(verify, "orbit_representatives", representatives)
+    monkeypatch.setattr(verify, "column_product", product)
+    return seen
+
+
+def skew4(a, b):
+    return ((0, 0, a, 0), (0, 0, 0, b), (-a, 0, 0, 0), (0, -b, 0, 0))
+
+
+@pytest.mark.parametrize("k,m,orbits", [(1, 1, 6), (1, 2, 20), (2, 1, 20), (2, 2, 72)])
+def test_fused_re_compares_one_column_per_orbit(k, m, orbits, monkeypatch):
+    # g = skew(1, 1) and x = skew(3, -2) keep the pairs {1, 3} and {2, 4}:
+    # each pair is fixed or swapped with opposite signs, 4 x 4 = 16
+    # elements, and sigma runs over the Klein group on 4^(k+m) columns
+    t = Transposition(skew4(1, 1))
+    family = GradedFamily.from_character(skew4(3, -2), t, 2)
+    seen = counted_search(monkeypatch)
+    assert check_fused_re(family, RFamily.build(4, t), k, m).passed
+    assert seen == {"groups": [16], "representatives": [orbits], "columns": 2 * orbits}
+
+
+def test_column_orbits_fall_back_to_every_column(monkeypatch):
+    seen = counted_search(monkeypatch)
+    # the () ambient: no leg, so no dimension to search
+    scalar = TensorOp((), {((), ()): LaurentPoly.var("u")})
+    assert compare_sides((), [("", [(scalar, ())], [(scalar, ())])]) == ({"": True}, None)
+    assert seen == {"groups": [0], "representatives": [1], "columns": 2}
+    # mixed dimensions: the identity would commute with any swap of either leg
+    mixed = (LegSpace(2, "u"), LegSpace(3, "v"))
+    identity = (identity_op(mixed), (1, 2))
+    assert compare_sides(mixed, [("", [identity], [identity])]) == ({"": True}, None)
+    assert seen == {"groups": [0, 0], "representatives": [1, 6], "columns": 2 + 12}
+
+
+def test_a_group_that_moves_no_column_runs_the_plain_loop(monkeypatch):
+    # the diagonals commute only with sign changes: four elements, no
+    # column moves, so both columns are compared once, with no
+    # representative pass before them
+    leg = LegSpace(2, "u")
+    lhs = matrix_on_leg(((1, 0), (0, 2)), leg)
+    rhs = matrix_on_leg(((1, 0), (0, 3)), leg)
+    seen = counted_search(monkeypatch)
+    verdicts, witness = compare_sides((leg,), [("", [(lhs, (1,))], [(rhs, (1,))])])
+    assert (verdicts, witness["col"]) == ({"": False}, [2])
+    assert seen == {"groups": [4], "representatives": [2], "columns": 4}
