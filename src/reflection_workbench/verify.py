@@ -3,17 +3,19 @@
 Every equation asserted about the R-matrix / fusion / reflection-equation
 structures becomes a named check returning a CheckReport.  A check states
 each side as a factor list of small (op, targets) factors; compare_sides
-evaluates the sides one basis column at a time through the kernel's column
-engine (column_product), applying the factors right to left, and never
-holds a whole side.  Every factor's legs must be the ambient legs at its
-targets; _prepared refuses any other layout for every check.  Inside a
-column each monomial is one int (kernel.pack) over the check's variable
-context, wide enough for every exponent the column can reach, so a
-monomial product is one int add; keep and the witness see exponent
-tuples again.  A pass is a proof: the sides agree exactly on every
-column, compared directly or through a proven symmetry.  A failing
-check carries the lexicographically first disagreeing (row, col) entry
-as a witness, kept as a running minimum over every column.
+evaluates the sides one basis row at a time through the kernel's column
+engine (column_product): row r of F1...Fm is column r of Fm^T...F1^T, so
+each half is prepared reversed and transposed, and no side is ever held
+whole.  Every factor's legs must be the ambient legs at its targets;
+_prepared refuses any other layout for every check.  Inside a row each
+monomial is one int (kernel.pack) over the check's variable context,
+wide enough for every exponent the row can reach, so a monomial product
+is one int add; keep and the witness see exponent tuples again.  A pass
+is a proof: the sides agree exactly on every row, compared directly or
+through a proven symmetry.  Rows are compared in ascending order, and a
+failing side stops at its first differing row, so a failing check
+carries the lexicographically first disagreeing (row, col) entry as a
+witness.
 A report holds no timing: the command line times each registered check
 once, around its whole runner.
 """
@@ -27,7 +29,6 @@ from .fusion import block_labels, block_legs, breve_factors, fused_r_factors
 from .kernel import (
     LaurentPoly,
     column_product,
-    extract_entry,
     fresh_label,
     identity_op,
     mul_packed_into,
@@ -64,23 +65,6 @@ def _witness(row, col, lhs, rhs):
     return {"row": list(row), "col": list(col), "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def first_witness(lhs, rhs):
-    """The lexicographically first (row, col) where lhs and rhs differ, with
-    both entries rendered, or None when every entry agrees.  An entry stored
-    on one side only counts as a difference; the leg layouts must match."""
-    if lhs.legs != rhs.legs:
-        raise ValueError("leg layout mismatch")
-    differing = [
-        key
-        for key in lhs.entries.keys() | rhs.entries.keys()
-        if lhs.entries.get(key) != rhs.entries.get(key)
-    ]
-    if not differing:
-        return None
-    row, col = min(differing)
-    return _witness(row, col, extract_entry(lhs, row, col), extract_entry(rhs, row, col))
-
-
 def _reach(factors):
     """Per variable, the sum over the factors of the largest |exponent| of
     that variable in any term of the factor."""
@@ -97,10 +81,10 @@ def _reach(factors):
 
 
 def _prepared(op, targets, ambient, context, width):
-    """A factor ready for column application: its 0-based target slots and
-    its entries grouped by column, as (row, term map) pairs over context
-    with packed keys.  The factor's legs must be the ambient legs at its
-    targets."""
+    """A factor transposed for row application: its 0-based target slots
+    and its entries grouped by row, as (col, term map) pairs over context
+    with packed keys, so kernel.column_product applies its transpose.  The
+    factor's legs must be the ambient legs at its targets."""
     targets = tuple(targets)
     if len(set(targets)) != len(targets) or not all(1 <= p <= len(ambient) for p in targets):
         raise ValueError(f"targets {targets} are not distinct positions 1..{len(ambient)}")
@@ -108,11 +92,11 @@ def _prepared(op, targets, ambient, context, width):
         raise ValueError(
             f"factor legs {op.legs} do not match the ambient legs at targets {targets}"
         )
-    by_col = {}
+    by_row = {}
     for (row, col), poly in op.entries.items():
         terms = {pack(e, width): c for e, c in poly.aligned(context).terms.items()}
-        by_col.setdefault(col, []).append((row, terms))
-    return tuple(p - 1 for p in targets), by_col
+        by_row.setdefault(row, []).append((col, terms))
+    return tuple(p - 1 for p in targets), by_row
 
 
 def _unpacked(terms, context, width):
@@ -142,25 +126,29 @@ def compare_sides(ambient, sides, keep=None):
     verdict of each label and the witness.
 
     Each side is the ordered product of its (op, targets) factors on the
-    ambient legs, evaluated one basis column at a time: the factors are
-    applied right to left to e_col, so no side is ever built whole.  Every
-    factor's legs must equal the ambient legs at its targets.  Monomials
-    are packed into ints over the check's variable context (kernel.pack),
-    with a field width that holds every exponent a column can reach.  With
-    keep, only the monomials it accepts are compared.
+    ambient legs, evaluated one basis row at a time, so no side is ever
+    built whole.  Laurent coefficients commute, so row r of F1...Fm is
+    column r of Fm^T...F1^T: each half is prepared reversed and transposed
+    and kernel.column_product applies it to e_r.  Every factor's legs must
+    equal the ambient legs at its targets.  Monomials are packed into ints
+    over the check's variable context (kernel.pack), with a field width
+    that holds every exponent a row can reach.  With keep, only the
+    monomials it accepts are compared.
 
-    Columns are first compared only at the least column of each orbit of
-    the signed permutations w (w e_i = s_i e_sigma(i)) that every factor
-    is proven to commute with: kernel.signed_symmetries tests each
-    factor, entry by entry, for F(sigma r, sigma c) = s(r) s(c) F(r, c).
-    W = w on every leg then commutes with each side, so a side's column
-    at sigma c is +-W times its column at c, and two sides that agree at
-    c agree on c's orbit; keep sees only monomials, which W leaves alone.
-    If every representative agrees on every side, every side passes.
-    Otherwise, or when the group moves no column, every column of every
-    side is compared: the witness is the least differing (row, col) of
-    the first failing side in order, rendered as first_witness renders
-    it, or None when every side agrees.
+    Rows are compared only at the least row of each orbit of the signed
+    permutations w (w e_i = s_i e_sigma(i)) that every factor is proven
+    to commute with: kernel.signed_symmetries tests each factor, entry by
+    entry, for F(sigma r, sigma c) = s(r) s(c) F(r, c).  W = w on every
+    leg then commutes with each side, so a side's row at sigma r is +-its
+    row at r times W^-1, and two sides that agree at r agree on r's orbit;
+    keep sees only monomials, which W leaves alone.  With an empty group
+    every row is its own representative.  Each side runs through the
+    representatives in ascending order and stops at the first that
+    differs: every differing row has a differing representative at or
+    below it, so that is the least differing row, and the side fails.  A
+    side whose representatives all agree passes.  The witness is the
+    least differing column in that row of the first failing side in
+    order, or None when every side agrees.
     """
     ambient = tuple(ambient)
     context = {leg.spectral_var for leg in ambient if leg.spectral_var is not None}
@@ -168,52 +156,49 @@ def compare_sides(ambient, sides, keep=None):
         for op, _targets in lhs + rhs:
             context.update(op.variables)
     context = tuple(sorted(context))
-    # a column term is a product of at most one term of each factor of its
+    # a row term is a product of at most one term of each factor of its
     # side, so its |e_i| is at most that side's reach <= B_i < 2^(width - 1)
     reaches = (b for _, lhs, rhs in sides for half in (lhs, rhs) for b in _reach(half))
     width = 1 + max((b.bit_length() for b in reaches), default=0)
-    columns = list(itertools.product(*(range(1, leg.dim + 1) for leg in ambient)))
 
     def prepare(factors):
-        return [_prepared(op, targets, ambient, context, width) for op, targets in factors]
+        return [_prepared(op, t, ambient, context, width) for op, t in reversed(factors)]
 
     prepared = [(label, prepare(lhs), prepare(rhs)) for label, lhs, rhs in sides]
 
-    def differences(lhs, rhs, col):
-        """(row, lhs entry, rhs entry) for each row where the two columns at
-        col differ; the columns themselves are dropped on return."""
-        left = column_product(lhs, col, 0, mul_packed_into)
-        right = column_product(rhs, col, 0, mul_packed_into)
+    def differences(lhs, rhs, row):
+        """(col, lhs entry, rhs entry) for each col where the two sides'
+        rows at row differ; the rows themselves are dropped on return."""
+        left = column_product(lhs, row, 0, mul_packed_into)
+        right = column_product(rhs, row, 0, mul_packed_into)
         if keep is not None:
             left = _kept(left, context, width, keep)
             right = _kept(right, context, width, keep)
         return [
-            (row, left.get(row, {}), right.get(row, {}))
-            for row in left.keys() | right.keys()
-            if left.get(row) != right.get(row)
+            (col, left.get(col, {}), right.get(col, {}))
+            for col in left.keys() | right.keys()
+            if left.get(col) != right.get(col)
         ]
 
     group = signed_symmetries(ambient, [op for _, lhs, rhs in sides for op, _ in lhs + rhs])
-    representatives = orbit_representatives(columns, group)
-    if len(representatives) < len(columns) and not any(
-        differences(lhs, rhs, col) for _, lhs, rhs in prepared for col in representatives
-    ):
-        return {label: True for label, _, _ in prepared}, None
+    rows = list(itertools.product(*(range(1, leg.dim + 1) for leg in ambient)))
+    representatives = orbit_representatives(rows, group)
     verdicts = {}
     witness = None
     for label, lhs, rhs in prepared:
-        least = None
-        for col in columns:
-            for row, left, right in differences(lhs, rhs, col):
-                if least is None or row < least[0]:
-                    least = (row, col, left, right)
-        verdicts[label] = least is None
-        if least is not None and witness is None:
-            row, col, left, right = least
-            found = _witness(
-                row, col, _unpacked(left, context, width), _unpacked(right, context, width)
-            )
-            witness = dict(found, side=label) if label else found
+        verdicts[label] = True
+        for row in representatives:
+            found = differences(lhs, rhs, row)
+            if found:
+                verdicts[label] = False
+                if witness is None:
+                    col, left, right = min(found, key=lambda difference: difference[0])
+                    witness = _witness(
+                        row, col, _unpacked(left, context, width), _unpacked(right, context, width)
+                    )
+                    if label:
+                        witness["side"] = label
+                break
     return verdicts, witness
 
 

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflection_workbench import kernel, verify
-from reflection_workbench.evaluation import pairing_series
+from reflection_workbench import evaluation, kernel, verify
+from reflection_workbench.evaluation import (
+    DoubleEval,
+    check_double_relations,
+    eval_double,
+    pairing_series,
+)
 from reflection_workbench.fusion import (
     GradedFamily,
     SeedSolution,
@@ -20,6 +25,7 @@ from reflection_workbench.kernel import (
     Transposition,
     column_product,
     embed_legs,
+    extract_entry,
     identity_op,
     matrix_on_leg,
     op_chain,
@@ -42,7 +48,6 @@ from reflection_workbench.verify import (
     check_tau_symmetry,
     check_ybe,
     compare_sides,
-    first_witness,
 )
 
 SKEW = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
@@ -432,6 +437,46 @@ def test_report_json_shape():
     assert data["passed"] is True
 
 
+def test_op_chain_of_no_factors_is_the_identity():
+    legs = (LegSpace(2, "u"), LegSpace(3, "v"))
+    assert op_chain(legs, []) == identity_op(legs)
+
+
+def test_op_chain_composes_in_the_listed_order():
+    ambient = (LegSpace(2, "u"), LegSpace(2, "v"), LegSpace(2, "w"))
+    r = (yang_r(2, "u", "v"), (1, 2))
+    p = (flip_p(2, "v", "w"), (2, 3))
+    rp = op_chain(ambient, [r, p])
+    assert rp == tensor_compose(embed_legs(*r, ambient), embed_legs(*p, ambient))
+    assert rp != op_chain(ambient, [p, r])
+
+
+# -- the column engine against the whole-operator path --------------------------
+
+
+def first_witness(lhs, rhs):
+    """The lexicographically first (row, col) where two whole operators
+    differ, with both entries rendered, or None when every entry agrees.
+    An entry stored on one side only counts as a difference; the leg
+    layouts must match."""
+    if lhs.legs != rhs.legs:
+        raise ValueError("leg layout mismatch")
+    differing = [
+        key
+        for key in lhs.entries.keys() | rhs.entries.keys()
+        if lhs.entries.get(key) != rhs.entries.get(key)
+    ]
+    if not differing:
+        return None
+    row, col = min(differing)
+    return {
+        "row": list(row),
+        "col": list(col),
+        "lhs": str(extract_entry(lhs, row, col)),
+        "rhs": str(extract_entry(rhs, row, col)),
+    }
+
+
 def test_first_witness_counts_an_entry_stored_on_one_side():
     legs = (LegSpace(2, "u"),)
     whole = identity_op(legs)
@@ -457,23 +502,6 @@ def test_first_witness_is_the_least_differing_row_then_col():
 def test_first_witness_rejects_a_leg_mismatch():
     with pytest.raises(ValueError, match="leg layout"):
         first_witness(identity_op((LegSpace(2, "u"),)), identity_op((LegSpace(2, "v"),)))
-
-
-def test_op_chain_of_no_factors_is_the_identity():
-    legs = (LegSpace(2, "u"), LegSpace(3, "v"))
-    assert op_chain(legs, []) == identity_op(legs)
-
-
-def test_op_chain_composes_in_the_listed_order():
-    ambient = (LegSpace(2, "u"), LegSpace(2, "v"), LegSpace(2, "w"))
-    r = (yang_r(2, "u", "v"), (1, 2))
-    p = (flip_p(2, "v", "w"), (2, 3))
-    rp = op_chain(ambient, [r, p])
-    assert rp == tensor_compose(embed_legs(*r, ambient), embed_legs(*p, ambient))
-    assert rp != op_chain(ambient, [p, r])
-
-
-# -- the column engine against the whole-operator path --------------------------
 
 
 def whole_operator_compare(ambient, sides, keep=None):
@@ -545,7 +573,7 @@ def test_column_engine_matches_the_whole_operator_path(problem, keep_name):
 
 def test_column_engine_keeps_the_least_row_across_columns():
     # column 1 differs at row 2 and column 2 at row 1: the least (row, col)
-    # is ((1,), (2,)), found in a later column than the first difference
+    # is ((1,), (2,)), in a later column than the first difference
     ambient = (LegSpace(2, "u"),)
     u = LaurentPoly.var("u")
     lhs = TensorOp(ambient, {((2,), (1,)): u, ((1,), (2,)): u})
@@ -744,7 +772,7 @@ def skew4(a, b):
 def test_fused_re_compares_one_column_per_orbit(k, m, orbits, monkeypatch):
     # g = skew(1, 1) and x = skew(3, -2) keep the pairs {1, 3} and {2, 4}:
     # each pair is fixed or swapped with opposite signs, 4 x 4 = 16
-    # elements, and sigma runs over the Klein group on 4^(k+m) columns
+    # elements, and sigma runs over the Klein group on 4^(k+m) rows
     t = Transposition(skew4(1, 1))
     family = GradedFamily.from_character(skew4(3, -2), t, 2)
     seen = counted_search(monkeypatch)
@@ -767,8 +795,8 @@ def test_column_orbits_fall_back_to_every_column(monkeypatch):
 
 def test_a_group_that_moves_no_column_runs_the_plain_loop(monkeypatch):
     # the diagonals commute only with sign changes: four elements, no
-    # column moves, so both columns are compared once, with no
-    # representative pass before them
+    # row moves, so every row is its own representative; the sides first
+    # differ in row 2, the last, so both rows are built once per side
     leg = LegSpace(2, "u")
     lhs = matrix_on_leg(((1, 0), (0, 2)), leg)
     rhs = matrix_on_leg(((1, 0), (0, 3)), leg)
@@ -776,3 +804,88 @@ def test_a_group_that_moves_no_column_runs_the_plain_loop(monkeypatch):
     verdicts, witness = compare_sides((leg,), [("", [(lhs, (1,))], [(rhs, (1,))])])
     assert (verdicts, witness["col"]) == ({"": False}, [2])
     assert seen == {"groups": [4], "representatives": [2], "columns": 4}
+
+
+# -- rows in ascending order: a failing side stops at its first differing row --
+
+
+def test_a_failing_side_stops_at_its_first_differing_row(monkeypatch):
+    # the upper-triangular seed control of the witness benchmark: its group
+    # holds sign changes only, so every row stands for itself, and the two
+    # sides first differ in row (1,1,1,1), the first row built
+    t = orthogonal_transposition(3)
+    seed = SeedSolution(matrix_on_leg(((2, 3, 0), (0, 5, 0), (0, 0, 7)), LegSpace(3, "u")), t)
+    family = GradedFamily.from_seed(seed, k_max=2)
+    seen = counted_search(monkeypatch)
+    report = check_fused_re(family, RFamily.build(3, t), 2, 2)
+    assert not report.passed
+    assert (report.witness["row"], report.witness["col"]) == ([1, 1, 1, 1], [1, 1, 1, 2])
+    assert (seen["representatives"], seen["columns"]) == ([81], 2)
+
+
+def test_a_failing_side_stops_at_a_later_orbit(monkeypatch):
+    # M and D commute with the swap of e_1 and e_2 on every leg, so the
+    # rows fall into 5 orbits with representatives (1,1), (1,2), (1,3),
+    # (3,1) and (3,3).  D differs from the identity only in the orbit
+    # {(3,1), (3,2)}, the fourth: 2 rows are built for each of the first 4
+    legs = (LegSpace(3, "u"), LegSpace(3, "v"))
+    u, v, one = LaurentPoly.var("u"), LaurentPoly.var("v"), LaurentPoly.const(1)
+    m = TensorOp(legs[:1], {((1,), (1,)): u, ((1,), (2,)): one, ((2,), (1,)): one,
+                            ((2,), (2,)): u, ((3,), (3,)): one})
+    d = identity_op(legs) + TensorOp(legs, {((3, 1), (1, 1)): v, ((3, 2), (2, 2)): v})
+    sides = [("", [(d, (1, 2)), (m, (1,))], [(identity_op(legs), (1, 2)), (m, (1,))])]
+    seen = counted_search(monkeypatch)
+    verdicts, witness = compare_sides(legs, sides)
+    assert seen == {"groups": [4], "representatives": [5], "columns": 8}
+    assert verdicts == {"": False}
+    assert witness == {"row": [3, 1], "col": [1, 1], "lhs": "u*v", "rhs": "0"}
+    assert (verdicts, witness) == whole_operator_compare(legs, sides)
+
+
+def test_every_side_keeps_its_own_verdict_after_one_stops(monkeypatch):
+    # "stops" differs first in row (1,1,1), at columns (1,1,1) and
+    # (1,2,1); a set of the two holds (1,2,1) first, so the witness must
+    # take the least column, not the first one found.  "passes" and
+    # "later" still get their own verdicts, and "later" differs in its
+    # last row only
+    legs = tuple(LegSpace(2, label) for label in "uvw")
+    u, v = LaurentPoly.var("u"), LaurentPoly.var("v")
+    whole = (1, 2, 3)
+    identity = identity_op(legs)
+    stops = identity + TensorOp(legs, {((1, 1, 1), (1, 1, 1)): u, ((1, 1, 1), (1, 2, 1)): v})
+    later = identity + TensorOp(legs, {((2, 2, 2), (1, 1, 1)): u})
+    m = (matrix_on_leg(((1, 2), (0, 1)), legs[1]), (2,))
+    sides = [
+        ("stops", [(stops, whole), m], [m]),
+        ("passes", [m], [(identity, whole), m]),
+        ("later", [(later, whole)], [(identity, whole)]),
+    ]
+    assert next(iter({(1, 1, 1): 0}.keys() | {(1, 2, 1): 0}.keys())) == (1, 2, 1)
+    seen = counted_search(monkeypatch)
+    verdicts, witness = compare_sides(legs, sides)
+    assert verdicts == {"stops": False, "passes": True, "later": False}
+    assert witness == {"row": [1, 1, 1], "col": [1, 1, 1], "lhs": "u + 1", "rhs": "1",
+                       "side": "stops"}
+    assert (verdicts, witness) == whole_operator_compare(legs, sides)
+    (rows,) = seen["representatives"]
+    assert seen["columns"] == 2 + 2 * rows + 2 * rows
+
+
+def test_double_relations_keep_exact_verdicts_after_one_side_stops(monkeypatch):
+    # the perturbed pair of the witness benchmark: minus_minus stops at its
+    # first differing row, and plus_plus and cross still get exact verdicts
+    good = eval_double(3)
+    kick = op_scale(flip_p(3, "u", "z", ("auxiliary", "quantum")), 3)
+    broken = DoubleEval(good.l_plus, good.l_minus + kick, good.denom_plus, good.denom_minus)
+    stated = []
+
+    def recording(ambient, sides, keep=None):
+        stated.append((ambient, sides))
+        return compare_sides(ambient, sides, keep)
+
+    monkeypatch.setattr(evaluation, "compare_sides", recording)
+    report = check_double_relations(broken)
+    assert report.params["verdicts"] == {"minus_minus": False, "plus_plus": True, "cross": False}
+    assert report.witness["side"] == "minus_minus"
+    ((ambient, sides),) = stated
+    assert (report.params["verdicts"], report.witness) == whole_operator_compare(ambient, sides)
