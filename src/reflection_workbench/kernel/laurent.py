@@ -302,6 +302,7 @@ class LaurentPoly(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            other = _coerce_scalar(other)
             if not other:
                 return LaurentPoly._raw(self.variables, {})
             return LaurentPoly._raw(

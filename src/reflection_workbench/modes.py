@@ -10,7 +10,9 @@ Mode relations are always produced by the expander from the matrix
 relations, and the twisted generator images are derived from the series
 product S(u) = t(T(-u)) T(u); no commutator or image formula is
 transcribed from anywhere else.  A series entry is a term map
-{(u exponent, v exponent, word): nonzero exact coefficient}.
+{(u exponent, v exponent, word): nonzero exact coefficient}.  A word is a
+tuple of generators, and each generator is itself the tuple
+(level, row, col, family), so the rewrite order is plain tuple order.
 
 A relation is stated as two factor lists on two n-dimensional legs, each
 series matrix a one-leg factor on its own slot and each R-matrix a
@@ -23,7 +25,6 @@ in its public constructor only; internal results are wrapped by NCPoly._raw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import Frozen, add_into, column_product, mul_into, orthogonal_transposition, signed_sum
@@ -34,33 +35,39 @@ from .verify import CheckReport
 FAMILIES = ("T", "S")
 
 
-@dataclass(frozen=True)
-class ModeGen:
-    """One series coefficient: family letter, matrix entry, level."""
+class ModeGen(tuple):
+    """One series coefficient, built as ModeGen(family, row, col, level) and
+    stored as the immutable tuple (level, row, col, family): tuple order is
+    the rewrite order (level, then entry), and <, == and hash are tuple's."""
 
-    family: str
-    row: int
-    col: int
-    level: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        for index in (self.row, self.col):
+    def __new__(cls, family, row, col, level):
+        if family not in FAMILIES:
+            raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+        for index in (row, col):
             if not isinstance(index, int) or index < 1:
                 raise ValueError(f"matrix indices must be positive integers, got {index!r}")
-        if not isinstance(self.level, int) or self.level < 0:
-            raise ValueError(f"level must be a nonnegative integer, got {self.level!r}")
-        if self.family == "T" and self.level < 1:
+        if not isinstance(level, int) or level < 0:
+            raise ValueError(f"level must be a nonnegative integer, got {level!r}")
+        if family == "T" and level < 1:
             raise ValueError("the level-0 coefficient of family T is the unit, not a generator")
+        return tuple.__new__(cls, (level, row, col, family))
+
+    level = property(lambda self: self[0])
+    row = property(lambda self: self[1])
+    col = property(lambda self: self[2])
+    family = property(lambda self: self[3])
+
+    def __getnewargs__(self):
+        return (self.family, self.row, self.col, self.level)
+
+    def __repr__(self):
+        fields = f"family={self.family!r}, row={self.row!r}, col={self.col!r}, level={self.level!r}"
+        return f"ModeGen({fields})"
 
     def __str__(self):
         return f"{self.family}{self.level}[{self.row},{self.col}]"
-
-
-def gen_key(gen):
-    """The total generator order used for rewriting: level, then entry."""
-    return (gen.level, gen.row, gen.col, gen.family)
 
 
 def word_level(word):
@@ -68,7 +75,7 @@ def word_level(word):
 
 
 def word_key(word):
-    return (word_level(word), len(word), tuple(gen_key(gen) for gen in word))
+    return (word_level(word), len(word), word)
 
 
 class NCPoly(Frozen):
@@ -129,6 +136,7 @@ class NCPoly(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            other = _coerce_scalar(other)
             if not other:
                 return NCPoly.zero()
             return NCPoly._raw({word: coeff * other for word, coeff in self.terms.items()})
@@ -139,10 +147,7 @@ class NCPoly(Frozen):
         )
         return NCPoly._raw(add_into({}, products))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def max_gen_level(self):
         return max((gen.level for word in self.terms for gen in word), default=0)
@@ -198,7 +203,7 @@ def series_matrix(family, n, d, var="u"):
 
 def _scalar_matrix(rows):
     """A matrix of exact numbers as term maps of the empty word."""
-    return tuple(tuple({(0, 0, ()): x} if x else {} for x in row) for row in rows)
+    return tuple(tuple({(0, 0, ()): _coerce_scalar(x)} if x else {} for x in row) for row in rows)
 
 
 def _leg_factor(matrix, slot):
@@ -284,19 +289,14 @@ def expand_relation(relation, n, d, t=None):
 def _relations(buckets, d):
     """The distinct bucket polynomials free of generators above level d,
     sorted by their text form."""
-    seen = {}
-    for key in sorted(buckets):
-        p = buckets[key]
-        if p.max_gen_level() > d:
-            continue
-        seen.setdefault(str(p), p)
+    seen = {str(p): p for p in buckets.values() if p.max_gen_level() <= d}
     return [seen[text] for text in sorted(seen)]
 
 
 class RewriteSystem(Frozen):
     """Oriented swap rules keyed by out-of-order generator pairs.
 
-    rules[(x, y)] with gen_key(x) > gen_key(y) is the full replacement of
+    rules[(x, y)] with x > y in generator order is the full replacement of
     the word x*y: the swapped word y*x with coefficient one plus
     correction terms that drop in the (level, word length) measure.  Both
     properties are validated here, so an unorientable relation is
@@ -308,7 +308,7 @@ class RewriteSystem(Frozen):
     def __init__(self, rules, level_cap):
         checked = {}
         for (x, y), replacement in rules.items():
-            if gen_key(x) <= gen_key(y):
+            if x <= y:
                 raise ValueError(f"rule key {x}*{y} is not an out-of-order pair")
             top = x.level + y.level
             if top > level_cap:
@@ -334,8 +334,7 @@ class RewriteSystem(Frozen):
 
 def rules_to_text(rs):
     """Canonical text form of the rule set, one rule per line."""
-    ordered = sorted(rs.rules, key=lambda pair: (gen_key(pair[0]), gen_key(pair[1])))
-    return "\n".join(f"{x}*{y} -> {rs.rules[(x, y)]}" for x, y in ordered)
+    return "\n".join(f"{x}*{y} -> {rs.rules[(x, y)]}" for x, y in sorted(rs.rules))
 
 
 def derive_rules(n, d):
@@ -363,7 +362,7 @@ def derive_rules(n, d):
     rules = {}
     for x in gens:
         for y in gens:
-            if gen_key(x) <= gen_key(y) or x.level + y.level > d + 1:
+            if x <= y or x.level + y.level > d + 1:
                 continue
             telescoped = NCPoly.zero()
             for r in range(x.level):
@@ -376,13 +375,13 @@ def derive_rules(n, d):
 
 
 def normal_form(p, rs):
-    """Rewrite until no word contains an out-of-order adjacent pair.
+    """Rewrite until no word contains an adjacent pair x*y with x > y.
 
-    Each step swaps the first out-of-order pair of some word via its
-    rule; corrections strictly drop in the (level, inversions) measure,
-    so the loop terminates.  Words above the system's level cap are
-    rejected up front, and a missing rule for an in-cap pair is an error
-    (incomplete system) rather than a silent skip.
+    Each step swaps the first such pair of some word via its rule;
+    corrections strictly drop in the (level, inversions) measure, so the
+    loop terminates.  Words above the system's level cap are rejected up
+    front, and a missing rule for an in-cap pair is an error (incomplete
+    system) rather than a silent skip.
     """
     for word in p.terms:
         if word_level(word) > rs.level_cap:
@@ -396,7 +395,7 @@ def normal_form(p, rs):
         word, coeff = work.pop()
         pos = None
         for idx in range(len(word) - 1):
-            if gen_key(word[idx]) > gen_key(word[idx + 1]):
+            if word[idx] > word[idx + 1]:
                 pos = idx
                 break
         if pos is None:
@@ -419,7 +418,7 @@ def substitute_gens(p, image):
     to ordered products of the images."""
     acc = {}
     for word, coeff in p.terms.items():
-        factor = NCPoly({(): coeff})
+        factor = NCPoly._raw({(): coeff})
         for gen in word:
             factor = factor * image(gen)
         add_into(acc, factor.terms.items())

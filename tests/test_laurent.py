@@ -118,6 +118,15 @@ def test_negative_exponents_multiply():
     assert point == Fraction(1, 8)
 
 
+def test_an_integral_scalar_keeps_int_coefficients():
+    """An integral Fraction scalar is stored as the int it equals, as the
+    constructor stores integral coefficients."""
+    for p in (U * Fraction(2), Fraction(2) * U, (U - V) * Fraction(-6, 3)):
+        assert all(type(c) is int for c in p.terms.values())
+    assert (U * Fraction(2)).terms == {(1,): 2}
+    assert (U * Fraction(1, 2)).terms == {(1,): Fraction(1, 2)}
+
+
 def test_str_rendering():
     p = (U - V) ** 2 - 1
     assert str(p) == "u^2 - 2*u*v + v^2 - 1"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,6 @@ from reflection_workbench.modes import (
     RewriteSystem,
     derive_rules,
     expand_relation,
-    gen_key,
     normal_form,
     relations_to_text,
     rules_to_text,
@@ -61,6 +62,53 @@ def test_mode_generator_validation():
     with pytest.raises(ValueError, match="level"):
         ModeGen("S", 1, 1, -1)
     assert str(ModeGen("S", 2, 1, 0)) == "S0[2,1]"
+
+
+GENERATORS = st.one_of(
+    st.builds(ModeGen, st.just("T"), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    st.builds(ModeGen, st.just("S"), st.integers(1, 3), st.integers(1, 3), st.integers(0, 3)),
+)
+
+
+def order_key(gen):
+    return (gen.level, gen.row, gen.col, gen.family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(GENERATORS, GENERATORS)
+def test_generator_order_is_level_then_entry(x, y):
+    assert (x < y) == (order_key(x) < order_key(y))
+    assert (x == y) == (order_key(x) == order_key(y))
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def test_mode_generator_is_immutable():
+    x = t_gen(1, 2)
+    for name in ("family", "row", "col", "level", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert (x.family, x.row, x.col, x.level) == ("T", 1, 2, 1)
+
+
+def test_mode_generator_copies_and_reprs_as_itself():
+    x = ModeGen("S", 2, 1, 0)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is ModeGen and y == x
+    assert repr(x) == "ModeGen(family='S', row=2, col=1, level=0)"
+    assert eval(repr(x)) == x
+
+
+def test_ncpoly_refuses_a_plain_tuple_equal_to_a_generator():
+    x = t_gen(1, 2)
+    plain = (x.level, x.row, x.col, x.family)
+    assert plain == x
+    with pytest.raises(ValueError, match="non-generator"):
+        NCPoly({(plain,): 1})
+    with pytest.raises(ValueError, match="non-generator"):
+        NCPoly({(x, plain): 1})
 
 
 def test_ncpoly_merges_words_and_drops_zeros():
@@ -105,6 +153,13 @@ def test_ncpoly_arithmetic_does_not_revalidate(monkeypatch):
     monkeypatch.setattr(NCPoly, "__init__", refuse)
     text = "-1/2*T1[2,1]*T1[1,2] + 1/2*T1[1,2]*T1[2,1] - 2*T1[1,2]"
     assert str(p * q - q * p + (-p) * 2) == text
+
+
+def test_ncpoly_integral_scalar_keeps_int_coefficients():
+    p = NCPoly({(t_gen(1, 2),): 3, (t_gen(2, 1),): -1})
+    for q in (p * Fraction(2), Fraction(2) * p):
+        assert [type(c) for c in q.terms.values()] == [int, int]
+        assert q.terms == {(t_gen(1, 2),): 6, (t_gen(2, 1),): -2}
 
 
 def test_ncpoly_text_sorts_leading_word_first():
@@ -251,7 +306,7 @@ def test_rules_exist_only_for_out_of_order_pairs():
     rules = derive_rules(2, 2)
     assert rules.level_cap == 3
     for x, y in rules.rules:
-        assert gen_key(x) > gen_key(y)
+        assert x > y
         assert x.level + y.level <= 3
     assert (t_gen(1, 1), t_gen(1, 2)) not in rules.rules
     assert (t_gen(1, 2, 2), t_gen(1, 1, 2)) not in rules.rules
@@ -332,7 +387,7 @@ def last_pair_normal_form(p, rs):
         word, coeff = work.pop()
         pos = None
         for idx in reversed(range(len(word) - 1)):
-            if gen_key(word[idx]) > gen_key(word[idx + 1]):
+            if word[idx] > word[idx + 1]:
                 pos = idx
                 break
         if pos is None:
@@ -353,9 +408,7 @@ def test_normal_form_is_confluent_on_small_words():
     for word in words:
         reduced = normal_form(NCPoly({word: 1}), rules)
         for w in reduced.terms:
-            assert all(
-                gen_key(w[i]) <= gen_key(w[i + 1]) for i in range(len(w) - 1)
-            )
+            assert all(w[i] <= w[i + 1] for i in range(len(w) - 1))
         assert normal_form(reduced, rules) == reduced
         assert last_pair_normal_form(NCPoly({word: 1}), rules) == reduced
 
@@ -388,6 +441,27 @@ def test_twisted_images_level_zero_is_delta():
     images = twisted_generator_images(2, 1, ORTH2)
     assert images[ModeGen("S", 1, 1, 0)] == NCPoly.one()
     assert images[ModeGen("S", 1, 2, 0)].is_zero()
+
+
+def test_twisted_images_keep_int_coefficients():
+    images = twisted_generator_images(2, 2, ORTH2)
+    coeffs = [c for p in images.values() for c in p.terms.values()]
+    assert len(coeffs) == 20
+    assert all(type(c) is int for c in coeffs)
+
+
+def test_substitution_does_not_revalidate(monkeypatch):
+    """substitute_gens builds its words from checked images and wraps them
+    as they are."""
+    images = twisted_generator_images(2, 1, ORTH2)
+    p = max(expand_relation("twisted_re", 2, 1, ORTH2), key=lambda q: len(q.terms))
+
+    def refuse(self, terms=None):
+        raise AssertionError("the validating constructor ran")
+
+    expected = str(substitute_gens(p, images.__getitem__))
+    monkeypatch.setattr(NCPoly, "__init__", refuse)
+    assert str(substitute_gens(p, images.__getitem__)) == expected
 
 
 def test_twisted_images_level_one():

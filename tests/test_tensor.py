@@ -211,6 +211,13 @@ def test_tau_on_leg_is_an_involution():
             assert tau_on_leg(tau_on_leg(op, 2, t), 2, t) == op
 
 
+def test_tau_on_an_unlabelled_leg_keeps_int_coefficients():
+    for t in (orthogonal_transposition(2), symplectic_transposition(2)):
+        q = tau_on_leg(flip_op(2), 1, t)
+        assert q.entries
+        assert all(type(c) is int for poly in q.entries.values() for c in poly.terms.values())
+
+
 def test_tau_dimension_mismatch():
     with pytest.raises(ValueError):
         tau_on_leg(yang_op(3), 1, orthogonal_transposition(2))
