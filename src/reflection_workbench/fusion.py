@@ -5,8 +5,10 @@ the omega central factor, fused S-matrices grown from a seed solution of
 the reflection equation, characters built from constant (skew-)symmetric
 matrices, and the truncated fused breve operators.
 
-Auxiliary legs are always labelled u1..uk left to right; a second block
-uses v1..vm.  Coefficient legs keep their own labels.
+block_layout states the (k, m) block layout once: u1..uk at targets 1..k,
+then v1..vm at k+1..k+m.  The factor builders take blocks of (label,
+target) legs and emit each factor at its final labels and targets.
+Coefficient legs keep their own labels.
 """
 
 from __future__ import annotations
@@ -40,23 +42,28 @@ def block_legs(k, m, n):
     return tuple(LegSpace(n, name) for name in block_labels("u", k) + block_labels("v", m))
 
 
-def _block_product(k, m, n, build, primed, t, flipped=False):
-    """The ordered (op, targets) factors of a product on a (k, m) block layout.
-
-    The legs are the u-block u1..uk followed by the v-block v1..vm.  For
-    each leg i of the outer block (the u-block, or the v-block when
-    flipped) and each leg j of the other block, build(label_i, label_j)
-    acts at (i, j); j runs descending for the plain product and ascending
-    for the primed one, whose factors carry tau on their outer leg.  An
-    empty block gives no factors.
-    """
+def block_layout(k, m):
+    """The (k, m) block layout as two blocks of (label, target) legs: the
+    u-block u1..uk at targets 1..k, then the v-block v1..vm at targets
+    k+1..k+m."""
     if k < 0 or m < 0:
         raise ValueError("block sizes must be nonnegative")
+    return (
+        tuple(zip(block_labels("u", k), range(1, k + 1))),
+        tuple(zip(block_labels("v", m), range(k + 1, k + m + 1))),
+    )
+
+
+def _block_product(outer, inner, n, build, primed, t):
+    """The ordered (op, targets) factors of a product of two blocks.
+
+    For each leg (a, i) of the outer block and each leg (b, j) of the
+    inner one, build(a, b) acts at (i, j); j runs descending for the plain
+    product and ascending for the primed one, whose factors carry tau on
+    their outer leg.  An empty block gives no factors.
+    """
     if t is None:
         t = orthogonal_transposition(n)
-    u_block = tuple(zip(block_labels("u", k), range(1, k + 1)))
-    v_block = tuple(zip(block_labels("v", m), range(k + 1, k + m + 1)))
-    outer, inner = (v_block, u_block) if flipped else (u_block, v_block)
     if not primed:
         inner = inner[::-1]
     factors = []
@@ -67,10 +74,9 @@ def _block_product(k, m, n, build, primed, t, flipped=False):
     return factors
 
 
-def fused_r_factors(k, m, n, primed=False, t=None, flipped=False):
-    """The R-matrix factors of fused_r (or, flipped and primed, of
-    fused_r_prime_flipped) on the block_legs(k, m, n) layout."""
-    return _block_product(k, m, n, lambda a, b: yang_r(n, a, b), primed, t, flipped)
+def fused_r_factors(outer, inner, n, primed=False, t=None):
+    """The R-matrix factors of the fused operator of two blocks."""
+    return _block_product(outer, inner, n, lambda a, b: yang_r(n, a, b), primed, t)
 
 
 def fused_r(k, m, n, primed=False, t=None):
@@ -80,14 +86,14 @@ def fused_r(k, m, n, primed=False, t=None):
     of the R_{i,j}(u_i, v_j) factors, with j descending m..1 for the plain
     operator and ascending 1..m for the primed one (tau on the u_i leg).
     """
-    return op_chain(block_legs(k, m, n), fused_r_factors(k, m, n, primed, t))
+    return op_chain(block_legs(k, m, n), fused_r_factors(*block_layout(k, m), n, primed, t))
 
 
 def fused_r_prime_flipped(k, m, n, t=None):
-    """The block-swapped primed fused operator: the subscript-reversal of
-    the primed fused_r built on the (m, k) block layout.  Each factor is
-    R'(v_i, u_j) with tau acting on the v_i leg, embedded at (k+i, j)."""
-    return op_chain(block_legs(k, m, n), fused_r_factors(k, m, n, True, t, flipped=True))
+    """The block-swapped primed fused operator: the primed product with the
+    two blocks swapped, the subscript-reversal of the primed fused_r on the
+    (m, k) layout.  Each factor is R'(v_i, u_j), tau on v_i, at (k+i, j)."""
+    return op_chain(block_legs(k, m, n), fused_r_factors(*block_layout(k, m)[::-1], n, True, t))
 
 
 def omega_factor(k):
@@ -137,38 +143,33 @@ class SeedSolution(Frozen):
         return op_substitute(self.s, {self.spectral_var: label})
 
 
-def fused_s_factors(seed, k):
-    """The factors of the k-th graded component, in product order:
-    prod_{i=1..k} ( S_i prod_{j>i} R'_{ij} ) on the legs u1..uk followed
-    by the seed's coefficient block.  k = 0 gives no factors."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    coeff = seed.coeff_legs
-    n = seed.t.n
-    labels = block_labels("u", k)
-    for leg in coeff:
+def fused_s_factors(seed, block, coeff_targets):
+    """The factors of the graded component on a block, in product order:
+    prod_i ( S_i prod_{j>i} R'_{ij} ) over the block's (label, target) legs,
+    with the coefficient legs at coeff_targets.  An empty block gives none."""
+    labels = {label for label, _ in block}
+    for leg in seed.coeff_legs:
         if leg.spectral_var in labels:
             raise ValueError(
                 f"coefficient label {leg.spectral_var!r} collides with auxiliary labels"
             )
-    coeff_targets = tuple(range(k + 1, k + 1 + len(coeff)))
     factors = []
-    for i in range(1, k + 1):
-        factors.append((seed.instance(labels[i - 1]), (i,) + coeff_targets))
-        for j in range(i + 1, k + 1):
-            r_prime = tau_on_leg(yang_r(n, labels[i - 1], labels[j - 1]), 1, seed.t)
-            factors.append((r_prime, (i, j)))
+    for index, (a, i) in enumerate(block):
+        factors.append((seed.instance(a), (i,) + coeff_targets))
+        for b, j in block[index + 1:]:
+            factors.append((tau_on_leg(yang_r(seed.t.n, a, b), 1, seed.t), (i, j)))
     return factors
 
 
 def fused_s(seed, k):
-    """The k-th graded component: the product of fused_s_factors(seed, k).
+    """The k-th graded component: the product of its fused_s_factors.
 
     Auxiliary legs are labelled u1..uk; component 0 is the identity on the
     seed's coefficient block.
     """
-    factors = fused_s_factors(seed, k)
-    return op_chain(block_legs(k, 0, seed.t.n) + seed.coeff_legs, factors)
+    u_block, _ = block_layout(k, 0)
+    legs = block_legs(k, 0, seed.t.n) + seed.coeff_legs
+    return op_chain(legs, fused_s_factors(seed, u_block, tuple(range(k + 1, len(legs) + 1))))
 
 
 def character_seed(x, t):
@@ -209,10 +210,10 @@ class GradedFamily(Frozen):
         if not 0 <= k <= self.k_max:
             raise ValueError(f"component {k} outside 0..{self.k_max}")
 
-    def factors(self, k):
-        """The factor list whose product is component(k)."""
-        self._require_k(k)
-        return fused_s_factors(self.seed, k)
+    def factors(self, block, coeff_targets):
+        """The fused_s_factors of component(len(block)) on the block."""
+        self._require_k(len(block))
+        return fused_s_factors(self.seed, block, coeff_targets)
 
     def component(self, k):
         self._require_k(k)
@@ -222,18 +223,19 @@ class GradedFamily(Frozen):
         return cached
 
 
-def breve_factors(k, m, n, factor_order, primed=False, t=None):
-    """The per-factor truncated breve series on (k, m) blocks, in the
+def breve_factors(outer, inner, n, factor_order, primed=False, t=None):
+    """The per-factor truncated breve series of two blocks, in the
     fused-operator factor order."""
     return _block_product(
-        k, m, n, lambda a, b: breve_r_series(n, a, b, factor_order), primed, t
+        outer, inner, n, lambda a, b: breve_r_series(n, a, b, factor_order), primed, t
     )
 
 
 def breve_product(k, m, n, factor_order, primed=False, t=None):
     """Product of breve_factors on the block_legs(k, m, n) layout, with NO
     total-order filter applied."""
-    return op_chain(block_legs(k, m, n), breve_factors(k, m, n, factor_order, primed, t))
+    factors = breve_factors(*block_layout(k, m), n, factor_order, primed, t)
+    return op_chain(block_legs(k, m, n), factors)
 
 
 def fused_breve(k, m, n, K, primed=False, t=None):

@@ -2,10 +2,12 @@
 
 A polynomial carries an ordered tuple of variable names (kept sorted, so
 equal polynomials have identical storage) and a sparse mapping from integer
-exponent vectors to nonzero exact coefficients (int when integral, Fraction
-otherwise; the two forms compare and hash equal).  Negative exponents are
-allowed.  Variable sets are aligned by padding exponent vectors over the
-sorted union of names, never by renaming.
+exponent vectors to nonzero exact coefficients.  A coefficient enters as an
+int when it is integral and a Fraction otherwise; arithmetic does not
+normalize, so a product or sum may store an integral Fraction such as
+Fraction(1, 1).  The two forms compare, hash and print the same.  Negative
+exponents are allowed.  Variable sets are aligned by padding exponent
+vectors over the sorted union of names, never by renaming.
 
 Example:
 
@@ -48,12 +50,10 @@ def format_rational(value):
 
 
 def _coerce_scalar(value):
-    """Normalize an exact scalar: plain int when integral, Fraction otherwise.
-
-    Integral values are kept as machine ints so the arithmetic hot paths
-    stay on native integer operations; int and Fraction compare and hash
-    equal, so the two storage forms are interchangeable.
-    """
+    """Normalize an exact scalar as it enters: plain int when integral,
+    Fraction otherwise.  Arithmetic results do not pass through here, so
+    they may hold an integral Fraction; int and Fraction compare, hash and
+    print the same, so the two storage forms are interchangeable."""
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, int):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fusion import block_labels, block_legs, breve_factors, fused_r_factors
+from .fusion import block_layout, block_legs, breve_factors, fused_r_factors
 from .kernel import (
     LaurentPoly,
     column_product,
@@ -345,9 +345,10 @@ def _swap_adjacent(i, total):
 
 def check_membership(h):
     """R_{i,i+1} h = sigma_{i,i+1}(h) R_{i,i+1} for all adjacent aux pairs."""
+    u_block, _ = block_layout(len(h.legs), 0)
     aux_count = 0
-    for position, leg in enumerate(h.legs, start=1):
-        if leg.role == "auxiliary" and leg.spectral_var == f"u{position}":
+    for leg, (label, _target) in zip(h.legs, u_block):
+        if leg.role == "auxiliary" and leg.spectral_var == label:
             aux_count += 1
         else:
             break
@@ -356,8 +357,8 @@ def check_membership(h):
     n = h.legs[0].dim
     whole = _span(1, len(h.legs))
     sides = []
-    for i in range(1, aux_count):
-        r_i = (yang_r(n, f"u{i}", f"u{i + 1}"), (i, i + 1))
+    for (a, i), (b, j) in zip(u_block, u_block[1:aux_count]):
+        r_i = (yang_r(n, a, b), (i, j))
         flipped = site_permute(h, _swap_adjacent(i, len(h.legs)))
         sides.append((f"i={i}", [r_i, (h, whole)], [(flipped, whole), r_i]))
     params = {"n": n, "k": aux_count}
@@ -375,24 +376,12 @@ def _require_one_form(chi, fam):
         )
 
 
-def _placed(factors, positions, relabel=None):
-    """A factor list moved onto an ambient layout: target p of each factor
-    goes to positions[p - 1], and with relabel each factor's spectral
-    labels are renamed (the relabel of their product, factor by factor)."""
-    placed = []
-    for op, targets in factors:
-        mapping = {a: b for a, b in (relabel or {}).items() if a in op.variables}
-        if mapping:
-            op = op_substitute(op, mapping)
-        placed.append((op, tuple(positions[p - 1] for p in targets)))
-    return placed
-
-
 def check_characteristic(family, fam, k, i, primed_middle=True):
     """S^(k) = S^(i)_1 (R')^(i),(k-i) S^(k-i)_2 for one partition.
 
-    The left side is the component S^(k) whole; the right side splices
-    the factor lists of S^(i), the fused middle and S^(k-i).
+    The left side is the component S^(k) whole; the right side splits
+    the u-block after leg i and splices the factor lists of S^(i), the
+    fused middle and S^(k-i), each built on its own part.
     primed_middle=False deliberately drops the tau twist on the middle
     factor; that variant must fail for a generic seed and exists as a
     negative control.
@@ -400,19 +389,15 @@ def check_characteristic(family, fam, k, i, primed_middle=True):
     if not 0 <= i <= k <= family.k_max:
         raise ValueError(f"need 0 <= i <= k <= {family.k_max}, got i={i}, k={k}")
     _require_one_form(family, fam)
-    j = k - i
     whole = family.component(k)
     legs = whole.legs
     coeff_targets = _span(k + 1, len(legs))
-    middle = fused_r_factors(i, j, fam.n, primed=primed_middle, t=fam.t)
+    u_block, _ = block_layout(k, 0)
+    first, second = u_block[:i], u_block[i:]
     rhs = (
-        _placed(family.factors(i), _span(1, i) + coeff_targets)
-        + _placed(middle, _span(1, k), {f"v{b}": f"u{i + b}" for b in range(1, j + 1)})
-        + _placed(
-            family.factors(j),
-            _span(i + 1, k) + coeff_targets,
-            {f"u{b}": f"u{i + b}" for b in range(1, j + 1)},
-        )
+        family.factors(first, coeff_targets)
+        + fused_r_factors(first, second, fam.n, primed=primed_middle, t=fam.t)
+        + family.factors(second, coeff_targets)
     )
     params = {
         "n": fam.n,
@@ -425,27 +410,16 @@ def check_characteristic(family, fam, k, i, primed_middle=True):
 
 
 def _fused_blocks(chi, fam, k, m):
-    """Common layout for the fused componentwise checks: ambient legs and
-    the factor lists of chi^(k) on the u-block and chi^(m), relabelled, on
-    the v-block."""
+    """Common layout for the fused componentwise checks: ambient legs, the
+    blocks of block_layout(k, m), and the factor lists of chi^(k) built on
+    the u-block and chi^(m) built on the v-block."""
     _require_one_form(chi, fam)
-    coeff = chi.coeff_legs
-    u_labels = block_labels("u", k)
-    v_labels = block_labels("v", m)
-    for leg in coeff:
-        if leg.spectral_var in set(u_labels) | set(v_labels):
-            raise ValueError("coefficient labels collide with block labels")
-    ambient = block_legs(k, m, fam.n) + coeff
+    u_block, v_block = block_layout(k, m)
+    ambient = block_legs(k, m, fam.n) + chi.coeff_legs
     coeff_targets = _span(k + m + 1, len(ambient))
-    return (
-        ambient,
-        _placed(chi.factors(k), _span(1, k) + coeff_targets),
-        _placed(
-            chi.factors(m),
-            _span(k + 1, k + m) + coeff_targets,
-            {f"u{b}": f"v{b}" for b in range(1, m + 1)},
-        ),
-    )
+    chi_k = chi.factors(u_block, coeff_targets)
+    chi_m = chi.factors(v_block, coeff_targets)
+    return ambient, u_block, v_block, chi_k, chi_m
 
 
 def check_fused_re(chi, fam, k, m):
@@ -454,10 +428,10 @@ def check_fused_re(chi, fam, k, m):
       = chi^(m)_2 (R'')^(k),(m) chi^(k)_1 R^(k),(m),
     each fused block spliced in as its factor list."""
     n = fam.n
-    ambient, chi_k, chi_m = _fused_blocks(chi, fam, k, m)
-    plain = fused_r_factors(k, m, n)
-    primed = fused_r_factors(k, m, n, primed=True, t=fam.t)
-    flipped = fused_r_factors(k, m, n, primed=True, t=fam.t, flipped=True)
+    ambient, u_block, v_block, chi_k, chi_m = _fused_blocks(chi, fam, k, m)
+    plain = fused_r_factors(u_block, v_block, n)
+    primed = fused_r_factors(u_block, v_block, n, primed=True, t=fam.t)
+    flipped = fused_r_factors(v_block, u_block, n, primed=True, t=fam.t)
     sides = [("", plain + chi_k + primed + chi_m, chi_m + flipped + chi_k + plain)]
     params = {"n": n, "k": k, "m": m, "kind": fam.t.kind}
     return _compare("fused_re", params, ambient, sides)
@@ -471,11 +445,11 @@ def check_intertwiner(chi, fam, K, k, m):
         raise ValueError("truncation order must be >= 0")
     n = fam.n
     slack = k * (k - 1) // 2
-    ambient, chi_k, chi_m = _fused_blocks(chi, fam, k, m)
-    breve = breve_factors(k, m, n, K + slack, primed=False, t=fam.t)
-    breve_p = breve_factors(k, m, n, K + slack, primed=True, t=fam.t)
+    ambient, u_block, v_block, chi_k, chi_m = _fused_blocks(chi, fam, k, m)
+    breve = breve_factors(u_block, v_block, n, K + slack, primed=False, t=fam.t)
+    breve_p = breve_factors(u_block, v_block, n, K + slack, primed=True, t=fam.t)
     sides = [("", breve + chi_k + breve_p + chi_m, chi_m + breve_p + chi_k + breve)]
-    u_labels = set(block_labels("u", k))
+    u_labels = {label for label, _ in u_block}
 
     def low_order(exps):
         inverse_degree = -sum(e for name, e in exps.items() if name in u_labels)

@@ -127,6 +127,16 @@ def test_an_integral_scalar_keeps_int_coefficients():
     assert (U * Fraction(1, 2)).terms == {(1,): Fraction(1, 2)}
 
 
+def test_an_integral_fraction_coefficient_equals_and_prints_as_the_int():
+    """Arithmetic does not normalize, so h * 2 may hold Fraction(1, 1) where
+    U holds 1; the two forms give equal polynomials with identical text."""
+    h = LaurentPoly(("u",), {(1,): Fraction(1, 2)})
+    pairs = [(h * 2, U), (h + h, U), (h * h * 4, U**2), (h * -6, -3 * U), (h * 2 + 1, U + 1)]
+    for computed, plain in pairs:
+        assert computed == plain
+        assert str(computed) == str(plain)
+
+
 def test_str_rendering():
     p = (U - V) ** 2 - 1
     assert str(p) == "u^2 - 2*u*v + v^2 - 1"

@@ -1,8 +1,8 @@
 """Package-wide properties: frozen value classes, constructors that compute
 no identity, no `assert` in the source, one clock, in the CLI, one
-monomial product, in the Laurent kernel, one product of term maps, in the
-kernel, and test settings under which a failing property test is
-reported, not fatal."""
+monomial product, in the Laurent kernel, one block layout, in fusion, one
+product of term maps, in the kernel, and test settings under which a
+failing property test is reported, not fatal."""
 
 from __future__ import annotations
 
@@ -159,6 +159,23 @@ def test_only_the_laurent_kernel_imports_operator():
         if name != "kernel/laurent.py"
         for node in ast.walk(tree)
         if _imports(node, "operator")
+    ]
+    assert found == []
+
+
+def test_only_fusion_names_block_legs():
+    """The (k, m) block layout is stated once, by fusion.block_layout: no
+    other module builds a u/v block label such as f"u{i}" itself."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _source_trees()
+        if name != "fusion.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.JoinedStr)
+        and len(node.values) > 1
+        and isinstance(node.values[0], ast.Constant)
+        and node.values[0].value in ("u", "v")
+        and isinstance(node.values[1], ast.FormattedValue)
     ]
     assert found == []
 

@@ -17,6 +17,7 @@ from reflection_workbench.fusion import (
     GradedFamily,
     SeedSolution,
     fused_r,
+    fused_r_prime_flipped,
 )
 from reflection_workbench.kernel import (
     LaurentPoly,
@@ -30,6 +31,7 @@ from reflection_workbench.kernel import (
     matrix_on_leg,
     op_chain,
     op_scale,
+    op_substitute,
     orthogonal_transposition,
     symplectic_transposition,
     tensor_compose,
@@ -612,6 +614,42 @@ def test_compare_sides_refuses_a_factor_off_the_ambient_legs():
         compare_sides(ambient, [("", [off], [off])])
     with pytest.raises(ValueError, match="do not match the ambient legs"):
         compare_sides(ambient, [("", [(yang_r(3), (1, 2))], [])])
+
+
+def coefficient_family(coeff_label):
+    """A graded family whose seed R(u, coeff_label) has one quantum leg."""
+    seed = SeedSolution(coefficient_solution("u", coeff_label), orthogonal_transposition(2))
+    return GradedFamily.from_seed(seed, k_max=2)
+
+
+def test_fused_re_accepts_a_coefficient_label_of_an_absent_block_leg():
+    # at (k, m) = (1, 2) the ambient legs are u1, v1, v2 and the coefficient
+    # leg u2: chi^(2) lives on v1, v2, so u2 collides with nothing
+    t = orthogonal_transposition(2)
+    fam = RFamily.build(2, t)
+    report = check_fused_re(coefficient_family("u2"), fam, 1, 2)
+    # the oracle states chi^(2) whole on u1, u2, z and renames it
+    chi_1 = coefficient_family("u2").component(1)
+    chi_2 = op_substitute(coefficient_family("z").component(2), {"u1": "v1", "u2": "v2"})
+    chi_2 = op_substitute(chi_2, {"z": "u2"})
+    ambient = chi_1.legs[:1] + chi_2.legs
+    plain = (fused_r(1, 2, 2), (1, 2, 3))
+    primed = (fused_r(1, 2, 2, primed=True, t=t), (1, 2, 3))
+    flipped = (fused_r_prime_flipped(1, 2, 2, t), (1, 2, 3))
+    big_1, big_2 = (chi_1, (1, 4)), (chi_2, (2, 3, 4))
+    sides = [("", [plain, big_1, primed, big_2], [big_2, flipped, big_1, plain])]
+    verdicts, witness = whole_operator_compare(ambient, sides)
+    # R(u, z) is no reflection solution, so the oracle's witness is compared too
+    assert not verdicts[""]
+    assert (report.passed, report.witness) == (verdicts[""], witness)
+
+
+@pytest.mark.parametrize("coeff_label", ["u1", "v1"])
+def test_fused_re_refuses_a_coefficient_label_of_its_own_block(coeff_label):
+    fam = RFamily.build(2, orthogonal_transposition(2))
+    with pytest.raises(ValueError) as refused:
+        check_fused_re(coefficient_family(coeff_label), fam, 1, 1)
+    assert str(refused.value) == f"coefficient label {coeff_label!r} collides with auxiliary labels"
 
 
 # -- column orbits under proven signed-permutation symmetries -----------------
