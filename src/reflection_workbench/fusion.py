@@ -1,9 +1,9 @@
 """The fusion procedure.
 
 Fused R-matrices on (k, m) blocks of auxiliary legs, the primed variants,
-the omega central factor, fused S-matrices grown from a seed solution of
-the reflection equation, characters built from constant (skew-)symmetric
-matrices, and the truncated fused breve operators.
+fused S-matrices grown from a seed solution of the reflection equation,
+characters built from constant (skew-)symmetric matrices, and the
+truncated fused breve operators.
 
 block_layout states the (k, m) block layout once: u1..uk at targets 1..k,
 then v1..vm at k+1..k+m.  The factor builders take blocks of (label,
@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .kernel import (
     Frozen,
-    LaurentPoly,
     LegSpace,
     TensorOp,
     leg_permute,
@@ -94,20 +93,6 @@ def fused_r_prime_flipped(k, m, n, t=None):
     two blocks swapped, the subscript-reversal of the primed fused_r on the
     (m, k) layout.  Each factor is R'(v_i, u_j), tau on v_i, at (k+i, j)."""
     return op_chain(block_legs(k, m, n), fused_r_factors(*block_layout(k, m)[::-1], n, True, t))
-
-
-def omega_factor(k):
-    """prod_{1<=i<j<=k} ((u_i + u_j)^2 - 1)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    labels = block_labels("u", k)
-    result = LaurentPoly.const(1, labels)
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            u_i = LaurentPoly.var(labels[i - 1])
-            u_j = LaurentPoly.var(labels[j - 1])
-            result = result * ((u_i + u_j) ** 2 - 1)
-    return result
 
 
 class SeedSolution(Frozen):

@@ -295,16 +295,6 @@ def orbit_representatives(columns, group):
     return representatives
 
 
-def tensor_product(a, b):
-    """Leg concatenation: legs(a) followed by legs(b), entries multiply."""
-    legs = a.legs + b.legs
-    entries = {}
-    for (ra, ca), pa in a.entries.items():
-        for (rb, cb), pb in b.entries.items():
-            entries[(ra + rb, ca + cb)] = pa * pb
-    return TensorOp(legs, entries)
-
-
 def embed_legs(a, targets, ambient):
     """Let a act on the chosen ambient legs (identity elsewhere).
 

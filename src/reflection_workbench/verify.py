@@ -37,7 +37,6 @@ from .kernel import (
     orbit_representatives,
     pack,
     signed_symmetries,
-    site_permute,
     tau_on_leg,
     unpack,
 )
@@ -243,16 +242,20 @@ def check_quasi_inverse(r, r_bar, zeta):
 
 
 def check_tau_symmetry(r, t):
-    """tau_1 tau_2 R = R_21: transposing both legs of R is its site flip.
+    """tau_1 tau_2 R = R_21: transposing both legs of R is its site flip,
+    R with its labels (if any) exchanged, placed at targets (2, 1).
 
     The primes side states R'' = R' for the twisted images of R (see
-    primed_pair); its verdict is the primes_coincide param.
+    primed_pair, which refuses a half-labelled R); its verdict is the
+    primes_coincide param.
     """
+    r_prime, r_double_prime = primed_pair(r, t)
+    a, b = (leg.spectral_var for leg in r.legs)
+    r21 = op_substitute(r, {a: b, b: a}) if a is not None else r
     whole = (1, 2)
     both_legs = tau_on_leg(tau_on_leg(r, 1, t), 2, t)
-    r_prime, r_double_prime = primed_pair(r, t)
     sides = [
-        ("", [(both_legs, whole)], [(site_permute(r, (2, 1)), whole)]),
+        ("", [(both_legs, whole)], [(r21, (2, 1))]),
         ("primes", [(r_double_prime, whole)], [(r_prime, whole)]),
     ]
     verdicts, witness = compare_sides(r.legs, sides)
@@ -337,14 +340,9 @@ def check_conjugate_re(fam, s1, s2):
     return _compare("conjugate_re", params, ambient, sides)
 
 
-def _swap_adjacent(i, total):
-    sigma = list(range(1, total + 1))
-    sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-    return tuple(sigma)
-
-
 def check_membership(h):
-    """R_{i,i+1} h = sigma_{i,i+1}(h) R_{i,i+1} for all adjacent aux pairs."""
+    """R_{i,i+1} h = sigma_{i,i+1}(h) R_{i,i+1} for all adjacent aux pairs:
+    sigma_{i,i+1}(h) is h with u_i and u_{i+1} exchanged, at targets i+1, i."""
     u_block, _ = block_layout(len(h.legs), 0)
     aux_count = 0
     for leg, (label, _target) in zip(h.legs, u_block):
@@ -359,8 +357,8 @@ def check_membership(h):
     sides = []
     for (a, i), (b, j) in zip(u_block, u_block[1:aux_count]):
         r_i = (yang_r(n, a, b), (i, j))
-        flipped = site_permute(h, _swap_adjacent(i, len(h.legs)))
-        sides.append((f"i={i}", [r_i, (h, whole)], [(flipped, whole), r_i]))
+        flipped = (op_substitute(h, {a: b, b: a}), whole[: i - 1] + (j, i) + whole[j:])
+        sides.append((f"i={i}", [r_i, (h, whole)], [flipped, r_i]))
     params = {"n": n, "k": aux_count}
     return _compare("membership", params, h.legs, sides)
 

@@ -14,10 +14,8 @@ from reflection_workbench.fusion import (
     fused_r,
     fused_r_prime_flipped,
     fused_s,
-    omega_factor,
 )
 from reflection_workbench.kernel import (
-    LaurentPoly,
     LegSpace,
     TensorOp,
     embed_legs,
@@ -69,15 +67,6 @@ def test_fused_r_factor_order_unprimed_descends():
     f_v1 = embed_legs(yang_r(n, "u1", "v1"), (1, 2), whole.legs)
     assert whole == tensor_compose(f_v2, f_v1)
     assert whole != tensor_compose(f_v1, f_v2)
-
-
-def test_omega_factor_small_cases():
-    assert omega_factor(0) == 1
-    assert omega_factor(1) == 1
-    u1, u2, u3 = (LaurentPoly.var(f"u{i}") for i in (1, 2, 3))
-    assert omega_factor(2) == (u1 + u2) ** 2 - 1
-    expected = ((u1 + u2) ** 2 - 1) * ((u1 + u3) ** 2 - 1) * ((u2 + u3) ** 2 - 1)
-    assert omega_factor(3) == expected
 
 
 def test_symmetry_sign():

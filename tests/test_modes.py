@@ -601,6 +601,40 @@ def test_twisted_embedding_defaults_to_orthogonal():
         verify_twisted_embedding(2, 0)
 
 
+@pytest.mark.parametrize(
+    "t, other, relation, residue",
+    [
+        (
+            ORTH2,
+            Transposition(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))),
+            "-S1[1,2]*S1[1,1] + S1[1,1]*S1[1,2] + 2*S1[1,1]*S0[1,2] "
+            "- S0[1,1]*S1[2,1] - S0[1,1]*S1[1,2]",
+            "-2*T1[2,1] - 2*T1[1,2]",
+        ),
+        (
+            SYMPL2,
+            Transposition(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))),
+            "-S1[1,2]*S1[1,1] + S1[1,1]*S1[1,2] - S1[1,2]*S0[2,2] + S1[1,1]*S0[1,2] "
+            "- S0[1,2]*S1[1,1] - S0[1,1]*S1[1,2]",
+            "2*T1[2,1] - 2*T1[1,2]",
+        ),
+    ],
+)
+def test_twisted_embedding_fails_for_images_of_another_form(
+    t, other, relation, residue, monkeypatch
+):
+    """Images built with another form than the relations' are not a
+    solution: the check fails with the first nonzero residue."""
+    from reflection_workbench import modes
+
+    monkeypatch.setattr(
+        modes, "twisted_generator_images", lambda n, d, _t: twisted_generator_images(n, d, other)
+    )
+    report = verify_twisted_embedding(2, 1, t)
+    assert report.passed is False
+    assert report.witness == {"relation": relation, "residue": residue}
+
+
 def unsigned_images(n, d, t):
     """The twisted images with the sign alternation dropped, which is the
     series taken at +u instead of -u: not a solution."""

@@ -1,8 +1,9 @@
 """Package-wide properties: frozen value classes, constructors that compute
 no identity, no `assert` in the source, one clock, in the CLI, one
-monomial product, in the Laurent kernel, one block layout, in fusion, one
-product of term maps, in the kernel, and test settings under which a
-failing property test is reported, not fatal."""
+monomial product, in the Laurent kernel, one block layout, in fusion, leg
+exchanges in the checks stated by targets, one product of term maps, in
+the kernel, and test settings under which a failing property test is
+reported, not fatal."""
 
 from __future__ import annotations
 
@@ -176,6 +177,24 @@ def test_only_fusion_names_block_legs():
         and isinstance(node.values[0], ast.Constant)
         and node.values[0].value in ("u", "v")
         and isinstance(node.values[1], ast.FormattedValue)
+    ]
+    assert found == []
+
+
+def test_checks_exchange_legs_by_targets():
+    """verify states a leg exchange (sigma_{i,i+1}(h), R_21) by placing a
+    factor at exchanged targets: it never permutes a whole operator."""
+    permutes = {"site_permute", "leg_permute"}
+    found = [
+        f"verify.py:{node.lineno}"
+        for name, tree in _source_trees()
+        if name == "verify.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id in permutes)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr in permutes)
+        )
     ]
     assert found == []
 

@@ -21,6 +21,7 @@ from reflection_workbench.kernel import (
     mat_mul,
     matrix_on_leg,
     mul_into,
+    op_chain,
     op_substitute,
     orthogonal_transposition,
     parse_matrix_json,
@@ -28,7 +29,6 @@ from reflection_workbench.kernel import (
     symplectic_transposition,
     tau_on_leg,
     tensor_compose,
-    tensor_product,
 )
 
 ONE = LaurentPoly.const(1)
@@ -91,21 +91,6 @@ def test_yang_entries():
         extract_entry(r, (1, 3), (1, 1))
 
 
-def test_tensor_product_of_flips():
-    p = flip_op(2)
-    pp = tensor_product(p, p)
-    assert extract_entry(pp, (1, 2, 2, 1), (2, 1, 1, 2)) == ONE
-    assert len(pp.entries) == 16
-
-
-def test_tensor_product_with_trivial_leg():
-    p = flip_op(2)
-    one_leg = identity_op((LegSpace(1),))
-    extended = tensor_product(p, one_leg)
-    assert extended.dims == (2, 2, 1)
-    assert extract_entry(extended, (1, 2, 1), (2, 1, 1)) == ONE
-
-
 def test_column_product_keeps_the_left_factors_word_first():
     # two one-leg factors whose only entry carries the word a, then b:
     # the product a*b applied to e_1 is the word (a, b), left word first
@@ -158,7 +143,8 @@ def test_leg_permute_moves_labels_but_not_scalars():
 
 
 def test_leg_permute_composition_law():
-    op = tensor_product(yang_op(2), identity_op((LegSpace(2, "w"),)))
+    r = yang_op(2)
+    op = op_chain(r.legs + (LegSpace(2, "w"),), [(r, (1, 2))])
     rho = (2, 3, 1)
     sigma = (3, 1, 2)
     composed = tuple(sigma[rho[i] - 1] for i in range(3))

@@ -131,6 +131,18 @@ def test_tau_symmetry_fails_for_perturbed_r(t, row, col, lhs, rhs):
     assert report.witness == {"row": row, "col": col, "lhs": lhs, "rhs": rhs}
 
 
+def diagonal_product(diagonals, labels):
+    """diag(d1) on a leg labelled labels[0] times diag(d2) on one labelled
+    labels[1] ..., each leg two-dimensional, built by op_chain on disjoint
+    targets."""
+    factors = [
+        matrix_on_leg(((Fraction(a), Fraction(0)), (Fraction(0), Fraction(b))), LegSpace(2, label))
+        for (a, b), label in zip(diagonals, labels)
+    ]
+    ambient = tuple(op.legs[0] for op in factors)
+    return op_chain(ambient, [(op, (i,)) for i, op in enumerate(factors, start=1)])
+
+
 def test_tau_symmetry_fails_when_r_double_prime_differs(monkeypatch):
     # a site flip that doubles R' breaks R'' = R': the primes side fails
     # with a witness, both for the check and for the command line
@@ -238,6 +250,9 @@ def coefficient_solution(label, coeff_label):
 
 IDENTITY3 = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
 
+# targets for the two legs of yang_r(2) that _prepared refuses
+BAD_TARGETS = {"targets_repeated": (1, 1), "targets_zero": (0, 2), "targets_beyond": (2, 3)}
+
 MISMATCHED_LAYOUTS = {
     "re_label": lambda: check_re(
         RFamily.build(2), constant_solution(IDENTITY2, "u"), constant_solution(IDENTITY2, "w")
@@ -255,19 +270,30 @@ MISMATCHED_LAYOUTS = {
     "rtt_no_legs": lambda: check_rtt(yang_r(2), TensorOp((), {((), ()): LaurentPoly.var("u")})),
     "quasi_inverse_dimension": lambda: check_quasi_inverse(yang_r(2), *yang_r_bar(3)),
     "quasi_inverse_label": lambda: check_quasi_inverse(yang_r(2), *yang_r_bar(2, "u", "w")),
+    **{
+        case: lambda targets=targets: compare_sides(
+            yang_r(2).legs, [("", [(yang_r(2), targets)], [])]
+        )
+        for case, targets in BAD_TARGETS.items()
+    },
 }
 
 
 # refusals whose text names both of the legs that disagree
 MISMATCH_TEXTS = {
     "rtt_label": "t_op's auxiliary leg is labelled 'w', not 'u' as R's first leg",
+    **{
+        case: f"targets {targets} are not distinct positions 1..2"
+        for case, targets in BAD_TARGETS.items()
+    },
 }
 
 
 @pytest.mark.parametrize("case", sorted(MISMATCHED_LAYOUTS))
 def test_mismatched_layouts_are_refused_before_any_column(case, monkeypatch):
-    """A solution, T or partner whose legs disagree with the R-matrix's is a
-    ValueError while the sides are stated, before any column is built."""
+    """A solution, T or partner whose legs disagree with the R-matrix's, or
+    a factor at repeated or out-of-range targets, is a ValueError while the
+    sides are stated, before any column is built."""
     columns = []
 
     def counting(*args):
@@ -299,6 +325,17 @@ def test_conjugate_re_recorded_verdicts(x):
     assert report.passed
 
 
+def test_tau_symmetry_places_an_unlabelled_r_as_it_is():
+    # R_21 of the unlabelled diag(1,2) x diag(3,5) is diag(3,5) x diag(1,2)
+    t = orthogonal_transposition(2)
+    report = check_tau_symmetry(diagonal_product([(1, 2), (3, 5)], [None, None]), t)
+    assert not report.passed
+    assert report.params["primes_coincide"] is False
+    assert report.witness == {"row": [1, 2], "col": [1, 2], "lhs": "5", "rhs": "6"}
+    with pytest.raises(ValueError, match="labelled leg onto an unlabelled position"):
+        check_tau_symmetry(flip_p(2, "u", None), t)
+
+
 def test_membership_of_fused_character():
     t = orthogonal_transposition(2)
     chi2 = GradedFamily.from_character(IDENTITY2, t, k_max=2).component(2)
@@ -322,16 +359,24 @@ def test_membership_of_fused_block_is_ybe_in_disguise():
 
 
 def test_membership_fails_for_asymmetric_diagonal():
-    from reflection_workbench.kernel import tensor_product
-
-    d1 = matrix_on_leg(
-        ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2))), LegSpace(2, "u1")
-    )
-    d2 = matrix_on_leg(
-        ((Fraction(3), Fraction(0)), (Fraction(0), Fraction(5))), LegSpace(2, "u2")
-    )
-    report = check_membership(tensor_product(d1, d2))
+    report = check_membership(diagonal_product([(1, 2), (3, 5)], ["u1", "u2"]))
     assert not report.passed
+    assert report.witness == {
+        "row": [1, 2], "col": [1, 2], "lhs": "5*u1 - 5*u2", "rhs": "6*u1 - 6*u2", "side": "i=1"
+    }
+
+
+def test_membership_witness_at_exchanged_targets():
+    # i=1 passes, so the witness comes from sigma_{2,3}(h) at targets (1, 3, 2)
+    report = check_membership(diagonal_product([(1, 2), (1, 2), (3, 5)], ["u1", "u2", "u3"]))
+    assert not report.passed
+    assert report.witness == {
+        "row": [1, 1, 2],
+        "col": [1, 1, 2],
+        "lhs": "5*u2 - 5*u3",
+        "rhs": "6*u2 - 6*u3",
+        "side": "i=2",
+    }
 
 
 def test_membership_requires_two_aux_legs():
