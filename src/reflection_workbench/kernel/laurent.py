@@ -79,14 +79,16 @@ def add_into(acc, pairs):
 
 def mul_into(acc, a, b):
     """Add the product of the term maps a and b into acc in place; returns acc.
+    An acc of None starts a new map.
 
     Keys multiply componentwise with +: exponent vectors add, and the word
     part of a mode-series key (u exponent, v exponent, word) concatenates
-    with a's word on the left.  This is the monomial product on tuple keys
-    (mul_packed_into is the one on packed keys).  A key of a with no
-    nonzero part (the unit monomial) leaves b's keys as they are, so those
-    products skip the key sum.
+    with a's word on the left.  A key of a with no nonzero part (the unit
+    monomial) leaves b's keys as they are, so those products skip the key
+    sum.
     """
+    if acc is None:
+        acc = {}
     for ka, ca in a.items():
         shift = any(ka)
         for kb, cb in b.items():
@@ -103,53 +105,21 @@ def mul_into(acc, a, b):
     return acc
 
 
-def pack(exps, width):
-    """The exponent vector exps as one int: the sum of e_i * 2^(width * i).
-
-    The fields are plain signed digits, so pack(a) + pack(b) == pack(a + b)
-    for any a and b, and the key is unique (unpack reads it back) while
-    every |e_i| < 2^(width - 1).  A vector outside that box raises
-    ValueError, so an overflow never passes silently.
-    """
-    bound = 1 << (width - 1)
-    key = 0
-    for i, e in enumerate(exps):
-        if not -bound < e < bound:
-            raise ValueError(f"exponent {e} does not fit a packed field of width {width}")
-        key += e << (width * i)
-    return key
-
-
-def unpack(key, arity, width):
-    """The exponent vector of arity fields packed into key (pack's inverse):
-    each field is read back as a balanced digit in -2^(width-1)..2^(width-1)-1."""
-    half, full = 1 << (width - 1), 1 << width
-    exps = []
-    for _ in range(arity):
-        e = key & (full - 1)
-        if e >= half:
-            e -= full
-        exps.append(e)
-        key = (key - e) >> width
-    return tuple(exps)
-
-
-def mul_packed_into(acc, a, b):
-    """mul_into for term maps keyed by packed exponent vectors (see pack):
-    the monomial product is one int add, so there is no unit-key branch."""
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = ka + kb
-            prev = acc.get(key)
-            if prev is None:
-                acc[key] = ca * cb
-            else:
-                total = prev + ca * cb
-                if total:
-                    acc[key] = total
-                else:
-                    del acc[key]
-    return acc
+def mul_shifted(acc, a, b):
+    """mul_into for Kronecker-substituted entries, each one int: b is a
+    polynomial evaluated at powers of two, and a lists a factor's terms as
+    (shift, int coefficient) pairs, so the term c*x^e times b is
+    (c * b) << shift.  Returns acc + a*b, with an acc of None read as 0.
+    A coefficient +-1 skips the multiply, one pass less over a long b."""
+    total = 0 if acc is None else acc
+    for shift, c in a:
+        if c == 1:
+            total += b << shift
+        elif c == -1:
+            total -= b << shift
+        else:
+            total += (c * b) << shift
+    return total
 
 
 def signed_sum(pieces):

@@ -189,25 +189,29 @@ def op_chain(ambient, factors):
     return identity_op(ambient) if result is None else result
 
 
-def column_product(factors, col, unit, mul):
+def column_product(factors, col, start, mul):
     """The column e_col of the ordered product of prepared factors, as a
-    map row -> nonzero term map; the factors are applied right to left.
+    map row -> nonzero entry; the factors are applied right to left.
 
     A prepared factor is (0-based target slots, {factor column: [(factor
-    row, term map)]}).  The start entry is {unit: 1}, and mul(acc, a, b)
-    (mul_into or mul_packed_into) adds the factor's term map a times the
-    column's b into acc, so a word key keeps the factor's word on the left.
+    row, factor entry)]}).  The column starts as the entry start at col,
+    and mul(acc, a, b) returns acc plus the factor entry a times the
+    column entry b, with acc None at a row's first product.  modes runs
+    it on series term maps (start {(0, 0, ()): 1}, mul_into, so a word key
+    keeps the factor's word on the left) and verify on Kronecker ints
+    (mul_shifted), where each entry is one int.
     """
-    vector = {col: {unit: 1}}
+    vector = {col: start}
     for slots, by_col in reversed(factors):
         out = {}
-        for row, terms in vector.items():
-            for sub_row, factor_terms in by_col.get(tuple(row[s] for s in slots), ()):
+        for row, entry in vector.items():
+            for sub_row, factor_entry in by_col.get(tuple(row[s] for s in slots), ()):
                 target = list(row)
                 for s, value in zip(slots, sub_row):
                     target[s] = value
-                mul(out.setdefault(tuple(target), {}), factor_terms, terms)
-        vector = {row: terms for row, terms in out.items() if terms}
+                target = tuple(target)
+                out[target] = mul(out.get(target), factor_entry, entry)
+        vector = {row: entry for row, entry in out.items() if entry}
     return vector
 
 

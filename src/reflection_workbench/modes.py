@@ -17,8 +17,9 @@ tuple of generators, and each generator is itself the tuple
 A relation is stated as two factor lists on two n-dimensional legs, each
 series matrix a one-leg factor on its own slot and each R-matrix a
 two-leg factor, and each side is evaluated one column at a time by the
-kernel's column engine (column_product with mul_into), as verify
-evaluates its checks.  Series entries and NCPoly terms are summed by the
+kernel's column engine, as verify evaluates its checks: column_product
+with mul_into on series term maps here, where verify runs it on
+Kronecker ints.  Series entries and NCPoly terms are summed by the
 kernel's term-map core (add_into).  NCPoly checks words and coefficients
 in its public constructor only; internal results are wrapped by NCPoly._raw.
 """
@@ -233,8 +234,8 @@ def _collect_buckets(lhs, rhs, n):
     raw = {}
     for j in range(1, n + 1):
         for b in range(1, n + 1):
-            diffs = column_product(lhs, (j, b), (0, 0, ()), mul_into)
-            for row, terms in column_product(rhs, (j, b), (0, 0, ()), mul_into).items():
+            diffs = column_product(lhs, (j, b), {(0, 0, ()): 1}, mul_into)
+            for row, terms in column_product(rhs, (j, b), {(0, 0, ()): 1}, mul_into).items():
                 add_into(diffs.setdefault(row, {}), ((k, -x) for k, x in terms.items()))
             for (i, a), diff in diffs.items():
                 # each (u exponent, v exponent, word) key lands in one bucket
@@ -444,7 +445,7 @@ def twisted_generator_images(n, d, t):
     factors = [
         _leg_factor(m, 0) for m in (_scalar_matrix(t.g), flipped, _scalar_matrix(t.g_inv), tee)
     ]
-    columns = [column_product(factors, (j,), (0, 0, ()), mul_into) for j in range(1, n + 1)]
+    columns = [column_product(factors, (j,), {(0, 0, ()): 1}, mul_into) for j in range(1, n + 1)]
     images = {}
     for k in range(d + 1):
         for i in range(1, n + 1):

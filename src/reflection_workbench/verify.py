@@ -7,15 +7,16 @@ evaluates the sides one basis row at a time through the kernel's column
 engine (column_product): row r of F1...Fm is column r of Fm^T...F1^T, so
 each half is prepared reversed and transposed, and no side is ever held
 whole.  Every factor's legs must be the ambient legs at its targets;
-_prepared refuses any other layout for every check.  Inside a row each
-monomial is one int (kernel.pack) over the check's variable context,
-wide enough for every exponent the row can reach, so a monomial product
-is one int add; keep and the witness see exponent tuples again.  A pass
-is a proof: the sides agree exactly on every row, compared directly or
-through a proven symmetry.  Rows are compared in ascending order, and a
-failing side stops at its first differing row, so a failing check
-carries the lexicographically first disagreeing (row, col) entry as a
-witness.
+_transposed refuses any other layout for every check.  Inside a row
+each entry is one exact int, its polynomial evaluated at powers of two
+by Kronecker substitution over a digit box wide enough that evaluation
+is injective, so a term product is one shift of a long int and equal
+entries are equal ints; keep masks digits, and the witness decodes them
+into polynomials again.  A pass is a proof: the sides agree exactly on
+every row, compared directly or through a proven symmetry.  Rows are
+compared in ascending order, and a failing side stops at its first
+differing row, so a failing check carries the lexicographically first
+disagreeing (row, col) entry as a witness.
 A report holds no timing: the command line times each registered check
 once, around its whole runner.
 """
@@ -23,7 +24,10 @@ once, around its whole runner.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from types import SimpleNamespace
 
 from .fusion import block_layout, block_legs, breve_factors, fused_r_factors
 from .kernel import (
@@ -31,14 +35,12 @@ from .kernel import (
     column_product,
     fresh_label,
     identity_op,
-    mul_packed_into,
+    mul_shifted,
     op_scale,
     op_substitute,
     orbit_representatives,
-    pack,
     signed_symmetries,
     tau_on_leg,
-    unpack,
 )
 from .rmatrix import flip_p, primed_pair, yang_r
 
@@ -64,26 +66,13 @@ def _witness(row, col, lhs, rhs):
     return {"row": list(row), "col": list(col), "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _reach(factors):
-    """Per variable, the sum over the factors of the largest |exponent| of
-    that variable in any term of the factor."""
-    reach = {}
-    for op, _targets in factors:
-        top = {}
-        for poly in op.entries.values():
-            for exps in poly.terms:
-                for name, e in zip(poly.variables, exps):
-                    top[name] = max(top.get(name, 0), abs(e))
-        for name, e in top.items():
-            reach[name] = reach.get(name, 0) + e
-    return reach.values()
-
-
-def _prepared(op, targets, ambient, context, width):
+def _transposed(op, targets, ambient, context):
     """A factor transposed for row application: its 0-based target slots
-    and its entries grouped by row, as (col, term map) pairs over context
-    with packed keys, so kernel.column_product applies its transpose.  The
-    factor's legs must be the ambient legs at its targets."""
+    and its entries grouped by row, as (col, term map over context)
+    pairs, so kernel.column_product applies its transpose; with its least
+    and greatest exponent of each variable, the lcd of its coefficients,
+    and its largest row L1 norm once scaled by that lcd.  The factor's
+    legs must be the ambient legs at its targets."""
     targets = tuple(targets)
     if len(set(targets)) != len(targets) or not all(1 <= p <= len(ambient) for p in targets):
         raise ValueError(f"targets {targets} are not distinct positions 1..{len(ambient)}")
@@ -91,33 +80,103 @@ def _prepared(op, targets, ambient, context, width):
         raise ValueError(
             f"factor legs {op.legs} do not match the ambient legs at targets {targets}"
         )
-    by_row = {}
+    by_row, norms, lcd = {}, {}, 1
     for (row, col), poly in op.entries.items():
-        terms = {pack(e, width): c for e, c in poly.aligned(context).terms.items()}
+        terms = poly.aligned(context).terms
         by_row.setdefault(row, []).append((col, terms))
-    return tuple(p - 1 for p in targets), by_row
-
-
-def _unpacked(terms, context, width):
-    """A packed term map as the LaurentPoly over context it stands for."""
-    return LaurentPoly._raw(
-        context, {unpack(key, len(context), width): c for key, c in terms.items()}
+        norms[row] = norms.get(row, 0) + sum(map(abs, terms.values()))
+        lcd = math.lcm(lcd, *(c.denominator for c in terms.values()))
+    exponents = [e for entries in by_row.values() for _, terms in entries for e in terms]
+    low, high = (
+        tuple(pick((e[i] for e in exponents), default=0) for i in range(len(context)))
+        for pick in (min, max)
     )
+    norm = int(max(norms.values(), default=0) * lcd)
+    slots = tuple(p - 1 for p in targets)
+    return SimpleNamespace(slots=slots, by_row=by_row, low=low, high=high, lcd=lcd, norm=norm)
 
 
-def _kept(vector, context, width, keep):
-    """The vector with each entry's terms filtered by keep, which sees each
-    monomial as an exponent dict over context."""
-    kept = {}
-    for row, terms in vector.items():
-        terms = {
-            key: c
-            for key, c in terms.items()
-            if keep(dict(zip(context, unpack(key, len(context), width))))
-        }
-        if terms:
-            kept[row] = terms
-    return kept
+class _Box:
+    """The digit box of one side (see compare_sides): x^e, for
+    low_i <= e_i <= low_i + spans_i, is the digit of cb bits at position
+    sum_i (e_i - low_i) * strides_i, and an entry holds scale times its
+    polynomial.  With keep, mask has every bit of the digits of the
+    monomials keep accepts."""
+
+    def __init__(self, context, low, spans, cb, scale, keep):
+        self.context, self.low, self.spans, self.cb, self.scale = context, low, spans, cb, scale
+        self.strides = tuple(math.prod(span + 1 for span in spans[:i]) for i in range(len(spans)))
+        self.width = cb * math.prod(span + 1 for span in spans)
+        # 2^(cb - 1) in every digit: added to an entry, it turns each
+        # balanced digit into a plain one in 0..2^cb - 1, with no carries
+        self.bias = ((1 << self.width) - 1) // ((1 << cb) - 1) << (cb - 1)
+        self.mask = None
+        if keep is not None:
+            digits = [
+                "1" * cb if keep(dict(zip(context, e))) else "0" * cb for e in self.monomials()
+            ]
+            self.mask = int("".join(reversed(digits)), 2)
+            self.kept_bias = self.bias & self.mask
+
+    def shift(self, exps, low):
+        """The bit shift of x^exps once every exponent is shifted by -low."""
+        return self.cb * sum((e - b) * s for e, b, s in zip(exps, low, self.strides))
+
+    def monomials(self):
+        """The exponent vector of each digit position, in position order."""
+        ranges = [range(b, b + span + 1) for b, span in zip(self.low, self.spans)]
+        return (e[::-1] for e in itertools.product(*reversed(ranges)))
+
+    def kept(self, value):
+        """The entry with the digits of the monomials keep rejects cleared."""
+        if self.mask is None:
+            return value
+        return ((value + self.bias) & self.mask) - self.kept_bias
+
+    def decoded(self, value):
+        """The entry as the LaurentPoly over context it stands for: its
+        balanced digits, divided by scale, at the box's monomials."""
+        text = format(value + self.bias, f"0{self.width}b")
+        half, terms = 1 << (self.cb - 1), {}
+        for position, exps in enumerate(self.monomials()):
+            end = self.width - self.cb * position
+            digit = int(text[end - self.cb:end], 2) - half
+            if digit:
+                terms[exps] = Fraction(digit, self.scale)
+        return LaurentPoly._raw(self.context, terms)
+
+
+def _kronecker(lhs, rhs, ambient, context, keep):
+    """One side as Kronecker ints (see compare_sides): for each half its
+    prepared factors, which kernel.column_product applies with
+    mul_shifted, and its start int; then the side's _Box."""
+    halves = [
+        [_transposed(op, targets, ambient, context) for op, targets in reversed(half)]
+        for half in (lhs, rhs)
+    ]
+    arity = range(len(context))
+    offsets = [tuple(sum(f.low[i] for f in half) for i in arity) for half in halves]
+    reaches = [tuple(sum(f.high[i] - f.low[i] for f in half) for i in arity) for half in halves]
+    low = tuple(map(min, *offsets))
+    spans = tuple(max(o[i] - low[i] + r[i] for o, r in zip(offsets, reaches)) for i in arity)
+    lcds = [math.prod(f.lcd for f in half) for half in halves]
+    bound = max(lcds[1 - h] * math.prod(f.norm for f in halves[h]) for h in (0, 1))
+    box = _Box(context, low, spans, bound.bit_length() + 1, lcds[0] * lcds[1], keep)
+
+    def shifted(f, terms):
+        return tuple((box.shift(e, f.low), int(c * f.lcd)) for e, c in terms.items())
+
+    prepared = []
+    for h, half in enumerate(halves):
+        factors = [
+            (f.slots, {
+                row: [(col, shifted(f, terms)) for col, terms in entries]
+                for row, entries in f.by_row.items()
+            })
+            for f in half
+        ]
+        prepared.append((factors, lcds[1 - h] << box.shift(offsets[h], low)))
+    return prepared, box
 
 
 def compare_sides(ambient, sides, keep=None):
@@ -129,10 +188,36 @@ def compare_sides(ambient, sides, keep=None):
     built whole.  Laurent coefficients commute, so row r of F1...Fm is
     column r of Fm^T...F1^T: each half is prepared reversed and transposed
     and kernel.column_product applies it to e_r.  Every factor's legs must
-    equal the ambient legs at its targets.  Monomials are packed into ints
-    over the check's variable context (kernel.pack), with a field width
-    that holds every exponent a row can reach.  With keep, only the
-    monomials it accepts are compared.
+    equal the ambient legs at its targets.
+
+    Each entry of a row is one exact int, by Kronecker substitution.  Per
+    side, each factor's exponents are shifted by its least exponent of
+    each variable and its coefficients are scaled by their lcd, so a term
+    of it is c*x^e with c integral and e >= 0.  A half's entries are then
+    lcd_half^-1 * x^M_half times such polynomials, where lcd_half is the
+    product of its factors' lcds and M_half the sum of their shifts.  Let
+    M be the least M_half of the two halves, per variable.  The side's
+    box holds every x^e with 0 <= e_i - M_i <= span_i, span_i the most
+    that either half reaches, and x^e is evaluated at 2^(cb * p(e)) with
+    p(e) = sum_i (e_i - M_i) * stride_i and stride_i = prod_{j<i}
+    (span_j + 1), so distinct monomials of the box get distinct digit
+    positions.  A factor term c*x^e is applied to a row entry as
+    (c * entry) << shift (kernel.mul_shifted), and each half starts at
+    the other half's lcd times x^(M_half - M): both halves compute
+    lcd_lhs * lcd_rhs * x^-M times their side's entries, and these are
+    equal exactly when the entries are.
+
+    Equality of the ints is a proof.  A row's L1 norm (the sum of
+    |coefficient| over its entries' terms) grows at most by the factor's
+    largest row L1 norm at each factor, so every digit of a half's entry
+    has |digit| <= B = lcd_other * prod_f (scaled row L1 norm of f).  cb
+    is taken with 2^(cb - 1) > B, so every digit is balanced,
+    -2^(cb - 1) < digit < 2^(cb - 1), at a position >= 0, and such
+    digits are read back uniquely from the value at 2^cb: evaluation is
+    injective on the box.  With keep, the digits of the monomials it
+    rejects are masked off before the ints are compared, and the witness
+    decodes its two entries into LaurentPolys over the check's variable
+    context, dividing by lcd_lhs * lcd_rhs.
 
     Rows are compared only at the least row of each orbit of the signed
     permutations w (w e_i = s_i e_sigma(i)) that every factor is proven
@@ -155,46 +240,35 @@ def compare_sides(ambient, sides, keep=None):
         for op, _targets in lhs + rhs:
             context.update(op.variables)
     context = tuple(sorted(context))
-    # a row term is a product of at most one term of each factor of its
-    # side, so its |e_i| is at most that side's reach <= B_i < 2^(width - 1)
-    reaches = (b for _, lhs, rhs in sides for half in (lhs, rhs) for b in _reach(half))
-    width = 1 + max((b.bit_length() for b in reaches), default=0)
+    prepared = [(label, *_kronecker(lhs, rhs, ambient, context, keep)) for label, lhs, rhs in sides]
 
-    def prepare(factors):
-        return [_prepared(op, t, ambient, context, width) for op, t in reversed(factors)]
-
-    prepared = [(label, prepare(lhs), prepare(rhs)) for label, lhs, rhs in sides]
-
-    def differences(lhs, rhs, row):
+    def differences(halves, box, row):
         """(col, lhs entry, rhs entry) for each col where the two sides'
         rows at row differ; the rows themselves are dropped on return."""
-        left = column_product(lhs, row, 0, mul_packed_into)
-        right = column_product(rhs, row, 0, mul_packed_into)
-        if keep is not None:
-            left = _kept(left, context, width, keep)
-            right = _kept(right, context, width, keep)
-        return [
-            (col, left.get(col, {}), right.get(col, {}))
-            for col in left.keys() | right.keys()
-            if left.get(col) != right.get(col)
-        ]
+        (lhs, lhs_start), (rhs, rhs_start) = halves
+        left = column_product(lhs, row, lhs_start, mul_shifted)
+        right = column_product(rhs, row, rhs_start, mul_shifted)
+        found = []
+        for col in left.keys() | right.keys():
+            entries = box.kept(left.get(col, 0)), box.kept(right.get(col, 0))
+            if entries[0] != entries[1]:
+                found.append((col, *entries))
+        return found
 
     group = signed_symmetries(ambient, [op for _, lhs, rhs in sides for op, _ in lhs + rhs])
     rows = list(itertools.product(*(range(1, leg.dim + 1) for leg in ambient)))
     representatives = orbit_representatives(rows, group)
     verdicts = {}
     witness = None
-    for label, lhs, rhs in prepared:
+    for label, halves, box in prepared:
         verdicts[label] = True
         for row in representatives:
-            found = differences(lhs, rhs, row)
+            found = differences(halves, box, row)
             if found:
                 verdicts[label] = False
                 if witness is None:
                     col, left, right = min(found, key=lambda difference: difference[0])
-                    witness = _witness(
-                        row, col, _unpacked(left, context, width), _unpacked(right, context, width)
-                    )
+                    witness = _witness(row, col, box.decoded(left), box.decoded(right))
                     if label:
                         witness["side"] = label
                 break

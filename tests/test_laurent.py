@@ -5,15 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from packed_oracle import mul_packed_into, pack, unpack
 from reflection_workbench.kernel import (
     LaurentPoly,
     add_into,
     format_rational,
     mul_into,
-    mul_packed_into,
-    pack,
+    mul_shifted,
     parse_rational,
-    unpack,
 )
 
 U = LaurentPoly.var("u")
@@ -224,7 +223,18 @@ def test_mul_into_matches_a_naive_expansion(acc, a, b):
     assert mul_into(dict(acc), a, b) == expected
 
 
-# -- packed monomial keys -------------------------------------------------------
+@given(
+    st.none() | st.integers(),
+    st.lists(st.tuples(st.integers(0, 200), st.integers(-3, 3))),
+    st.integers(-(1 << 100), 1 << 100),
+)
+def test_mul_shifted_adds_each_term_times_the_entry(acc, a, b):
+    # a Kronecker term (shift, c) stands for c * 2^shift; None is an empty acc
+    expected = (acc or 0) + sum(c * b * 2**shift for shift, c in a)
+    assert mul_shifted(acc, a, b) == expected
+
+
+# -- packed monomial keys of the test oracle (tests/packed_oracle.py) -----------
 
 
 @st.composite

@@ -202,9 +202,9 @@ def test_checks_exchange_legs_by_targets():
 def test_only_the_kernel_multiplies_term_maps():
     """Ordered factor lists are multiplied by kernel.column_product (and the
     whole-operator reference tensor_compose): no module outside kernel/
-    calls mul_into or mul_packed_into, though it may pass either one to
-    column_product as its monomial product."""
-    products = {"mul_into", "mul_packed_into"}
+    calls mul_into or mul_shifted, though it may pass either one to
+    column_product as its entry product."""
+    products = {"mul_into", "mul_shifted"}
     found = [
         f"{name}:{node.lineno}"
         for name, tree in _source_trees()

@@ -96,8 +96,9 @@ def test_column_product_keeps_the_left_factors_word_first():
     # the product a*b applied to e_1 is the word (a, b), left word first
     a = ((0,), {(1,): [((1,), {(0, 0, ("a",)): 1})]})
     b = ((0,), {(1,): [((1,), {(0, 0, ("b",)): 1})]})
-    assert column_product([a, b], (1,), (0, 0, ()), mul_into) == {(1,): {(0, 0, ("a", "b")): 1}}
-    assert column_product([b, a], (1,), (0, 0, ()), mul_into) == {(1,): {(0, 0, ("b", "a")): 1}}
+    start = {(0, 0, ()): 1}
+    assert column_product([a, b], (1,), start, mul_into) == {(1,): {(0, 0, ("a", "b")): 1}}
+    assert column_product([b, a], (1,), start, mul_into) == {(1,): {(0, 0, ("b", "a")): 1}}
 
 
 def test_embed_flip_into_outer_legs():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from packed_oracle import packed_row
 from reflection_workbench import evaluation, kernel, verify
 from reflection_workbench.evaluation import (
     DoubleEval,
@@ -250,7 +251,7 @@ def coefficient_solution(label, coeff_label):
 
 IDENTITY3 = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
 
-# targets for the two legs of yang_r(2) that _prepared refuses
+# targets for the two legs of yang_r(2) that _transposed refuses
 BAD_TARGETS = {"targets_repeated": (1, 1), "targets_zero": (0, 2), "targets_beyond": (2, 3)}
 
 MISMATCHED_LAYOUTS = {
@@ -571,6 +572,14 @@ def whole_operator_compare(ambient, sides, keep=None):
     return verdicts, witness
 
 
+# +-1, so that products often cancel, or a Fraction of denominator 1..4 and
+# numerator up to 5 of either sign, so that factors carry lcds > 1
+COEFFICIENTS = st.one_of(
+    st.sampled_from([-1, 1]),
+    st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+)
+
+
 KEEPS = {
     "none": None,
     "total degree <= 0": lambda exps: sum(exps.values()) <= 0,
@@ -582,14 +591,14 @@ KEEPS = {
 def factor_problems(draw):
     """An ambient of 1-3 labelled legs of dimension 2-3 and 1-2 sides of
     1-4 random factors each.  Entries have at most two terms with
-    exponents in -3..3 and coefficients +-1, so products often cancel and
-    reach the edge of the packed-key box; a right half is sometimes the
-    left half again, so sides also pass."""
+    exponents in -3..3 and COEFFICIENTS, so products often cancel and
+    reach the edge of the digit box, and factors scale by lcds > 1; a
+    right half is sometimes the left half again, so sides also pass."""
     dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
     ambient = tuple(LegSpace(d, label) for d, label in zip(dims, "uvw"))
     labels = tuple(leg.spectral_var for leg in ambient)
     polys = st.dictionaries(
-        st.tuples(*(st.integers(-3, 3) for _ in labels)), st.sampled_from([-1, 1]), max_size=2
+        st.tuples(*(st.integers(-3, 3) for _ in labels)), COEFFICIENTS, max_size=2
     ).map(lambda terms: LaurentPoly(labels, terms))
 
     def factor():
@@ -631,23 +640,85 @@ def test_column_engine_keeps_the_least_row_across_columns():
     assert (verdicts, witness) == whole_operator_compare(ambient, sides)
 
 
-def test_column_engine_keys_hold_exponents_on_the_edge_of_the_box():
-    # every factor reaches |e_u| = 2 and each side is two factors, so
-    # B_u = 4, B_v = 1 and keys are 4 bits wide; the columns land on u^4
-    # and u^-4.  Fields one bit narrower still hold every factor's terms,
-    # but alias u^4 with u^-4*v, and the two sides would look equal.
+def row_ints(monkeypatch):
+    """Record the row of ints that each column_product call returns."""
+    rows = []
+
+    def recording(*args):
+        rows.append(column_product(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(verify, "column_product", recording)
+    return rows
+
+
+def test_column_engine_keys_hold_exponents_on_the_edge_of_the_box(monkeypatch):
+    # every factor reaches |e_u| = 2 and each side is two factors, so the
+    # box runs over u^-4..u^4 (9 positions) and v^0..v^1; with digits of
+    # cb = 4 bits (the bound is 4), x^e sits at bit 4 * (e_u + 4 + 9 e_v).
+    # A v-stride of 8, one narrower, puts u^-4*v on u^4, and the two
+    # sides would be the same int.
     ambient = (LegSpace(2, "u"),)
     u, v, inv_u = LaurentPoly.var("u"), LaurentPoly.var("v"), LaurentPoly.var("u", -1)
     f = TensorOp(ambient, {((1,), (1,)): u**2 + inv_u**2})
     g = TensorOp(ambient, {((1,), (1,)): inv_u**2})
     h = TensorOp(ambient, {((1,), (1,)): inv_u**2 * v + inv_u**2 + 2 * u**2})
     sides = [("", [(f, (1,)), (f, (1,))], [(g, (1,)), (h, (1,))])]
+    rows = row_ints(monkeypatch)
     verdicts, witness = compare_sides(ambient, sides)
     assert verdicts == {"": False}
     assert witness == {
         "row": [1], "col": [1], "lhs": "u^4 + 2 + u^-4", "rhs": "2 + u^-4*v + u^-4"
     }
     assert (verdicts, witness) == whole_operator_compare(ambient, sides)
+
+    def at(v_stride, *positions):
+        return sum(c << 4 * (e_u + 4 + v_stride * e_v) for c, e_u, e_v in positions)
+
+    # (coefficient, e_u, e_v) of each term; the two sides share two
+    lhs = ((1, 4, 0), (2, 0, 0), (1, -4, 0))
+    rhs = ((1, -4, 1), (2, 0, 0), (1, -4, 0))
+    assert rows == [{(1,): at(9, *lhs)}, {(1,): at(9, *rhs)}]
+    assert at(8, *lhs) == at(8, *rhs)
+
+
+def test_column_engine_digits_hold_the_bound_exactly(monkeypatch):
+    # the left half is diag(3, 1) diag(5, 1) and the right half
+    # diag((u - 2)/2, 1), of lcd 2: the left row 1 starts at 2 and reaches
+    # 2 * 3 * 5 = 30 with no cancellation, which is the bound B, so the
+    # digits take cb = 6 bits (2^5 > 30 >= 2^4).  The right half's entry
+    # is u - 2 at x = 2^6.  With 5-bit digits it would be 2^5 - 2 = 30,
+    # the left int, though 15 is not u/2 - 1.
+    leg = LegSpace(2, "u")
+    u = LaurentPoly.var("u")
+    three = matrix_on_leg(((3, 0), (0, 1)), leg)
+    five = matrix_on_leg(((5, 0), (0, 1)), leg)
+    half = TensorOp((leg,), {((1,), (1,)): (u - 2) * Fraction(1, 2), ((2,), (2,)): u**0})
+    sides = [("", [(three, (1,)), (five, (1,))], [(half, (1,))])]
+    rows = row_ints(monkeypatch)
+    verdicts, witness = compare_sides((leg,), sides)
+    assert verdicts == {"": False}
+    assert witness == {"row": [1], "col": [1], "lhs": "15", "rhs": "1/2*u - 1"}
+    assert (verdicts, witness) == whole_operator_compare((leg,), sides)
+    assert rows == [{(1,): 30}, {(1,): (1 << 6) - 2}]
+    assert (1 << 5) - 2 == rows[0][(1,)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_problems(), st.data())
+def test_kronecker_rows_match_the_packed_oracle(problem, data):
+    """Every entry of a row, decoded from its int, is the entry that the
+    packed sparse row product (tests/packed_oracle.py) computes."""
+    ambient, sides = problem
+    context = tuple(sorted({v for _, lhs, rhs in sides for op, _ in lhs + rhs
+                            for v in op.variables} | {leg.spectral_var for leg in ambient}))
+    row = data.draw(st.tuples(*(st.integers(1, leg.dim) for leg in ambient)))
+    for _label, lhs, rhs in sides:
+        halves, box = verify._kronecker(lhs, rhs, ambient, context, None)
+        for (factors, start), half in zip(halves, (lhs, rhs)):
+            ints = column_product(factors, row, start, kernel.mul_shifted)
+            expected = packed_row(half, row, context)
+            assert {col: box.decoded(x) for col, x in ints.items()} == expected
 
 
 def test_compare_sides_refuses_a_factor_off_the_ambient_legs():
@@ -757,7 +828,7 @@ def symmetric_problems(draw):
     ]
     group = generated_group(generators, n)
     polys = st.dictionaries(
-        st.tuples(*(st.integers(-2, 2) for _ in labels)), st.sampled_from([-1, 1]), max_size=2
+        st.tuples(*(st.integers(-2, 2) for _ in labels)), COEFFICIENTS, max_size=2
     ).map(lambda terms: LaurentPoly(labels, terms))
 
     def factor():
