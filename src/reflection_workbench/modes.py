@@ -22,10 +22,19 @@ with mul_into on series term maps here, where verify runs it on
 Kronecker ints.  Series entries and NCPoly terms are summed by the
 kernel's term-map core (add_into).  NCPoly checks words and coefficients
 in its public constructor only; internal results are wrapped by NCPoly._raw.
+
+The embedding check holds ints only.  R' and R'' are scaled by D, the lcd
+of their coefficients, and the images by E, the lcd of theirs; each side
+holds one primed factor and each relation word one S1 and one S2
+generator, so every residue is exactly D*E^2 times the true one.
+normal_form is linear word by word, so each distinct word is substituted
+and normal-formed once.  A passing check renders no text; a failure
+reports the relation of least text, it and its residue divided back.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .kernel import Frozen, add_into, column_product, mul_into, orthogonal_transposition, signed_sum
@@ -34,6 +43,11 @@ from .rmatrix import r_primes, yang_r
 from .verify import CheckReport
 
 FAMILIES = ("T", "S")
+
+
+def _check_level_cap(d):
+    if type(d) is not int or d < 1:
+        raise ValueError(f"level cap must be an integer >= 1, got {d!r}")
 
 
 class ModeGen(tuple):
@@ -47,9 +61,9 @@ class ModeGen(tuple):
         if family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
         for index in (row, col):
-            if not isinstance(index, int) or index < 1:
+            if type(index) is not int or index < 1:
                 raise ValueError(f"matrix indices must be positive integers, got {index!r}")
-        if not isinstance(level, int) or level < 0:
+        if type(level) is not int or level < 0:
             raise ValueError(f"level must be a nonnegative integer, got {level!r}")
         if family == "T" and level < 1:
             raise ValueError("the level-0 coefficient of family T is the unit, not a generator")
@@ -151,7 +165,7 @@ class NCPoly(Frozen):
     __rmul__ = __mul__
 
     def max_gen_level(self):
-        return max((gen.level for word in self.terms for gen in word), default=0)
+        return max((max(word).level for word in self.terms if word), default=0)
 
     def __str__(self):
         return signed_sum(
@@ -217,11 +231,12 @@ def _leg_factor(matrix, slot):
     return (slot,), by_col
 
 
-def _two_leg_factor(op):
-    """A two-leg operator in u and v as a prepared factor on both slots."""
+def _two_leg_factor(op, scale=1):
+    """A two-leg operator in u and v, times scale, as a prepared factor."""
     by_col = {}
     for (row, col), poly in op.entries.items():
-        terms = {(eu, ev, ()): c for (eu, ev), c in poly.aligned(("u", "v")).terms.items()}
+        aligned = poly.aligned(("u", "v")).terms.items()
+        terms = {(eu, ev, ()): _coerce_scalar(c * scale) for (eu, ev), c in aligned}
         by_col.setdefault(col, []).append((row, terms))
     return (0, 1), by_col
 
@@ -254,13 +269,16 @@ def _rtt_buckets(n, length):
 
 
 def _twisted_buckets(n, length, t):
-    """Indexed coefficients of R S1 R' S2 - S2 R'' S1 R with the free
-    level-0 normalization for the S series."""
+    """(D, indexed coefficients of R S1 R' S2 - S2 R'' S1 R) with R' and
+    R'' scaled by D, and the free level-0 normalization for the S series."""
     r = _two_leg_factor(yang_r(n))
-    rp, rpp = (_two_leg_factor(op) for op in r_primes(n, t))
+    primes = r_primes(n, t)
+    coeffs = (c for op in primes for poly in op.entries.values() for c in poly.terms.values())
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    rp, rpp = (_two_leg_factor(op, scale) for op in primes)
     s1 = _leg_factor(series_matrix("S", n, length, var="u"), 0)
     s2 = _leg_factor(series_matrix("S", n, length, var="v"), 1)
-    return _collect_buckets([r, s1, rp, s2], [s2, rpp, s1, r], n)
+    return scale, _collect_buckets([r, s1, rp, s2], [s2, rpp, s1, r], n)
 
 
 def expand_relation(relation, n, d, t=None):
@@ -274,24 +292,27 @@ def expand_relation(relation, n, d, t=None):
     coefficient is an exact consequence of the full relation.  The result
     is deduplicated and sorted by its text form.
     """
-    if d < 1:
-        raise ValueError(f"level cap must be >= 1, got {d}")
+    _check_level_cap(d)
     if relation == "rtt":
-        buckets = _rtt_buckets(n, d + 1)
-    elif relation == "twisted_re":
+        return _relations(_rtt_buckets(n, d + 1), d)
+    if relation == "twisted_re":
         if t is None:
             t = orthogonal_transposition(n)
-        buckets = _twisted_buckets(n, d + 2, t)
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
-    return _relations(buckets, d)
+        scale, buckets = _twisted_buckets(n, d + 2, t)
+        return _relations(buckets, d, scale)
+    raise ValueError(f"unknown relation {relation!r}")
 
 
-def _relations(buckets, d):
+def _distinct(buckets, d):
+    """The distinct bucket polynomials free of generators above level d."""
+    kept = (p for p in buckets.values() if p.max_gen_level() <= d)
+    return list({frozenset(p.terms.items()): p for p in kept}.values())
+
+
+def _relations(buckets, d, scale=1):
     """The distinct bucket polynomials free of generators above level d,
-    sorted by their text form."""
-    seen = {str(p): p for p in buckets.values() if p.max_gen_level() <= d}
-    return [seen[text] for text in sorted(seen)]
+    divided by scale and sorted by their text form."""
+    return sorted((p * Fraction(1, scale) for p in _distinct(buckets, d)), key=str)
 
 
 class RewriteSystem(Frozen):
@@ -351,8 +372,7 @@ def derive_rules(n, d):
     coefficient each relation came from.  Rules exist for every out-of-order pair with
     level sum <= d+1, which the level-d relations fully determine.
     """
-    if d < 1:
-        raise ValueError(f"level cap must be >= 1, got {d}")
+    _check_level_cap(d)
     buckets = _rtt_buckets(n, d + 1)
     gens = [
         ModeGen("T", i, j, level)
@@ -394,12 +414,10 @@ def normal_form(p, rs):
     work = list(p.terms.items())
     while work:
         word, coeff = work.pop()
-        pos = None
-        for idx in range(len(word) - 1):
-            if word[idx] > word[idx + 1]:
-                pos = idx
+        for pos in range(len(word) - 1):
+            if word[pos] > word[pos + 1]:
                 break
-        if pos is None:
+        else:
             done.append((word, coeff))
             continue
         pair = (word[pos], word[pos + 1])
@@ -457,6 +475,32 @@ def twisted_generator_images(n, d, t):
     return images
 
 
+def _integral_images(n, d, t):
+    """(E, the twisted images times E), E the lcd of their coefficients."""
+    images = twisted_generator_images(n, d, t)
+    scale = math.lcm(*(c.denominator for p in images.values() for c in p.terms.values()))
+    for gen, p in images.items():
+        images[gen] = NCPoly._raw({w: _coerce_scalar(c * scale) for w, c in p.terms.items()})
+    return scale, images
+
+
+def _residues(relations, images, rules):
+    """Yield (relation, normal form of its substitution) for relations of
+    quadratic words, each distinct word normal-formed once (linearity)."""
+    forms = {}
+    for p in relations:
+        acc = {}
+        for word, coeff in p.terms.items():
+            form = forms.get(word)
+            if form is None:
+                if len(word) != 2:
+                    raise ValueError(f"relation word of length {len(word)} is not quadratic")
+                one = NCPoly._raw({word: 1})
+                form = forms[word] = normal_form(substitute_gens(one, images.__getitem__), rules)
+            add_into(acc, ((w, coeff * c) for w, c in form.terms.items()))
+        yield p, NCPoly._raw(acc)
+
+
 def verify_twisted_embedding(n, d=2, t=None):
     """Substitute the twisted images into every twisted relation of level
     at most d and normal-form the result in the rewrite system derived
@@ -464,25 +508,21 @@ def verify_twisted_embedding(n, d=2, t=None):
 
     The substituted words carry total level up to 2d, so the rule set
     needs pairs with level sum up to 2d, which the level-(2d-1) relation
-    set provides.
+    set provides.  Ints and witness: see the module docstring.
     """
+    _check_level_cap(d)
     if t is None:
         t = orthogonal_transposition(n)
-    relations = expand_relation("twisted_re", n, d, t)
+    scale, buckets = _twisted_buckets(n, d + 2, t)
+    relations = _distinct(buckets, d)
+    del buckets
     rules = derive_rules(n, 2 * d - 1)
-    images = twisted_generator_images(n, d, t)
+    image_scale, images = _integral_images(n, d, t)
+    failing = [(p, r) for p, r in _residues(relations, images, rules) if not r.is_zero()]
     witness = None
-    failures = 0
-    for p in relations:
-        residue = normal_form(substitute_gens(p, images.__getitem__), rules)
-        if not residue.is_zero():
-            failures += 1
-            if witness is None:
-                witness = {"relation": str(p), "residue": str(residue)}
-    params = {
-        "n": n,
-        "level": d,
-        "kind": t.kind,
-        "relations": len(relations),
-    }
-    return CheckReport("twisted_embedding", params, failures == 0, witness)
+    if failing:
+        p, residue = min(((p * Fraction(1, scale), r) for p, r in failing), key=lambda f: str(f[0]))
+        residue = residue * Fraction(1, scale * image_scale**2)
+        witness = {"relation": str(p), "residue": str(residue)}
+    params = {"n": n, "level": d, "kind": t.kind, "relations": len(relations)}
+    return CheckReport("twisted_embedding", params, not failing, witness)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,10 +32,16 @@ from reflection_workbench.modes import (
     word_key,
     word_level,
     _collect_buckets,
+    _distinct,
+    _integral_images,
     _leg_factor,
     _relations,
+    _residues,
     _rtt_buckets,
+    _twisted_buckets,
+    _two_leg_factor,
 )
+from reflection_workbench.rmatrix import r_primes, yang_r
 
 ORTH2 = orthogonal_transposition(2)
 SYMPL2 = symplectic_transposition(2)
@@ -62,6 +69,27 @@ def test_mode_generator_validation():
     with pytest.raises(ValueError, match="level"):
         ModeGen("S", 1, 1, -1)
     assert str(ModeGen("S", 2, 1, 0)) == "S0[2,1]"
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: ModeGen("T", True, 1, 1), "matrix indices must be positive integers, got True"),
+        (lambda: ModeGen("T", 1, 2.0, 1), "matrix indices must be positive integers, got 2.0"),
+        (lambda: ModeGen("T", 1, 1, True), "level must be a nonnegative integer, got True"),
+        (lambda: ModeGen("S", 1, 1, 0.0), "level must be a nonnegative integer, got 0.0"),
+        (lambda: expand_relation("rtt", 2, 1.5), "level cap must be an integer >= 1, got 1.5"),
+        (lambda: expand_relation("twisted_re", 2, True), "level cap must be an integer >= 1, got True"),
+        (lambda: derive_rules(2, 2.0), "level cap must be an integer >= 1, got 2.0"),
+        (lambda: derive_rules(2, 0), "level cap must be an integer >= 1, got 0"),
+        (lambda: verify_twisted_embedding(2, True), "level cap must be an integer >= 1, got True"),
+    ],
+)
+def test_mode_layer_refuses_bools_and_floats(build, text):
+    """A bool is an int to isinstance and a float may be integral; both
+    are refused by type, as the CLI refuses them."""
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        build()
 
 
 GENERATORS = st.one_of(
@@ -434,6 +462,44 @@ def test_normal_form_is_linear(entries):
     assert normal_form(normal_form(p, rules), rules) == normal_form(p, rules)
 
 
+def overlaps(rs):
+    """(overlaps, unresolved) over every x*y*z with x > y > z, rules for
+    x*y and y*z and level sum within the cap: x*rule(y, z) and
+    rule(x, y)*z must have one normal form (Bergman's diamond lemma)."""
+    rules = rs.rules
+    right_of = {}
+    for x, y in rules:
+        right_of.setdefault(x, []).append(y)
+    count = unresolved = 0
+    for (x, y), xy in rules.items():
+        for z in right_of.get(y, ()):
+            if x.level + y.level + z.level > rs.level_cap:
+                continue
+            count += 1
+            left = normal_form(NCPoly({(x,): 1}) * rules[(y, z)], rs)
+            right = normal_form(xy * NCPoly({(z,): 1}), rs)
+            unresolved += left != right
+    return count, unresolved
+
+
+@pytest.mark.parametrize("n, count, perturbed", [(2, 28, 2), (3, 408, 7), (4, 2480, 12)])
+def test_rewrite_system_is_confluent_within_the_cap(n, count, perturbed):
+    """Every overlap of the level-3 rules resolves.  Control: doubling the
+    corrections of the first level-sum-3 rule that has any leaves
+    overlaps unresolved."""
+    rs = derive_rules(n, 3)
+    assert overlaps(rs) == (count, 0)
+    key = next(
+        (x, y)
+        for x, y in sorted(rs.rules)
+        if x.level + y.level == 3 and len(rs.rules[(x, y)].terms) > 1
+    )
+    swap = NCPoly({(key[1], key[0]): 1})
+    doubled = dict(rs.rules)
+    doubled[key] = swap + (rs.rules[key] - swap) * 2
+    assert overlaps(RewriteSystem(doubled, rs.level_cap)) == (count, perturbed)
+
+
 # -- the twisted substitution -------------------------------------------------
 
 
@@ -633,6 +699,100 @@ def test_twisted_embedding_fails_for_images_of_another_form(
     report = verify_twisted_embedding(2, 1, t)
     assert report.passed is False
     assert report.witness == {"relation": relation, "residue": residue}
+
+
+DIAG23 = Transposition([[2, 0], [0, 3]])
+SKEW3 = Transposition([[0, 3], [-3, 0]])
+
+
+@pytest.mark.parametrize(
+    "t, other, total, relation, residue",
+    [
+        (
+            DIAG23,
+            Transposition([[2, 0], [0, -3]]),
+            6 * 6**2,
+            "-S1[1,2]*S1[1,1] + S1[1,1]*S1[1,2] + 2*S1[1,1]*S0[1,2] "
+            "- 2/3*S0[1,1]*S1[2,1] - S0[1,1]*S1[1,2]",
+            "-4/3*T1[2,1] - 2*T1[1,2]",
+        ),
+        (
+            SKEW3,
+            DIAG23,
+            1 * 6**2,
+            "-S1[1,2]*S1[1,1] + S1[1,1]*S1[1,2] - S1[1,2]*S0[2,2] + S1[1,1]*S0[1,2] "
+            "- S0[1,2]*S1[1,1] - S0[1,1]*S1[1,2]",
+            "4/3*T1[2,1] - 2*T1[1,2]",
+        ),
+    ],
+)
+def test_twisted_embedding_witness_is_divided_back_exactly(
+    t, other, total, relation, residue, monkeypatch
+):
+    """With non-unimodular forms the relations are scaled by D and the
+    residues by D*E^2 > 1; the witness is divided back to the true
+    relation of least text and its true residue."""
+    scale = _twisted_buckets(2, 3, t)[0]
+    image_scale = _integral_images(2, 1, other)[0]
+    assert scale * image_scale**2 == total
+    from reflection_workbench import modes
+
+    monkeypatch.setattr(
+        modes, "twisted_generator_images", lambda n, d, _t: twisted_generator_images(n, d, other)
+    )
+    report = verify_twisted_embedding(2, 1, t)
+    assert report.passed is False
+    assert report.witness == {"relation": relation, "residue": residue}
+
+
+INT_PATH_FORMS = {
+    "orth2": (ORTH2, Transposition([[1, 0], [0, -1]]), 2),
+    "sympl2": (SYMPL2, orthogonal_transposition(2), 2),
+    "diag23": (DIAG23, Transposition([[2, 0], [0, -3]]), 2),
+    "skew3": (SKEW3, DIAG23, 2),
+    "orth3": (orthogonal_transposition(3), Transposition([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), 1),
+    "diag35m2": (Transposition([[3, 0, 0], [0, 5, 0], [0, 0, -2]]), orthogonal_transposition(3), 1),
+}
+
+
+@pytest.mark.parametrize("form", sorted(INT_PATH_FORMS))
+def test_int_path_matches_the_fraction_path(form):
+    """The int buckets divided by D are the buckets of the unscaled R' and
+    R'', and each residue taken once per distinct word is D*E^2 times the
+    normal form of the true relation's true substitution, for the form's
+    own images and for another form's, which leave residues."""
+    t, other, d = INT_PATH_FORMS[form]
+    n = t.n
+    scale, buckets = _twisted_buckets(n, d + 2, t)
+    r = _two_leg_factor(yang_r(n))
+    rp, rpp = (_two_leg_factor(op) for op in r_primes(n, t))
+    s1 = _leg_factor(series_matrix("S", n, d + 2, var="u"), 0)
+    s2 = _leg_factor(series_matrix("S", n, d + 2, var="v"), 1)
+    reference = _collect_buckets([r, s1, rp, s2], [s2, rpp, s1, r], n)
+    assert all(type(c) is int for p in buckets.values() for c in p.terms.values())
+    assert {key: p * Fraction(1, scale) for key, p in buckets.items()} == reference
+    relations = _distinct(buckets, d)
+    rules = derive_rules(n, 2 * d - 1)
+    for form_of_images in (t, other):
+        image_scale, images = _integral_images(n, d, form_of_images)
+        assert all(type(c) is int for p in images.values() for c in p.terms.values())
+        true_images = twisted_generator_images(n, d, form_of_images)
+        residues = list(_residues(relations, images, rules))
+        assert [p for p, _ in residues] == relations
+        for p, residue in residues:
+            true_residue = normal_form(
+                substitute_gens(p * Fraction(1, scale), true_images.__getitem__), rules
+            )
+            assert residue == true_residue * (scale * image_scale**2)
+        failing = sum(1 for _, residue in residues if not residue.is_zero())
+        assert (failing == 0) == (form_of_images is t)
+
+
+def test_residues_refuse_a_word_that_is_not_quadratic():
+    gen = ModeGen("S", 1, 1, 1)
+    images = {gen: NCPoly({(t_gen(1, 1),): 1})}
+    with pytest.raises(ValueError, match="^relation word of length 3 is not quadratic$"):
+        list(_residues([NCPoly({(gen, gen, gen): 1})], images, derive_rules(2, 1)))
 
 
 def unsigned_images(n, d, t):

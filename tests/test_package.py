@@ -2,8 +2,8 @@
 no identity, no `assert` in the source, one clock, in the CLI, one
 monomial product, in the Laurent kernel, one block layout, in fusion, leg
 exchanges in the checks stated by targets, one product of term maps, in
-the kernel, and test settings under which a failing property test is
-reported, not fatal."""
+the kernel, no text rendered by a passing embedding check, and test
+settings under which a failing property test is reported, not fatal."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from reflection_workbench.kernel import (
     symplectic_transposition,
     tensor_compose,
 )
-from reflection_workbench.modes import NCPoly, derive_rules
+from reflection_workbench.modes import NCPoly, derive_rules, verify_twisted_embedding
 from reflection_workbench.rmatrix import RFamily, yang_r
 
 IDENTITY2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -217,6 +217,18 @@ def test_only_the_kernel_multiplies_term_maps():
         )
     ]
     assert found == []
+
+
+def test_a_passing_embedding_renders_no_text(monkeypatch):
+    """verify_twisted_embedding tells relations apart by their term maps
+    and renders text only for a failure's witness, so a passing check
+    never calls NCPoly.__str__."""
+
+    def refuse(self):
+        raise AssertionError("NCPoly.__str__ ran on the pass path")
+
+    monkeypatch.setattr(NCPoly, "__str__", refuse)
+    assert verify_twisted_embedding(2, 2).passed
 
 
 FAILING_PROPERTY_TEST = """
