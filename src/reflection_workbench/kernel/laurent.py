@@ -77,7 +77,7 @@ def add_into(acc, pairs):
     return acc
 
 
-def mul_into(acc, a, b):
+def mul_into(acc, a, b, floor=None):
     """Add the product of the term maps a and b into acc in place; returns acc.
     An acc of None starts a new map.
 
@@ -85,13 +85,19 @@ def mul_into(acc, a, b):
     part of a mode-series key (u exponent, v exponent, word) concatenates
     with a's word on the left.  A key of a with no nonzero part (the unit
     monomial) leaves b's keys as they are, so those products skip the key
-    sum.
+    sum.  A floor is a pair of lower bounds on the first two key components
+    (a mode-series key's u and v exponents): a product whose key falls
+    below either one is skipped (see kernel.column_product).
     """
     if acc is None:
         acc = {}
     for ka, ca in a.items():
         shift = any(ka)
-        for kb, cb in b.items():
+        items = b.items()
+        if floor is not None:
+            low_u, low_v = floor[0] - ka[0], floor[1] - ka[1]
+            items = [(kb, cb) for kb, cb in items if kb[0] >= low_u and kb[1] >= low_v]
+        for kb, cb in items:
             key = tuple(map(operator.add, ka, kb)) if shift else kb
             prev = acc.get(key)
             if prev is None:

@@ -9,6 +9,7 @@ single shared variable context (entry variables plus all leg labels).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,7 +190,7 @@ def op_chain(ambient, factors):
     return identity_op(ambient) if result is None else result
 
 
-def column_product(factors, col, start, mul):
+def column_product(factors, col, start, mul, floor=None):
     """The column e_col of the ordered product of prepared factors, as a
     map row -> nonzero entry; the factors are applied right to left.
 
@@ -200,9 +201,30 @@ def column_product(factors, col, start, mul):
     it on series term maps (start {(0, 0, ()): 1}, mul_into, so a word key
     keeps the factor's word on the left) and verify on Kronecker ints
     (mul_shifted), where each entry is one int.
+
+    With a floor, a tuple of lower bounds on the leading key components,
+    only the part of the product at or above the floor is built, exactly.
+    A factor raises each component by at most the greatest value it holds
+    in any key, so a partial term below the floor minus those maxima of
+    the factors still to apply feeds no final term at or above the floor,
+    and neither does any term it could cancel.  Each step passes that
+    floor on as mul(acc, a, b, floor=...), which skips such products.
+    modes floors the u and v exponents at -cap: R, R' and R'' hold only
+    nonnegative exponents, so every term of a u^(-alpha) v^(-beta)
+    coefficient carries a series generator of level >= alpha on the u leg
+    and >= beta on the v leg, and a coefficient past the cap mentions a
+    generator above it in every term, which the level filter drops.
     """
+    steps = [floor] * len(factors)
+    if floor is not None:
+        for k in range(1, len(factors)):
+            by_col = factors[k - 1][1]
+            keys = [key for pairs in by_col.values() for _, entry in pairs for key in entry]
+            top = (max((key[i] for key in keys), default=0) for i in range(len(floor)))
+            steps[k] = tuple(f - t for f, t in zip(steps[k - 1], top))
     vector = {col: start}
-    for slots, by_col in reversed(factors):
+    for (slots, by_col), step in zip(reversed(factors), reversed(steps)):
+        product = mul if step is None else functools.partial(mul, floor=step)
         out = {}
         for row, entry in vector.items():
             for sub_row, factor_entry in by_col.get(tuple(row[s] for s in slots), ()):
@@ -210,7 +232,7 @@ def column_product(factors, col, start, mul):
                 for s, value in zip(slots, sub_row):
                     target[s] = value
                 target = tuple(target)
-                out[target] = mul(out.get(target), factor_entry, entry)
+                out[target] = product(out.get(target), factor_entry, entry)
         vector = {row: entry for row, entry in out.items() if entry}
     return vector
 

@@ -19,9 +19,12 @@ series matrix a one-leg factor on its own slot and each R-matrix a
 two-leg factor, and each side is evaluated one column at a time by the
 kernel's column engine, as verify evaluates its checks: column_product
 with mul_into on series term maps here, where verify runs it on
-Kronecker ints.  Series entries and NCPoly terms are summed by the
-kernel's term-map core (add_into).  NCPoly checks words and coefficients
-in its public constructor only; internal results are wrapped by NCPoly._raw.
+Kronecker ints.  The products are floored at the level cap, so only the
+u^(-alpha) v^(-beta) coefficients with alpha, beta <= cap are built; why
+that loses no kept relation is stated at kernel.column_product.  Series
+entries and NCPoly terms are summed by the kernel's term-map core
+(add_into).  NCPoly checks words and coefficients in its public
+constructor only; internal results are wrapped by NCPoly._raw.
 
 The embedding check holds ints only.  R' and R'' are scaled by D, the lcd
 of their coefficients, and the images by E, the lcd of theirs; each side
@@ -193,10 +196,10 @@ def series_matrix(family, n, d, var="u"):
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if d < 0:
-        raise ValueError(f"series length must be >= 0, got {d}")
+    if type(d) is not int or d < 0:
+        raise ValueError(f"series length must be an integer >= 0, got {d!r}")
     if var not in ("u", "v"):
         raise ValueError(f'series variable must be "u" or "v", got {var!r}')
     unit = family == "T"
@@ -241,16 +244,19 @@ def _two_leg_factor(op, scale=1):
     return (0, 1), by_col
 
 
-def _collect_buckets(lhs, rhs, n):
+def _collect_buckets(lhs, rhs, n, cap=None):
     """Coefficient extraction for two sides given as ordered lists of
     prepared factors on two n-dimensional legs: for every matrix entry
     ((i,a),(j,b)) and every u^(-alpha) v^(-beta) monomial, the NCPoly
-    difference, keyed by (alpha, beta, i, a, j, b)."""
+    difference, keyed by (alpha, beta, i, a, j, b).  With a cap, only the
+    monomials with alpha, beta <= cap are built (see kernel.column_product)."""
+    floor = None if cap is None else (-cap, -cap)
     raw = {}
     for j in range(1, n + 1):
         for b in range(1, n + 1):
-            diffs = column_product(lhs, (j, b), {(0, 0, ()): 1}, mul_into)
-            for row, terms in column_product(rhs, (j, b), {(0, 0, ()): 1}, mul_into).items():
+            diffs = column_product(lhs, (j, b), {(0, 0, ()): 1}, mul_into, floor)
+            right = column_product(rhs, (j, b), {(0, 0, ()): 1}, mul_into, floor)
+            for row, terms in right.items():
                 add_into(diffs.setdefault(row, {}), ((k, -x) for k, x in terms.items()))
             for (i, a), diff in diffs.items():
                 # each (u exponent, v exponent, word) key lands in one bucket
@@ -261,16 +267,17 @@ def _collect_buckets(lhs, rhs, n):
 
 def _rtt_buckets(n, length):
     """Indexed coefficients of R T1(u) T2(v) - T2(v) T1(u) R with series
-    truncated at the given length."""
+    truncated at the given length, up to alpha, beta <= length - 1."""
     r = _two_leg_factor(yang_r(n))
     t1 = _leg_factor(series_matrix("T", n, length, var="u"), 0)
     t2 = _leg_factor(series_matrix("T", n, length, var="v"), 1)
-    return _collect_buckets([r, t1, t2], [t2, t1, r], n)
+    return _collect_buckets([r, t1, t2], [t2, t1, r], n, length - 1)
 
 
 def _twisted_buckets(n, length, t):
     """(D, indexed coefficients of R S1 R' S2 - S2 R'' S1 R) with R' and
-    R'' scaled by D, and the free level-0 normalization for the S series."""
+    R'' scaled by D, and the free level-0 normalization for the S series,
+    up to alpha, beta <= length - 2."""
     r = _two_leg_factor(yang_r(n))
     primes = r_primes(n, t)
     coeffs = (c for op in primes for poly in op.entries.values() for c in poly.terms.values())
@@ -278,19 +285,21 @@ def _twisted_buckets(n, length, t):
     rp, rpp = (_two_leg_factor(op, scale) for op in primes)
     s1 = _leg_factor(series_matrix("S", n, length, var="u"), 0)
     s2 = _leg_factor(series_matrix("S", n, length, var="v"), 1)
-    return scale, _collect_buckets([r, s1, rp, s2], [s2, rpp, s1, r], n)
+    return scale, _collect_buckets([r, s1, rp, s2], [s2, rpp, s1, r], n, length - 2)
 
 
 def expand_relation(relation, n, d, t=None):
     """All mode relations of total generator level at most d.
 
     The series are expanded one step past what the relation's scalar
-    degree requires (length d+1 for "rtt", d+2 for "twisted_re"), every
-    u^a v^b coefficient of LHS - RHS is collected, and any relation
-    mentioning a generator of level above d is discarded: the truncated
-    series cannot see the complete constraint on those, while every kept
-    coefficient is an exact consequence of the full relation.  The result
-    is deduplicated and sorted by its text form.
+    degree requires (length d+1 for "rtt", d+2 for "twisted_re"), the
+    u^(-alpha) v^(-beta) coefficients of LHS - RHS with alpha, beta <= d
+    are collected (the others mention a generator above d in every term;
+    see kernel.column_product), and any relation mentioning a generator
+    of level above d is discarded: the truncated series cannot see the
+    complete constraint on those, while every kept coefficient is an
+    exact consequence of the full relation.  The result is deduplicated
+    and sorted by its text form.
     """
     _check_level_cap(d)
     if relation == "rtt":

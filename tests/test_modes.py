@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bucket_oracle
 from reflection_workbench.kernel import (
     Transposition,
     orthogonal_transposition,
@@ -39,9 +40,7 @@ from reflection_workbench.modes import (
     _residues,
     _rtt_buckets,
     _twisted_buckets,
-    _two_leg_factor,
 )
-from reflection_workbench.rmatrix import r_primes, yang_r
 
 ORTH2 = orthogonal_transposition(2)
 SYMPL2 = symplectic_transposition(2)
@@ -237,6 +236,25 @@ def test_series_matrix_rejects_an_unknown_variable():
         series_matrix("T", 2, 1, var="w")
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: series_matrix("T", True, 1), "n must be a positive integer, got True"),
+        (lambda: series_matrix("T", 2.0, 1), "n must be a positive integer, got 2.0"),
+        (lambda: series_matrix("T", 2, 1.5), "series length must be an integer >= 0, got 1.5"),
+        (lambda: series_matrix("S", 2, True), "series length must be an integer >= 0, got True"),
+        (lambda: series_matrix("S", 2, -1), "series length must be an integer >= 0, got -1"),
+        (
+            lambda: twisted_generator_images(2, 1.5, ORTH2),
+            "series length must be an integer >= 0, got 1.5",
+        ),
+    ],
+)
+def test_series_matrix_refuses_bools_and_floats(build, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        build()
+
+
 # -- relation expansion -------------------------------------------------------
 
 
@@ -310,6 +328,20 @@ def test_identity_structure_leaves_only_commutators():
         assert len(words) == 2
         assert words[0] == tuple(reversed(words[1]))
         assert sorted(p.terms.values()) == [Fraction(-1), Fraction(1)]
+
+
+def assert_capped(buckets, reference, cap):
+    """The floored products build exactly the untruncated builder's
+    coefficients with alpha, beta <= cap, and none past the cap."""
+    assert buckets
+    assert all(key[0] <= cap and key[1] <= cap for key in buckets)
+    assert buckets == bucket_oracle.within(reference, cap)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rtt_buckets_are_the_full_expansion_within_the_cap(n, d):
+    assert_capped(_rtt_buckets(n, d + 1), bucket_oracle.rtt_buckets(n, d + 1), d)
 
 
 # -- rule derivation and rewriting --------------------------------------------
@@ -745,6 +777,31 @@ def test_twisted_embedding_witness_is_divided_back_exactly(
     assert report.witness == {"relation": relation, "residue": residue}
 
 
+TWISTED_CAP_FORMS = {
+    "orth2": ORTH2,
+    "sympl2": SYMPL2,
+    "diag23": DIAG23,
+    "skew3": SKEW3,
+    "orth3": orthogonal_transposition(3),
+}
+
+
+@pytest.mark.parametrize("form", sorted(TWISTED_CAP_FORMS))
+@pytest.mark.parametrize("d", [1, 2])
+def test_twisted_buckets_are_the_full_expansion_within_the_cap(form, d):
+    t = TWISTED_CAP_FORMS[form]
+    scale, buckets = _twisted_buckets(t.n, d + 2, t)
+    reference_scale, reference = bucket_oracle.twisted_buckets(t.n, d + 2, t)
+    assert scale == reference_scale
+    assert_capped(buckets, reference, d)
+
+
+@pytest.mark.parametrize("d, capped, full", [(1, 182, 486), (2, 326, 694)])
+def test_twisted_buckets_past_the_cap_are_not_built(d, capped, full):
+    assert len(_twisted_buckets(2, d + 2, ORTH2)[1]) == capped
+    assert len(bucket_oracle.twisted_buckets(2, d + 2, ORTH2)[1]) == full
+
+
 INT_PATH_FORMS = {
     "orth2": (ORTH2, Transposition([[1, 0], [0, -1]]), 2),
     "sympl2": (SYMPL2, orthogonal_transposition(2), 2),
@@ -758,17 +815,15 @@ INT_PATH_FORMS = {
 @pytest.mark.parametrize("form", sorted(INT_PATH_FORMS))
 def test_int_path_matches_the_fraction_path(form):
     """The int buckets divided by D are the buckets of the unscaled R' and
-    R'', and each residue taken once per distinct word is D*E^2 times the
-    normal form of the true relation's true substitution, for the form's
-    own images and for another form's, which leave residues."""
+    R'', key by key within the level cap, and each residue taken once per
+    distinct word is D*E^2 times the normal form of the true relation's
+    true substitution, for the form's own images and for another form's,
+    which leave residues."""
     t, other, d = INT_PATH_FORMS[form]
     n = t.n
     scale, buckets = _twisted_buckets(n, d + 2, t)
-    r = _two_leg_factor(yang_r(n))
-    rp, rpp = (_two_leg_factor(op) for op in r_primes(n, t))
-    s1 = _leg_factor(series_matrix("S", n, d + 2, var="u"), 0)
-    s2 = _leg_factor(series_matrix("S", n, d + 2, var="v"), 1)
-    reference = _collect_buckets([r, s1, rp, s2], [s2, rpp, s1, r], n)
+    unscaled = bucket_oracle.twisted_buckets(n, d + 2, t, scaled=False)[1]
+    reference = bucket_oracle.within(unscaled, d)
     assert all(type(c) is int for p in buckets.values() for c in p.terms.values())
     assert {key: p * Fraction(1, scale) for key, p in buckets.items()} == reference
     relations = _distinct(buckets, d)
