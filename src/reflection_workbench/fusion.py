@@ -19,7 +19,6 @@ from .kernel import (
     Frozen,
     LegSpace,
     TensorOp,
-    leg_permute,
     matrix_on_leg,
     op_chain,
     op_substitute,
@@ -61,7 +60,7 @@ def _block_product(outer, inner, n, build, primed, t):
     product and ascending for the primed one, whose factors carry tau on
     their outer leg.  An empty block gives no factors.
     """
-    if t is None:
+    if primed and t is None:
         t = orthogonal_transposition(n)
     if not primed:
         inner = inner[::-1]
@@ -175,6 +174,8 @@ class GradedFamily(Frozen):
     __slots__ = ("seed", "k_max", "_cache")
 
     def __init__(self, seed, k_max=DEFAULT_KMAX):
+        if type(k_max) is not int or k_max < 0:
+            raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "k_max", k_max)
         object.__setattr__(self, "_cache", {})
@@ -238,22 +239,3 @@ def fused_breve(k, m, n, K, primed=False, t=None):
         product.legs,
         {key: poly.filtered(low_order) for key, poly in product.entries.items()},
     )
-
-
-def block_swap(op, k, m):
-    """Move the second block of m legs in front of the first block of k legs
-    and rename the u/v labels back to position order (fused subscript flip)."""
-    if len(op.legs) != k + m:
-        raise ValueError(f"operator has {len(op.legs)} legs, expected {k + m}")
-    sigma = tuple(range(m + 1, m + k + 1)) + tuple(range(1, m + 1))
-    moved = leg_permute(op, sigma)
-    rename = {}
-    for j in range(1, k + 1):
-        old = op.legs[j - 1].spectral_var
-        if old is not None:
-            rename[old] = f"v{j}"
-    for i in range(1, m + 1):
-        old = op.legs[k + i - 1].spectral_var
-        if old is not None:
-            rename[old] = f"u{i}"
-    return op_substitute(moved, rename)

@@ -26,7 +26,7 @@ class LegSpace:
     role: str = "auxiliary"
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if type(self.dim) is not int or self.dim < 1:
             raise ValueError(f"leg dimension must be a positive integer, got {self.dim!r}")
         if self.role not in ROLES:
             raise ValueError(f"leg role must be one of {ROLES}, got {self.role!r}")
@@ -363,26 +363,6 @@ def embed_legs(a, targets, ambient):
     return TensorOp(legs, entries)
 
 
-def leg_permute(a, sigma):
-    """Transport leg i to position sigma[i-1]; labels move with their legs."""
-    sigma = tuple(sigma)
-    k = len(a.legs)
-    if sorted(sigma) != list(range(1, k + 1)):
-        raise ValueError(f"{sigma} is not a permutation of 1..{k}")
-    legs = [None] * k
-    for i, destination in enumerate(sigma):
-        legs[destination - 1] = a.legs[i]
-    entries = {}
-    for (row, col), poly in a.entries.items():
-        new_row = [0] * k
-        new_col = [0] * k
-        for i, destination in enumerate(sigma):
-            new_row[destination - 1] = row[i]
-            new_col[destination - 1] = col[i]
-        entries[(tuple(new_row), tuple(new_col))] = poly
-    return TensorOp(legs, entries)
-
-
 def op_substitute(a, mapping):
     """Apply a variable substitution to every entry and to the leg labels."""
     entries = {key: poly.substitute(mapping) for key, poly in a.entries.items()}
@@ -399,36 +379,22 @@ def op_substitute(a, mapping):
     return TensorOp(legs, entries)
 
 
-def site_permute(a, sigma):
-    """Permute sites: move legs like leg_permute, then rename the moved
-    spectral labels back into position order (so labels stay attached to
-    positions, not to legs).  This is the index flip that also swaps the
-    spectral variables, the meaning of subscript reversal for R-matrices."""
-    sigma = tuple(sigma)
-    k = len(a.legs)
-    if sorted(sigma) != list(range(1, k + 1)):
-        raise ValueError(f"{sigma} is not a permutation of 1..{k}")
-    inverse = [0] * k
-    for i, destination in enumerate(sigma):
-        inverse[destination - 1] = i + 1
-    rename = {}
-    for position in range(1, k + 1):
-        source_label = a.legs[inverse[position - 1] - 1].spectral_var
-        target_label = a.legs[position - 1].spectral_var
-        if source_label == target_label:
-            continue
-        if source_label is None or target_label is None:
-            raise ValueError(
-                "site permutation moves a labelled leg onto an unlabelled "
-                f"position (position {position})"
-            )
-        if rename.get(source_label, target_label) != target_label:
-            raise ValueError(f"ambiguous label renaming for {source_label!r}")
-        rename[source_label] = target_label
-    moved = leg_permute(a, sigma)
-    if not rename:
-        return moved
-    return op_substitute(moved, rename)
+def site_flip(a):
+    """The site flip R -> R_21 of a two-leg operator: entry ((i, j),
+    (k, l)) moves to ((j, i), (l, k)) and the two labels are exchanged
+    inside every entry, so each label stays with its position."""
+    if len(a.legs) != 2:
+        raise ValueError(f"site flip needs a two-leg operator, got {len(a.legs)} legs")
+    first, second = a.legs
+    x, y = first.spectral_var, second.spectral_var
+    if (x is None) != (y is None):
+        raise ValueError("site flip moves a labelled leg onto an unlabelled position")
+    swap = {x: y, y: x} if x != y else {}
+    entries = {
+        ((j, i), (l, k)): poly.substitute(swap)
+        for ((i, j), (k, l)), poly in a.entries.items()
+    }
+    return TensorOp((second.with_label(x), first.with_label(y)), entries)
 
 
 def tau_on_leg(a, leg_position, t):

@@ -244,13 +244,13 @@ def _two_leg_factor(op, scale=1):
     return (0, 1), by_col
 
 
-def _collect_buckets(lhs, rhs, n, cap=None):
+def _collect_buckets(lhs, rhs, n, cap):
     """Coefficient extraction for two sides given as ordered lists of
     prepared factors on two n-dimensional legs: for every matrix entry
-    ((i,a),(j,b)) and every u^(-alpha) v^(-beta) monomial, the NCPoly
-    difference, keyed by (alpha, beta, i, a, j, b).  With a cap, only the
-    monomials with alpha, beta <= cap are built (see kernel.column_product)."""
-    floor = None if cap is None else (-cap, -cap)
+    ((i,a),(j,b)) and every u^(-alpha) v^(-beta) monomial with alpha,
+    beta <= cap, the NCPoly difference, keyed by (alpha, beta, i, a, j, b).
+    Only those monomials are built (see kernel.column_product)."""
+    floor = (-cap, -cap)
     raw = {}
     for j in range(1, n + 1):
         for b in range(1, n + 1):

@@ -19,7 +19,7 @@ from .kernel import (
     identity_op,
     op_scale,
     orthogonal_transposition,
-    site_permute,
+    site_flip,
     tau_on_leg,
 )
 
@@ -65,7 +65,7 @@ def primed_pair(op, t):
     """The twisted images of a two-leg operator: (tau on leg 1 of op, its
     site flip)."""
     prime = tau_on_leg(op, 1, t)
-    return prime, site_permute(prime, (2, 1))
+    return prime, site_flip(prime)
 
 
 def r_primes(n, t):
@@ -76,8 +76,8 @@ def r_primes(n, t):
 def breve_r_series(n, uvar="u", vvar="v", K=DEFAULT_TRUNCATION):
     """Id - sum_{k=0..K} v^k u^(-k-1) P: the expansion of Id - P/(u-v)
     in the region |v| < |u|, truncated at series index K."""
-    if K < 0:
-        raise ValueError(f"truncation order must be >= 0, got {K}")
+    if type(K) is not int or K < 0:
+        raise ValueError(f"truncation order must be an integer >= 0, got {K!r}")
     if uvar == vvar:
         raise ValueError(f"spectral variables must differ, both are {uvar!r}")
     legs = (LegSpace(n, uvar), LegSpace(n, vvar))

@@ -30,7 +30,7 @@ from reflection_workbench.kernel import (
     op_scale,
     op_substitute,
     orthogonal_transposition,
-    site_permute,
+    site_flip,
     symplectic_transposition,
     tau_on_leg,
 )
@@ -98,7 +98,7 @@ def test_criterion_03_transpose_symmetry():
     )
     for t in forms:
         r = yang_r(t.n)
-        assert tau_on_leg(tau_on_leg(r, 1, t), 2, t) == site_permute(r, (2, 1))
+        assert tau_on_leg(tau_on_leg(r, 1, t), 2, t) == site_flip(r)
         r_prime, r_double_prime = r_primes(t.n, t)
         assert r_prime == r_double_prime
     assert time.perf_counter() - started < 1.0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from reflection_workbench.fusion import (
     GradedFamily,
     SeedSolution,
-    block_swap,
+    block_labels,
+    block_legs,
     breve_product,
     character_seed,
     fused_breve,
@@ -29,7 +31,7 @@ from reflection_workbench.kernel import (
     tensor_compose,
 )
 from reflection_workbench.rmatrix import RFamily, breve_r_series, yang_r
-from reflection_workbench.verify import check_re
+from reflection_workbench.verify import check_re, compare_sides
 
 SKEW = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
 IDENTITY2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
@@ -129,6 +131,13 @@ def test_graded_family_cache_and_validation():
     assert family.component(0) == identity_op(())
 
 
+@pytest.mark.parametrize("k_max", [True, 1.5, -1])
+def test_graded_family_refuses_a_bad_k_max(k_max):
+    text = f"k_max must be an integer >= 0, got {k_max!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        GradedFamily.from_character(IDENTITY2, orthogonal_transposition(2), k_max=k_max)
+
+
 def test_fused_breve_single_factor_matches_series():
     assert fused_breve(1, 1, 2, 2) == breve_r_series(2, "u1", "v1", 2)
     t = orthogonal_transposition(2)
@@ -161,11 +170,23 @@ def test_fused_breve_truncation_is_stable():
 @pytest.mark.parametrize("k,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
 @pytest.mark.parametrize("kind", ["orthogonal", "symplectic"])
 def test_fused_r_prime_flipped_is_the_block_swap(k, m, kind):
+    # the primed fused_r on the (m, k) layout with u_i and v_i exchanged,
+    # its m-block placed at targets k+1..k+m and its k-block at 1..k; the
+    # unprimed operator placed the same way is the negative control
     n = 2
     t = orthogonal_transposition(n) if kind == "orthogonal" else symplectic_transposition(n)
-    direct = fused_r_prime_flipped(k, m, n, t)
-    swapped = block_swap(fused_r(m, k, n, primed=True, t=t), m, k)
-    assert direct == swapped
+    relabel = dict(zip(block_labels("u", m), block_labels("v", m)))
+    relabel.update(zip(block_labels("v", k), block_labels("u", k)))
+    targets = tuple(range(k + 1, k + m + 1)) + tuple(range(1, k + 1))
+
+    def swapped(primed):
+        return [(op_substitute(fused_r(m, k, n, primed=primed, t=t), relabel), targets)]
+
+    direct = [(fused_r_prime_flipped(k, m, n, t), tuple(range(1, k + m + 1)))]
+    verdicts, _ = compare_sides(
+        block_legs(k, m, n), [("", swapped(True), direct), ("unprimed", swapped(False), direct)]
+    )
+    assert verdicts == {"": True, "unprimed": False}
 
 
 def test_fused_r_prime_flipped_single_is_r_prime():

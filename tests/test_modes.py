@@ -320,7 +320,7 @@ def test_twisted_level_one_fixture():
 def test_identity_structure_leaves_only_commutators():
     t1 = _leg_factor(series_matrix("T", 2, 2, var="u"), 0)
     t2 = _leg_factor(series_matrix("T", 2, 2, var="v"), 1)
-    buckets = _collect_buckets([t1, t2], [t2, t1], 2)
+    buckets = _collect_buckets([t1, t2], [t2, t1], 2, 1)
     kept = _relations(buckets, 1)
     assert len(kept) == 12
     for p in kept:

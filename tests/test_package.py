@@ -183,20 +183,19 @@ def test_only_fusion_names_block_legs():
 
 def test_checks_exchange_legs_by_targets():
     """verify states a leg exchange (sigma_{i,i+1}(h), R_21) by placing a
-    factor at exchanged targets: it never permutes a whole operator."""
-    permutes = {"site_permute", "leg_permute"}
+    factor at exchanged targets: only rmatrix flips a whole operator, to
+    build R'' = R'_21."""
     found = [
-        f"verify.py:{node.lineno}"
+        f"{name}:{node.lineno}"
         for name, tree in _source_trees()
-        if name == "verify.py"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and (
-            (isinstance(node.func, ast.Name) and node.func.id in permutes)
-            or (isinstance(node.func, ast.Attribute) and node.func.attr in permutes)
+            (isinstance(node.func, ast.Name) and node.func.id == "site_flip")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "site_flip")
         )
     ]
-    assert found == []
+    assert [site.split(":")[0] for site in found] == ["rmatrix.py"]
 
 
 def test_only_the_kernel_multiplies_term_maps():

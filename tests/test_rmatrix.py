@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,9 @@ from reflection_workbench.kernel import (
     LaurentPoly,
     extract_entry,
     identity_op,
-    leg_permute,
     op_scale,
     orthogonal_transposition,
-    site_permute,
+    site_flip,
     symplectic_transposition,
     tau_on_leg,
     tensor_compose,
@@ -93,7 +93,7 @@ def test_symplectic_q_matrix_frozen():
     # rank-one with trace 2: Q^2 = 2 Q
     assert tensor_compose(q, q) == op_scale(q, 2)
     # flip-invariance of Q, the reason R'' = R' below
-    assert site_permute(q, (2, 1)) == q
+    assert site_flip(q) == q
 
 
 @pytest.mark.parametrize(
@@ -115,9 +115,13 @@ def test_tau_tau_r_is_the_site_flip(n, t_builder):
     t = t_builder(n)
     r = yang_r(n)
     both = tau_on_leg(tau_on_leg(r, 1, t), 2, t)
-    assert both == site_permute(r, (2, 1))
-    # and explicitly NOT the bare leg transport
-    assert both != leg_permute(r, (2, 1))
+    assert both == site_flip(r)
+    # and explicitly NOT the bare leg transport, which moves the entries
+    # without exchanging u and v, so it keeps u - v on the diagonal
+    transported = {((b, a), (d, c)): poly for ((a, b), (c, d)), poly in r.entries.items()}
+    assert both.entries != transported
+    assert both.entries[((1, 2), (1, 2))] == V - U
+    assert transported[((1, 2), (1, 2))] == U - V
 
 
 def test_breve_series_first_term():
@@ -126,6 +130,20 @@ def test_breve_series_first_term():
         flip_p(2, "u", "v"), LaurentPoly(("u", "v"), {(-1, 0): 1})
     )
     assert breve == expected
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: yang_r(True), "leg dimension must be a positive integer, got True"),
+        (lambda: breve_r_series(2, K=True), "truncation order must be an integer >= 0, got True"),
+        (lambda: breve_r_series(2, K=1.5), "truncation order must be an integer >= 0, got 1.5"),
+        (lambda: breve_r_series(2, K=-1), "truncation order must be an integer >= 0, got -1"),
+    ],
+)
+def test_builders_refuse_bools_and_floats(build, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        build()
 
 
 def test_breve_series_coefficient_of_v2():

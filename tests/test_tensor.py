@@ -16,7 +16,6 @@ from reflection_workbench.kernel import (
     extract_entry,
     identity_matrix,
     identity_op,
-    leg_permute,
     mat_inverse,
     mat_mul,
     matrix_on_leg,
@@ -25,7 +24,7 @@ from reflection_workbench.kernel import (
     op_substitute,
     orthogonal_transposition,
     parse_matrix_json,
-    site_permute,
+    site_flip,
     symplectic_transposition,
     tau_on_leg,
     tensor_compose,
@@ -54,6 +53,11 @@ def yang_op(n):
 def test_legspace_validation():
     with pytest.raises(ValueError):
         LegSpace(0)
+    for dim in (True, 2.0):
+        with pytest.raises(
+            ValueError, match=f"^leg dimension must be a positive integer, got {dim!r}$"
+        ):
+            LegSpace(dim)
     with pytest.raises(ValueError):
         LegSpace(2, role="spectator")
 
@@ -115,11 +119,14 @@ def test_embed_all_legs_in_order_is_identity():
     assert embed_legs(r, (1, 2), r.legs) == r
 
 
-def test_embed_swapped_targets_matches_leg_permute():
+def test_embed_swapped_targets_transports_the_entries():
+    # R at targets (2, 1) is leg i carried to position 3 - i, labels and
+    # entries with it: entry ((a, b), (c, d)) moves to ((b, a), (d, c))
     r = yang_op(2)
-    ambient = r.legs
-    r21 = embed_legs(r, (2, 1), ambient)
-    assert r21 == leg_permute(r, (2, 1))
+    r21 = embed_legs(r, (2, 1), r.legs)
+    transported = {((b, a), (d, c)): poly for ((a, b), (c, d)), poly in r.entries.items()}
+    assert r21 == TensorOp((r.legs[1], r.legs[0]), transported)
+    assert tuple(leg.spectral_var for leg in r21.legs) == ("v", "u")
 
 
 def test_embed_validation():
@@ -133,43 +140,55 @@ def test_embed_validation():
         embed_legs(r, (1,), ambient)
 
 
-def test_leg_permute_moves_labels_but_not_scalars():
+def test_site_flip_swaps_spectral_variables():
     r = yang_op(2)
-    moved = leg_permute(r, (2, 1))
-    assert tuple(leg.spectral_var for leg in moved.legs) == ("v", "u")
-    # entries are transported, not rewritten: scalar part still u - v
-    u_minus_v = LaurentPoly.var("u") - LaurentPoly.var("v")
-    assert extract_entry(moved, (1, 2), (1, 2)) == u_minus_v
-    assert leg_permute(moved, (2, 1)) == r
-
-
-def test_leg_permute_composition_law():
-    r = yang_op(2)
-    op = op_chain(r.legs + (LegSpace(2, "w"),), [(r, (1, 2))])
-    rho = (2, 3, 1)
-    sigma = (3, 1, 2)
-    composed = tuple(sigma[rho[i] - 1] for i in range(3))
-    assert leg_permute(leg_permute(op, rho), sigma) == leg_permute(op, composed)
-
-
-def test_leg_permute_rejects_non_permutation():
-    with pytest.raises(ValueError):
-        leg_permute(yang_op(2), (1, 1))
-
-
-def test_site_permute_swaps_spectral_variables():
-    r = yang_op(2)
-    flipped = site_permute(r, (2, 1))
+    flipped = site_flip(r)
     assert tuple(leg.spectral_var for leg in flipped.legs) == ("u", "v")
     v_minus_u = LaurentPoly.var("v") - LaurentPoly.var("u")
     assert extract_entry(flipped, (1, 2), (1, 2)) == v_minus_u
     assert extract_entry(flipped, (1, 2), (2, 1)) == -ONE
-    assert site_permute(flipped, (2, 1)) == r
+    assert site_flip(flipped) == r
 
 
-def test_site_permute_identity_when_labels_match():
+def test_site_flip_identity_when_labels_match():
     p = flip_op(2)  # unlabelled legs
-    assert site_permute(p, (2, 1)) == p
+    assert site_flip(p) == p
+
+
+@st.composite
+def two_leg_ops(draw):
+    """A two-leg operator with legs of dimension 1-3, both labelled (in
+    either order) or both unlabelled, and up to four Laurent entries in
+    u, v and a spectator w."""
+    dims = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    labels = draw(st.sampled_from([("u", "v"), ("v", "u"), (None, None)]))
+    legs = (LegSpace(dims[0], labels[0]), LegSpace(dims[1], labels[1], "quantum"))
+    index = st.tuples(st.integers(1, dims[0]), st.integers(1, dims[1]))
+    poly = st.dictionaries(
+        st.tuples(*[st.integers(-2, 2)] * 3), rational_entries, max_size=3
+    ).map(lambda terms: LaurentPoly(("u", "v", "w"), terms))
+    return TensorOp(legs, draw(st.dictionaries(st.tuples(index, index), poly, max_size=4)))
+
+
+@given(two_leg_ops())
+def test_site_flip_is_the_labelled_subscript_flip(op):
+    flipped = site_flip(op)
+    assert site_flip(flipped) == op
+    x, y = (leg.spectral_var for leg in op.legs)
+    assert flipped.legs == (op.legs[1].with_label(x), op.legs[0].with_label(y))
+    swap = {} if x is None else {x: y, y: x}
+    assert len(flipped.entries) == len(op.entries)
+    for (row, col), poly in op.entries.items():
+        assert extract_entry(flipped, row[::-1], col[::-1]) == poly.substitute(swap)
+
+
+def test_site_flip_refuses_other_shapes():
+    with pytest.raises(ValueError, match=r"^site flip needs a two-leg operator, got 3 legs$"):
+        site_flip(identity_op((LegSpace(2),) * 3))
+    with pytest.raises(
+        ValueError, match=r"^site flip moves a labelled leg onto an unlabelled position$"
+    ):
+        site_flip(flip_op(2, "u", None))
 
 
 def test_tau_on_flip_gives_rank_one_projector_pattern():

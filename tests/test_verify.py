@@ -149,7 +149,7 @@ def test_tau_symmetry_fails_when_r_double_prime_differs(monkeypatch):
     # with a witness, both for the check and for the command line
     from reflection_workbench import cli, rmatrix
 
-    monkeypatch.setattr(rmatrix, "site_permute", lambda op, sigma: op * 2)
+    monkeypatch.setattr(rmatrix, "site_flip", lambda op: op * 2)
     report = check_tau_symmetry(yang_r(2), orthogonal_transposition(2))
     assert not report.passed
     assert report.params["primes_coincide"] is False
