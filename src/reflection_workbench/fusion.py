@@ -31,25 +31,24 @@ from .rmatrix import breve_r_series, yang_r
 DEFAULT_KMAX = 3
 
 
-def block_labels(prefix, count):
-    return tuple(f"{prefix}{i}" for i in range(1, count + 1))
-
-
-def block_legs(k, m, n):
-    """The (k, m) block layout: legs u1..uk followed by v1..vm."""
-    return tuple(LegSpace(n, name) for name in block_labels("u", k) + block_labels("v", m))
-
-
 def block_layout(k, m):
     """The (k, m) block layout as two blocks of (label, target) legs: the
     u-block u1..uk at targets 1..k, then the v-block v1..vm at targets
     k+1..k+m."""
+    if type(k) is not int or type(m) is not int:
+        raise ValueError(f"block sizes must be integers, got ({k!r}, {m!r})")
     if k < 0 or m < 0:
         raise ValueError("block sizes must be nonnegative")
     return (
-        tuple(zip(block_labels("u", k), range(1, k + 1))),
-        tuple(zip(block_labels("v", m), range(k + 1, k + m + 1))),
+        tuple((f"u{i}", i) for i in range(1, k + 1)),
+        tuple((f"v{j}", k + j) for j in range(1, m + 1)),
     )
+
+
+def block_legs(k, m, n):
+    """The legs of the (k, m) block layout: u1..uk followed by v1..vm."""
+    u_block, v_block = block_layout(k, m)
+    return tuple(LegSpace(n, label) for label, _ in u_block + v_block)
 
 
 def _block_product(outer, inner, n, build, primed, t):
@@ -193,6 +192,8 @@ class GradedFamily(Frozen):
         return self.seed.coeff_legs
 
     def _require_k(self, k):
+        if type(k) is not int:
+            raise ValueError(f"component must be an integer, got {k!r}")
         if not 0 <= k <= self.k_max:
             raise ValueError(f"component {k} outside 0..{self.k_max}")
 
@@ -230,7 +231,7 @@ def fused_breve(k, m, n, K, primed=False, t=None):
     if K < 0:
         raise ValueError("truncation order must be >= 0")
     product = breve_product(k, m, n, K, primed=primed, t=t)
-    v_labels = set(block_labels("v", m))
+    v_labels = {label for label, _ in block_layout(k, m)[1]}
 
     def low_order(exps):
         return sum(e for name, e in exps.items() if name in v_labels) <= K

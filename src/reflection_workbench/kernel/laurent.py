@@ -222,7 +222,8 @@ class LaurentPoly(Frozen):
     # -- alignment ---------------------------------------------------------
 
     def aligned(self, variables):
-        """Re-express over a superset variable tuple (padding with exponent 0)."""
+        """Re-express over a superset variable tuple (padding with exponent
+        0); self itself when the tuple is its own, so aligning is free then."""
         variables = tuple(variables)
         if variables == self.variables:
             return self
@@ -254,12 +255,9 @@ class LaurentPoly(Frozen):
             other = LaurentPoly.const(other, self.variables)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.variables == other.variables:
-            ctx, a, b = self.variables, self, other
-        else:
-            ctx = LaurentPoly._union_vars(self, other)
-            a, b = self.aligned(ctx), other.aligned(ctx)
-        return LaurentPoly._raw(ctx, add_into(dict(a.terms), b.terms.items()))
+        ctx = LaurentPoly._union_vars(self, other)
+        terms = dict(self.aligned(ctx).terms)
+        return LaurentPoly._raw(ctx, add_into(terms, other.aligned(ctx).terms.items()))
 
     __radd__ = __add__
 
@@ -267,9 +265,7 @@ class LaurentPoly(Frozen):
         return LaurentPoly._raw(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other, self.variables)
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, (int, Fraction, LaurentPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -286,12 +282,9 @@ class LaurentPoly(Frozen):
             )
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.variables == other.variables:
-            ctx, a, b = self.variables, self, other
-        else:
-            ctx = LaurentPoly._union_vars(self, other)
-            a, b = self.aligned(ctx), other.aligned(ctx)
-        return LaurentPoly._raw(ctx, mul_into({}, a.terms, b.terms))
+        ctx = LaurentPoly._union_vars(self, other)
+        terms = mul_into({}, self.aligned(ctx).terms, other.aligned(ctx).terms)
+        return LaurentPoly._raw(ctx, terms)
 
     __rmul__ = __mul__
 

@@ -54,22 +54,10 @@ class TensorOp(Frozen):
         dims = tuple(leg.dim for leg in legs)
         clean = {}
         for (row, col), poly in entries.items():
-            row, col = tuple(row), tuple(col)
             _check_index(row, dims)
             _check_index(col, dims)
-            aligned = poly.aligned(context)
-            if aligned.is_zero():
-                continue
-            key = (row, col)
-            prev = clean.get(key)
-            if prev is None:
-                clean[key] = aligned
-            else:
-                total = prev + aligned
-                if total.is_zero():
-                    del clean[key]
-                else:
-                    clean[key] = total
+            if poly.terms:
+                clean[row, col] = poly.aligned(context)
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "variables", context)
@@ -84,11 +72,7 @@ class TensorOp(Frozen):
     def __eq__(self, other):
         if not isinstance(other, TensorOp):
             return NotImplemented
-        if self.legs != other.legs:
-            return False
-        if set(self.entries) != set(other.entries):
-            return False
-        return all(self.entries[key] == other.entries[key] for key in self.entries)
+        return self.legs == other.legs and self.entries == other.entries
 
     __hash__ = None
 
@@ -116,9 +100,16 @@ class TensorOp(Frozen):
 
 
 def _check_index(index, dims):
+    """Refuse anything but a tuple of ints in 1..dim, one per leg.  A
+    range, bytes or bool that would equal such a tuple is refused too, so
+    two distinct keys of a TensorOp's entries never name one entry."""
+    if type(index) is not tuple:
+        raise ValueError(f"multi-index must be a tuple, got {type(index).__name__}")
     if len(index) != len(dims):
         raise ValueError(f"multi-index {index} has arity {len(index)}, expected {len(dims)}")
     for component, dim in zip(index, dims):
+        if isinstance(component, bool):
+            raise ValueError(f"index component {component} is a bool, not an int")
         if not isinstance(component, int) or not 1 <= component <= dim:
             raise ValueError(f"index component {component} out of range 1..{dim}")
 
@@ -153,22 +144,17 @@ def tensor_compose(a, b):
     """Entrywise exact matrix product a.b (identical leg sequences required)."""
     if a.legs != b.legs:
         raise ValueError(f"leg mismatch: {a.legs} vs {b.legs}")
-    if a.variables == b.variables:
-        ctx = a.variables
-        a_entries, b_entries = a.entries, b.entries
-    else:
-        ctx = tuple(sorted(set(a.variables) | set(b.variables)))
-        a_entries = {key: poly.aligned(ctx) for key, poly in a.entries.items()}
-        b_entries = {key: poly.aligned(ctx) for key, poly in b.entries.items()}
+    ctx = tuple(sorted(set(a.variables) | set(b.variables)))
     by_row = {}
-    for (row, col), poly in b_entries.items():
-        by_row.setdefault(row, []).append((col, poly.terms))
+    for (row, col), poly in b.entries.items():
+        by_row.setdefault(row, []).append((col, poly.aligned(ctx).terms))
     # multiply-accumulate on raw term dicts; every intermediate stays an
     # exact Fraction, only the wrapping is skipped
     acc = {}
-    for (row, mid), left in a_entries.items():
+    for (row, mid), left in a.entries.items():
+        lterms = left.aligned(ctx).terms
         for col, rterms in by_row.get(mid, ()):
-            mul_into(acc.setdefault((row, col), {}), left.terms, rterms)
+            mul_into(acc.setdefault((row, col), {}), lterms, rterms)
     entries = {
         key: LaurentPoly._raw(ctx, terms) for key, terms in acc.items() if terms
     }

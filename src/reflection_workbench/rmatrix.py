@@ -80,12 +80,9 @@ def breve_r_series(n, uvar="u", vvar="v", K=DEFAULT_TRUNCATION):
         raise ValueError(f"truncation order must be an integer >= 0, got {K!r}")
     if uvar == vvar:
         raise ValueError(f"spectral variables must differ, both are {uvar!r}")
-    legs = (LegSpace(n, uvar), LegSpace(n, vvar))
     p = flip_p(n, uvar, vvar)
-    result = identity_op(legs)
-    for k in range(K + 1):
-        result = result - op_scale(p, LaurentPoly((uvar, vvar), {(-k - 1, k): 1}))
-    return result
+    series = LaurentPoly((uvar, vvar), {(-k - 1, k): 1 for k in range(K + 1)})
+    return identity_op(p.legs) - op_scale(p, series)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 from reflection_workbench.fusion import (
     GradedFamily,
     SeedSolution,
-    block_labels,
+    block_layout,
     block_legs,
     breve_product,
     character_seed,
@@ -131,6 +131,32 @@ def test_graded_family_cache_and_validation():
     assert family.component(0) == identity_op(())
 
 
+@pytest.mark.parametrize("k", [True, 1.0])
+def test_graded_family_refuses_a_non_int_component_before_the_cache(k):
+    # a bool or float k must not reach the cache, where True and 1.0 would
+    # both hit the entry stored under 1
+    family = GradedFamily.from_character(IDENTITY2, orthogonal_transposition(2), k_max=2)
+    family.component(1)
+    with pytest.raises(ValueError, match=f"^component must be an integer, got {k!r}$"):
+        family.component(k)
+    assert list(family._cache) == [1]
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: block_layout(True, 1), "block sizes must be integers, got (True, 1)"),
+        (lambda: block_layout(1, 2.0), "block sizes must be integers, got (1, 2.0)"),
+        (lambda: fused_r(True, 1, 2), "block sizes must be integers, got (True, 1)"),
+        (lambda: fused_r(1.5, 1, 2), "block sizes must be integers, got (1.5, 1)"),
+        (lambda: block_legs(1, False, 2), "block sizes must be integers, got (1, False)"),
+    ],
+)
+def test_block_layout_refuses_bools_and_floats(build, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        build()
+
+
 @pytest.mark.parametrize("k_max", [True, 1.5, -1])
 def test_graded_family_refuses_a_bad_k_max(k_max):
     text = f"k_max must be an integer >= 0, got {k_max!r}"
@@ -175,8 +201,8 @@ def test_fused_r_prime_flipped_is_the_block_swap(k, m, kind):
     # unprimed operator placed the same way is the negative control
     n = 2
     t = orthogonal_transposition(n) if kind == "orthogonal" else symplectic_transposition(n)
-    relabel = dict(zip(block_labels("u", m), block_labels("v", m)))
-    relabel.update(zip(block_labels("v", k), block_labels("u", k)))
+    relabel = {f"u{i}": f"v{i}" for i in range(1, m + 1)}
+    relabel.update({f"v{i}": f"u{i}" for i in range(1, k + 1)})
     targets = tuple(range(k + 1, k + m + 1)) + tuple(range(1, k + 1))
 
     def swapped(primed):

@@ -2,8 +2,9 @@
 no identity, no `assert` in the source, one clock, in the CLI, one
 monomial product, in the Laurent kernel, one block layout, in fusion, leg
 exchanges in the checks stated by targets, one product of term maps, in
-the kernel, no text rendered by a passing embedding check, and test
-settings under which a failing property test is reported, not fatal."""
+the kernel, one alignment path in the kernel's sums and products, no text
+rendered by a passing embedding check, and test settings under which a
+failing property test is reported, not fatal."""
 
 from __future__ import annotations
 
@@ -215,6 +216,31 @@ def test_only_the_kernel_multiplies_term_maps():
             or (isinstance(node.func, ast.Attribute) and node.func.attr in products)
         )
     ]
+    assert found == []
+
+
+def test_kernel_products_and_sums_have_one_alignment_path():
+    """LaurentPoly.__add__, LaurentPoly.__mul__ and tensor_compose align
+    both operands to the union of their variables and nothing else: none
+    compares .variables to pick a second path, since aligning to a
+    polynomial's own variables already returns it unchanged."""
+    wanted = {("kernel/laurent.py", "__add__"), ("kernel/laurent.py", "__mul__"),
+              ("kernel/tensor.py", "tensor_compose")}
+    seen, found = set(), []
+    for name, tree in _source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (name, node.name) in wanted:
+                seen.add((name, node.name))
+                found += [
+                    f"{name}:{compare.lineno}"
+                    for compare in ast.walk(node)
+                    if isinstance(compare, ast.Compare)
+                    and any(
+                        isinstance(side, ast.Attribute) and side.attr == "variables"
+                        for side in [compare.left, *compare.comparators]
+                    )
+                ]
+    assert seen == wanted
     assert found == []
 
 

@@ -124,12 +124,18 @@ def test_tau_tau_r_is_the_site_flip(n, t_builder):
     assert transported[((1, 2), (1, 2))] == U - V
 
 
-def test_breve_series_first_term():
-    breve = breve_r_series(2, K=0)
-    expected = identity_op(breve.legs) - op_scale(
-        flip_p(2, "u", "v"), LaurentPoly(("u", "v"), {(-1, 0): 1})
-    )
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("K", range(7))
+def test_breve_series_first_term(n, K):
+    # the reference subtracts the series one term v^k u^(-k-1) P at a time
+    breve = breve_r_series(n, K=K)
+    expected = identity_op(breve.legs)
+    for k in range(K + 1):
+        expected = expected - op_scale(
+            flip_p(n, "u", "v"), LaurentPoly(("u", "v"), {(-k - 1, k): 1})
+        )
     assert breve == expected
+    assert list(breve.entries) == list(expected.entries)
 
 
 @pytest.mark.parametrize(

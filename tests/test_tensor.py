@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,40 @@ def test_yang_entries():
     assert extract_entry(r, (1, 1), (2, 2)).is_zero()
     with pytest.raises(ValueError):
         extract_entry(r, (1, 3), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "index, text",
+    [
+        (range(1, 2), "multi-index must be a tuple, got range"),
+        (b"\x01", "multi-index must be a tuple, got bytes"),
+        ((True,), "index component True is a bool, not an int"),
+    ],
+)
+def test_entries_are_keyed_by_tuples_of_ints(index, text):
+    # each of these stands for the index (1,): a range or bytes key next to
+    # (1,) would name one entry twice, and a bool would be stored as a bool
+    leg = (LegSpace(2),)
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        TensorOp(leg, {(index, (1,)): ONE})
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        TensorOp(leg, {((1,), index): ONE})
+
+
+def test_extract_entry_converts_its_indices_but_refuses_a_bool():
+    r = yang_op(2)
+    assert extract_entry(r, [1, 2], range(2, 0, -1)) == -ONE
+    with pytest.raises(ValueError, match=r"^index component False is a bool, not an int$"):
+        extract_entry(r, (1, False), (1, 1))
+
+
+def test_entries_are_stored_once_as_given():
+    u = LaurentPoly.var("u")
+    legs = (LegSpace(2, "v"),)
+    op = TensorOp(legs, {((2,), (1,)): u, ((1,), (1,)): u - u, ((1,), (2,)): ONE})
+    assert list(op.entries) == [((2,), (1,)), ((1,), (2,))]
+    assert op.variables == ("u", "v")
+    assert all(poly.variables == ("u", "v") for poly in op.entries.values())
 
 
 def test_column_product_keeps_the_left_factors_word_first():
