@@ -28,7 +28,7 @@ from .kernel import (
     tensor_compose,
 )
 from .rmatrix import breve_r_series, yang_r, yang_r_bar
-from .verify import CheckReport, compare_sides
+from .verify import CheckReport, compare_sides, rtt_sides
 
 
 def eval_t(n, uvar="u", zvar="z"):
@@ -114,7 +114,7 @@ def check_double_relations(d):
     lm2 = (op_substitute(d.l_minus, {d.uvar: vvar}), (2, 3))
     sides = [
         ("minus_minus", [lm1, lm2, r_mid], [r_mid, lm2, lm1]),
-        ("plus_plus", [r_mid, lp1, lp2], [lp2, lp1, r_mid]),
+        ("plus_plus", *rtt_sides([r_mid], [lp1], [lp2])),
         ("cross", [lp1, r_mid, lm2], [lm2, r_mid, lp1]),
     ]
     verdicts, witness = compare_sides(ambient, sides)

@@ -26,7 +26,7 @@ from .kernel import (
     symmetry_sign,
     tau_on_leg,
 )
-from .rmatrix import breve_r_series, yang_r
+from .rmatrix import breve_r_series, require_truncation_order, yang_r
 
 DEFAULT_KMAX = 3
 
@@ -228,8 +228,7 @@ def breve_product(k, m, n, factor_order, primed=False, t=None):
 def fused_breve(k, m, n, K, primed=False, t=None):
     """Fused breve operator truncated to total degree <= K in the v-block
     variables (each factor's series index is its v-degree)."""
-    if K < 0:
-        raise ValueError("truncation order must be >= 0")
+    require_truncation_order(K)
     product = breve_product(k, m, n, K, primed=primed, t=t)
     v_labels = {label for label, _ in block_layout(k, m)[1]}
 

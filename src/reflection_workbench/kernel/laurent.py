@@ -183,7 +183,7 @@ class LaurentPoly(Frozen):
                 raise ValueError(
                     f"exponent vector {exps} has arity {len(exps)}, expected {len(variables)}"
                 )
-            if any(not isinstance(e, int) for e in exps):
+            if any(type(e) is not int for e in exps):
                 raise ValueError(f"non-integer exponent in {exps}")
             coeff = _coerce_scalar(coeff)
             if coeff:

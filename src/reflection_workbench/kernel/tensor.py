@@ -443,19 +443,6 @@ def identity_matrix(n):
     )
 
 
-def mat_transpose(a):
-    return tuple(tuple(row[i] for row in a) for i in range(len(a[0])))
-
-
-def mat_mul(a, b):
-    if len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch")
-    bt = mat_transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def mat_inverse(a):
     """Exact Gauss-Jordan inverse; raises on a singular matrix."""
     n = len(a)
@@ -513,6 +500,8 @@ class Transposition(Frozen):
 
     def __init__(self, g):
         g = tuple(tuple(Fraction(x) for x in row) for row in g)
+        if not g:
+            raise ValueError("the form g must not be empty")
         object.__setattr__(self, "sign", symmetry_sign(g))
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "g_inv", mat_inverse(g))
@@ -523,21 +512,24 @@ class Transposition(Frozen):
         """The form's kind: "orthogonal" when g is symmetric, "symplectic" when skew."""
         return "orthogonal" if self.sign == 1 else "symplectic"
 
-    def apply_matrix(self, a):
-        """t(A) = g.A^T.g^-1 for a plain rational matrix A."""
-        return mat_mul(mat_mul(self.g, mat_transpose(a)), self.g_inv)
-
     def __repr__(self):
         return f"Transposition(n={self.n}, {self.kind})"
 
 
+def _check_form_size(n):
+    if type(n) is not int or n < 1:
+        raise ValueError(f"form size must be an integer >= 1, got {n!r}")
+
+
 def orthogonal_transposition(n):
     """Plain matrix transpose: g is the identity form."""
+    _check_form_size(n)
     return Transposition(identity_matrix(n))
 
 
 def symplectic_transposition(n):
     """Transposition twisted by the standard skew form (n must be even)."""
+    _check_form_size(n)
     if n % 2:
         raise ValueError(f"symplectic form needs even dimension, got {n}")
     half = n // 2
@@ -553,7 +545,7 @@ def parse_matrix_json(data):
     if not isinstance(data, dict) or set(data) != {"n", "entries"}:
         raise ValueError('matrix JSON must have exactly the keys "n" and "entries"')
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f'"n" must be a positive integer, got {n!r}')
     entries = data["entries"]
     if not isinstance(entries, list) or len(entries) != n:

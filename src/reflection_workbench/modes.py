@@ -16,15 +16,16 @@ tuple of generators, and each generator is itself the tuple
 
 A relation is stated as two factor lists on two n-dimensional legs, each
 series matrix a one-leg factor on its own slot and each R-matrix a
-two-leg factor, and each side is evaluated one column at a time by the
-kernel's column engine, as verify evaluates its checks: column_product
-with mul_into on series term maps here, where verify runs it on
-Kronecker ints.  The products are floored at the level cap, so only the
-u^(-alpha) v^(-beta) coefficients with alpha, beta <= cap are built; why
-that loses no kept relation is stated at kernel.column_product.  Series
-entries and NCPoly terms are summed by the kernel's term-map core
-(add_into).  NCPoly checks words and coefficients in its public
-constructor only; internal results are wrapped by NCPoly._raw.
+two-leg factor, in the orders of verify.rtt_sides and verify.re_sides,
+and each side is evaluated one column at a time by the kernel's column
+engine, as verify evaluates its checks: column_product with mul_into on
+series term maps here, where verify runs it on Kronecker ints.  The
+products are floored at the level cap, so only the u^(-alpha) v^(-beta)
+coefficients with alpha, beta <= cap are built; why that loses no kept
+relation is stated at kernel.column_product.  Series entries and NCPoly
+terms are summed by the kernel's term-map core (add_into).  NCPoly checks
+words and coefficients in its public constructor only; internal results
+are wrapped by NCPoly._raw.
 
 The embedding check holds ints only.  R' and R'' are scaled by D, the lcd
 of their coefficients, and the images by E, the lcd of theirs; each side
@@ -43,7 +44,7 @@ from fractions import Fraction
 from .kernel import Frozen, add_into, column_product, mul_into, orthogonal_transposition, signed_sum
 from .kernel.laurent import _coerce_scalar
 from .rmatrix import r_primes, yang_r
-from .verify import CheckReport
+from .verify import CheckReport, re_sides, rtt_sides
 
 FAMILIES = ("T", "S")
 
@@ -180,11 +181,6 @@ class NCPoly(Frozen):
         return f"NCPoly({self})"
 
 
-def relations_to_text(relations):
-    """Canonical text form for fixture diffing: one relation per line."""
-    return "\n".join(str(p) for p in relations)
-
-
 def series_matrix(family, n, d, var="u"):
     """The n x n matrix of truncated generator series.
 
@@ -271,7 +267,7 @@ def _rtt_buckets(n, length):
     r = _two_leg_factor(yang_r(n))
     t1 = _leg_factor(series_matrix("T", n, length, var="u"), 0)
     t2 = _leg_factor(series_matrix("T", n, length, var="v"), 1)
-    return _collect_buckets([r, t1, t2], [t2, t1, r], n, length - 1)
+    return _collect_buckets(*rtt_sides([r], [t1], [t2]), n, length - 1)
 
 
 def _twisted_buckets(n, length, t):
@@ -285,7 +281,7 @@ def _twisted_buckets(n, length, t):
     rp, rpp = (_two_leg_factor(op, scale) for op in primes)
     s1 = _leg_factor(series_matrix("S", n, length, var="u"), 0)
     s2 = _leg_factor(series_matrix("S", n, length, var="v"), 1)
-    return scale, _collect_buckets([r, s1, rp, s2], [s2, rpp, s1, r], n, length - 2)
+    return scale, _collect_buckets(*re_sides([r], [s1], [rp], [s2], [rpp]), n, length - 2)
 
 
 def expand_relation(relation, n, d, t=None):
@@ -361,11 +357,6 @@ class RewriteSystem(Frozen):
 
     def __repr__(self):
         return f"RewriteSystem(rules={len(self.rules)}, level_cap={self.level_cap})"
-
-
-def rules_to_text(rs):
-    """Canonical text form of the rule set, one rule per line."""
-    return "\n".join(f"{x}*{y} -> {rs.rules[(x, y)]}" for x, y in sorted(rs.rules))
 
 
 def derive_rules(n, d):

@@ -2,11 +2,13 @@
 
 Every equation asserted about the R-matrix / fusion / reflection-equation
 structures becomes a named check returning a CheckReport.  A check states
-each side as a factor list of small (op, targets) factors; compare_sides
-evaluates the sides one basis row at a time through the kernel's column
-engine (column_product): row r of F1...Fm is column r of Fm^T...F1^T, so
-each half is prepared reversed and transposed, and no side is ever held
-whole.  Every factor's legs must be the ambient legs at its targets;
+each side as a factor list of small (op, targets) factors; rtt_sides and
+re_sides write the RTT order R T1 T2 = T2 T1 R and the reflection-equation
+order R S1 R' S2 = S2 R'' S1 R down once, for every check here and for
+the mode layer.  compare_sides evaluates the sides one basis row at a time
+through the kernel's column engine (column_product): row r of F1...Fm is
+column r of Fm^T...F1^T, so each half is prepared reversed and transposed,
+and no side is ever held whole.  Every factor's legs must be the ambient legs at its targets;
 _transposed refuses any other layout for every check.  Inside a row
 each entry is one exact int, its polynomial evaluated at powers of two
 by Kronecker substitution over a digit box wide enough that evaluation
@@ -42,7 +44,7 @@ from .kernel import (
     signed_symmetries,
     tau_on_leg,
 )
-from .rmatrix import flip_p, primed_pair, yang_r
+from .rmatrix import flip_p, primed_pair, require_truncation_order, yang_r
 
 
 @dataclass(frozen=True)
@@ -286,6 +288,16 @@ def _span(first, last):
     return tuple(range(first, last + 1))
 
 
+def rtt_sides(r, t1, t2):
+    """The two sides of R T1 T2 = T2 T1 R, from one factor list each."""
+    return r + t1 + t2, t2 + t1 + r
+
+
+def re_sides(r, s1, r_prime, s2, r_double_prime):
+    """The two sides of R S1 R' S2 = S2 R'' S1 R, from one factor list each."""
+    return r + s1 + r_prime + s2, s2 + r_double_prime + s1 + r
+
+
 def check_ybe(r):
     """R12 R13 R23 = R23 R13 R12 on three legs."""
     if len(r.legs) != 2:
@@ -300,7 +312,7 @@ def check_ybe(r):
     r13 = (op_substitute(r, {b: w}), (1, 3))
     r23 = (op_substitute(r, {a: b, b: w}), (2, 3))
     params = {"n": r.legs[0].dim, "labels": f"{a},{b},{w}"}
-    return _compare("ybe", params, legs, [("", [r12, r13, r23], [r23, r13, r12])])
+    return _compare("ybe", params, legs, [("", *rtt_sides([r12], [r13], [r23]))])
 
 
 def check_quasi_inverse(r, r_bar, zeta):
@@ -374,28 +386,26 @@ def check_rtt(r, t_op):
     t2 = (op_substitute(t_op, {a: b}), (2,) + coeff_targets)
     r12 = (r, (1, 2))
     params = {"n": r.legs[0].dim, "coeff_legs": len(coeff)}
-    return _compare("rtt", params, ambient, [("", [r12, t1, t2], [t2, t1, r12])])
+    return _compare("rtt", params, ambient, [("", *rtt_sides([r12], [t1], [t2]))])
 
 
-def _re_sides(r, r_prime, r_double_prime, s1, s2):
+def _re_layout(r, r_prime, r_double_prime, s1, s2):
     """Shared layout for the (conjugate) reflection equation builders:
-    the ambient legs and the one side R S1 R' S2 = S2 R'' S1 R."""
+    the ambient legs and the one side R S1 R' S2 = S2 R'' S1 R (re_sides)."""
     if not s1.legs or not s2.legs:
         raise ValueError("solutions need at least the auxiliary leg")
     coeff = s1.legs[1:]
     ambient = (s1.legs[0], s2.legs[0]) + coeff
     coeff_targets = _span(3, len(ambient))
-    big_s1 = (s1, (1,) + coeff_targets)
-    big_s2 = (s2, (2,) + coeff_targets)
-    big_r = (r, (1, 2))
-    lhs = [big_r, big_s1, (r_prime, (1, 2)), big_s2]
-    rhs = [big_s2, (r_double_prime, (1, 2)), big_s1, big_r]
-    return ambient, [("", lhs, rhs)]
+    big_r, r_p, r_pp = ([(op, (1, 2))] for op in (r, r_prime, r_double_prime))
+    big_s1 = [(s1, (1,) + coeff_targets)]
+    big_s2 = [(s2, (2,) + coeff_targets)]
+    return ambient, [("", *re_sides(big_r, big_s1, r_p, big_s2, r_pp))]
 
 
 def check_re(fam, s1, s2):
     """R S1 R' S2 = S2 R'' S1 R (matrix reflection equation)."""
-    ambient, sides = _re_sides(fam.r, fam.r_prime, fam.r_double_prime, s1, s2)
+    ambient, sides = _re_layout(fam.r, fam.r_prime, fam.r_double_prime, s1, s2)
     params = {"n": fam.n, "kind": fam.t.kind, "coeff_legs": len(s1.legs) - 1}
     return _compare("re", params, ambient, sides)
 
@@ -409,7 +419,7 @@ def check_conjugate_re(fam, s1, s2):
     the sides' roles exchanged.
     """
     r_bar_prime, r_bar_double = primed_pair(fam.r_bar, fam.t)
-    ambient, sides = _re_sides(fam.r_bar, r_bar_double, r_bar_prime, s1, s2)
+    ambient, sides = _re_layout(fam.r_bar, r_bar_double, r_bar_prime, s1, s2)
     params = {"n": fam.n, "kind": fam.t.kind}
     return _compare("conjugate_re", params, ambient, sides)
 
@@ -504,7 +514,7 @@ def check_fused_re(chi, fam, k, m):
     plain = fused_r_factors(u_block, v_block, n)
     primed = fused_r_factors(u_block, v_block, n, primed=True, t=fam.t)
     flipped = fused_r_factors(v_block, u_block, n, primed=True, t=fam.t)
-    sides = [("", plain + chi_k + primed + chi_m, chi_m + flipped + chi_k + plain)]
+    sides = [("", *re_sides(plain, chi_k, primed, chi_m, flipped))]
     params = {"n": n, "k": k, "m": m, "kind": fam.t.kind}
     return _compare("fused_re", params, ambient, sides)
 
@@ -513,14 +523,13 @@ def check_intertwiner(chi, fam, K, k, m):
     """breveR chi^(k)_1 breveR' chi^(m)_2 = chi^(m)_2 breveR' chi^(k)_1 breveR
     compared modulo terms of order > K, where the order of a monomial is its
     total inverse degree in the u-block variables."""
-    if K < 0:
-        raise ValueError("truncation order must be >= 0")
+    require_truncation_order(K)
     n = fam.n
     slack = k * (k - 1) // 2
     ambient, u_block, v_block, chi_k, chi_m = _fused_blocks(chi, fam, k, m)
     breve = breve_factors(u_block, v_block, n, K + slack, primed=False, t=fam.t)
     breve_p = breve_factors(u_block, v_block, n, K + slack, primed=True, t=fam.t)
-    sides = [("", breve + chi_k + breve_p + chi_m, chi_m + breve_p + chi_k + breve)]
+    sides = [("", *re_sides(breve, chi_k, breve_p, chi_m, breve_p))]
     u_labels = {label for label, _ in u_block}
 
     def low_order(exps):

@@ -171,6 +171,13 @@ def test_fused_breve_single_factor_matches_series():
     assert primed == tau_on_leg(breve_r_series(2, "u1", "v1", 2), 1, t)
 
 
+@pytest.mark.parametrize("K", [True, 1.5, -1])
+def test_fused_breve_refuses_a_bad_truncation_order(K):
+    text = f"truncation order must be an integer >= 0, got {K!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        fused_breve(1, 1, 2, K)
+
+
 def test_fused_breve_empty_block():
     op = fused_breve(1, 0, 2, 3)
     assert op == identity_op(op.legs)

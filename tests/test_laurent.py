@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,13 @@ def test_variable_order_is_canonical():
 def test_duplicate_variables_rejected():
     with pytest.raises(ValueError):
         LaurentPoly(("u", "u"), {(1, 1): 1})
+
+
+@pytest.mark.parametrize("exponent", [True, 1.0])
+def test_an_exponent_must_be_an_int(exponent):
+    text = f"non-integer exponent in ({exponent!r},)"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        LaurentPoly.var("u", exponent)
 
 
 def test_substitute_negates_variable():

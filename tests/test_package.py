@@ -1,8 +1,9 @@
 """Package-wide properties: frozen value classes, constructors that compute
 no identity, no `assert` in the source, one clock, in the CLI, one
 monomial product, in the Laurent kernel, one block layout, in fusion, leg
-exchanges in the checks stated by targets, one product of term maps, in
-the kernel, one alignment path in the kernel's sums and products, no text
+exchanges in the checks stated by targets, the reflection-equation and
+RTT orders written once, in verify, one product of term maps, in the
+kernel, one alignment path in the kernel's sums and products, no text
 rendered by a passing embedding check, and test settings under which a
 failing property test is reported, not fatal."""
 
@@ -197,6 +198,36 @@ def test_checks_exchange_legs_by_targets():
         )
     ]
     assert [site.split(":")[0] for site in found] == ["rmatrix.py"]
+
+
+def test_the_two_equation_orders_are_written_once():
+    """The reflection-equation order R S1 R' S2 = S2 R'' S1 R is written
+    only in verify.re_sides and the RTT order R T1 T2 = T2 T1 R only in
+    verify.rtt_sides: exactly these functions state their sides through
+    them, so none of them writes an order by hand."""
+    callers = {"re_sides": set(), "rtt_sides": set()}
+    for name, tree in _source_trees():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    if node.func.id in callers:
+                        callers[node.func.id].add(f"{name}:{function.name}")
+    assert callers == {
+        "re_sides": {
+            "verify.py:_re_layout",
+            "verify.py:check_fused_re",
+            "verify.py:check_intertwiner",
+            "modes.py:_twisted_buckets",
+        },
+        "rtt_sides": {
+            "verify.py:check_ybe",
+            "verify.py:check_rtt",
+            "evaluation.py:check_double_relations",
+            "modes.py:_rtt_buckets",
+        },
+    }
 
 
 def test_only_the_kernel_multiplies_term_maps():

@@ -18,7 +18,6 @@ from reflection_workbench.kernel import (
     identity_matrix,
     identity_op,
     mat_inverse,
-    mat_mul,
     matrix_on_leg,
     mul_into,
     op_chain,
@@ -280,13 +279,37 @@ def test_transposition_validation():
         symplectic_transposition(3)
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: orthogonal_transposition(True), "form size must be an integer >= 1, got True"),
+        (lambda: orthogonal_transposition(0), "form size must be an integer >= 1, got 0"),
+        (lambda: orthogonal_transposition(1.5), "form size must be an integer >= 1, got 1.5"),
+        (lambda: symplectic_transposition(True), "form size must be an integer >= 1, got True"),
+        (lambda: symplectic_transposition(0), "form size must be an integer >= 1, got 0"),
+        (lambda: symplectic_transposition(2.0), "form size must be an integer >= 1, got 2.0"),
+        (lambda: symplectic_transposition(3), "symplectic form needs even dimension, got 3"),
+        (lambda: Transposition([]), "the form g must not be empty"),
+        (
+            lambda: parse_matrix_json({"n": True, "entries": [["1"]]}),
+            '"n" must be a positive integer, got True',
+        ),
+    ],
+)
+def test_form_sizes_refuse_bools_floats_and_empty_forms(build, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        build()
+
+
 def test_transposition_repr_names_the_kind():
     assert repr(symplectic_transposition(2)) == "Transposition(n=2, symplectic)"
 
 
 def test_matrix_inverse_exact():
     m = ((Fraction(2), Fraction(1)), (Fraction(7), Fraction(4)))
-    assert mat_mul(m, mat_inverse(m)) == identity_matrix(2)
+    leg = LegSpace(2)
+    product = tensor_compose(matrix_on_leg(m, leg), matrix_on_leg(mat_inverse(m), leg))
+    assert product == matrix_on_leg(identity_matrix(2), leg)
 
 
 rational_entries = st.fractions(min_value=-5, max_value=5, max_denominator=3)
@@ -298,18 +321,28 @@ def square_matrices(n):
     ).map(lambda rows: tuple(tuple(row) for row in rows))
 
 
+def assert_involutive_antiautomorphism(t, a, b):
+    """t(AB) = t(B) t(A) and t(t(A)) = A for constant matrices on one leg,
+    through tau_on_leg and tensor_compose, the path every check takes."""
+    leg = LegSpace(t.n)
+    a, b = (matrix_on_leg(m, leg) for m in (a, b))
+
+    def tau(op):
+        return tau_on_leg(op, 1, t)
+
+    assert tau(tensor_compose(a, b)) == tensor_compose(tau(b), tau(a))
+    assert tau(tau(a)) == a
+
+
 @given(square_matrices(2), square_matrices(2))
 def test_transposition_is_an_involutive_antiautomorphism(a, b):
     for t in (orthogonal_transposition(2), symplectic_transposition(2)):
-        assert t.apply_matrix(mat_mul(a, b)) == mat_mul(t.apply_matrix(b), t.apply_matrix(a))
-        assert t.apply_matrix(t.apply_matrix(a)) == a
+        assert_involutive_antiautomorphism(t, a, b)
 
 
 @given(square_matrices(3), square_matrices(3))
 def test_orthogonal_transposition_n3(a, b):
-    t = orthogonal_transposition(3)
-    assert t.apply_matrix(mat_mul(a, b)) == mat_mul(t.apply_matrix(b), t.apply_matrix(a))
-    assert t.apply_matrix(t.apply_matrix(a)) == a
+    assert_involutive_antiautomorphism(orthogonal_transposition(3), a, b)
 
 
 def small_ops(n=2):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -441,6 +442,18 @@ def test_intertwiner_order_zero_vacuous():
     report = check_intertwiner(family, fam, 0, 1, 1)
     assert report.passed
     assert report.params["order_checked"] == 0
+
+
+@pytest.mark.parametrize("block", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("K", [True, 1.5, -1])
+def test_intertwiner_refuses_a_bad_truncation_order(K, block):
+    """K is refused before the slack k(k-1)/2 is added to it: at k = 2,
+    K = -1 would otherwise reach breve_r_series as 0 and pass."""
+    t = orthogonal_transposition(2)
+    family = GradedFamily.from_character(IDENTITY2, t, k_max=2)
+    text = f"truncation order must be an integer >= 0, got {K!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        check_intertwiner(family, RFamily.build(2, t), K, *block)
 
 
 def test_intertwiner_fails_for_non_character():
