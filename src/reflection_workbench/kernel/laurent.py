@@ -85,9 +85,10 @@ def mul_into(acc, a, b, floor=None):
     part of a mode-series key (u exponent, v exponent, word) concatenates
     with a's word on the left.  A key of a with no nonzero part (the unit
     monomial) leaves b's keys as they are, so those products skip the key
-    sum.  A floor is a pair of lower bounds on the first two key components
-    (a mode-series key's u and v exponents): a product whose key falls
-    below either one is skipped (see kernel.column_product).
+    sum.  A floor is a triple of lower bounds on the first two key
+    components (a mode-series key's u and v exponents) and on their sum:
+    a product whose key falls below any one is skipped (see
+    kernel.column_product).
     """
     if acc is None:
         acc = {}
@@ -96,7 +97,12 @@ def mul_into(acc, a, b, floor=None):
         items = b.items()
         if floor is not None:
             low_u, low_v = floor[0] - ka[0], floor[1] - ka[1]
-            items = [(kb, cb) for kb, cb in items if kb[0] >= low_u and kb[1] >= low_v]
+            low_sum = floor[2] - ka[0] - ka[1]
+            items = [
+                (kb, cb)
+                for kb, cb in items
+                if kb[0] >= low_u and kb[1] >= low_v and kb[0] + kb[1] >= low_sum
+            ]
         for kb, cb in items:
             key = tuple(map(operator.add, ka, kb)) if shift else kb
             prev = acc.get(key)

@@ -188,25 +188,33 @@ def column_product(factors, col, start, mul, floor=None):
     keeps the factor's word on the left) and verify on Kronecker ints
     (mul_shifted), where each entry is one int.
 
-    With a floor, a tuple of lower bounds on the leading key components,
-    only the part of the product at or above the floor is built, exactly.
-    A factor raises each component by at most the greatest value it holds
-    in any key, so a partial term below the floor minus those maxima of
-    the factors still to apply feeds no final term at or above the floor,
-    and neither does any term it could cancel.  Each step passes that
-    floor on as mul(acc, a, b, floor=...), which skips such products.
-    modes floors the u and v exponents at -cap: R, R' and R'' hold only
-    nonnegative exponents, so every term of a u^(-alpha) v^(-beta)
-    coefficient carries a series generator of level >= alpha on the u leg
-    and >= beta on the v leg, and a coefficient past the cap mentions a
-    generator above it in every term, which the level filter drops.
+    With a floor, a triple of lower bounds on the first two key
+    components eu and ev and on their sum eu + ev, only the part of the
+    product at or above all three bounds is built, exactly.  Keys add
+    under the product, and each bounded quantity is a linear form of the
+    key with nonnegative weights, so a factor raises it by at most the
+    greatest value it takes on the factor's keys.  A partial term below
+    the floor minus those maxima of the factors still to apply therefore
+    feeds no final term at or above the floor, and neither does any term
+    it could cancel.  Each step passes that floor on as mul(acc, a, b,
+    floor=...), which skips such products.  modes floors the u and v
+    exponents at -cap: R, R' and R'' hold only nonnegative exponents, so
+    every term of a u^(-alpha) v^(-beta) coefficient carries a series
+    generator of level >= alpha on the u leg and >= beta on the v leg,
+    and a coefficient past the cap mentions a generator above it in every
+    term, which the level filter drops.  The bound on alpha + beta that
+    each mode reader needs is stated where its buckets are built.
     """
     steps = [floor] * len(factors)
     if floor is not None:
         for k in range(1, len(factors)):
             by_col = factors[k - 1][1]
             keys = [key for pairs in by_col.values() for _, entry in pairs for key in entry]
-            top = (max((key[i] for key in keys), default=0) for i in range(len(floor)))
+            top = (
+                max((key[0] for key in keys), default=0),
+                max((key[1] for key in keys), default=0),
+                max((key[0] + key[1] for key in keys), default=0),
+            )
             steps[k] = tuple(f - t for f, t in zip(steps[k - 1], top))
     vector = {col: start}
     for (slots, by_col), step in zip(reversed(factors), reversed(steps)):

@@ -20,12 +20,15 @@ two-leg factor, in the orders of verify.rtt_sides and verify.re_sides,
 and each side is evaluated one column at a time by the kernel's column
 engine, as verify evaluates its checks: column_product with mul_into on
 series term maps here, where verify runs it on Kronecker ints.  The
-products are floored at the level cap, so only the u^(-alpha) v^(-beta)
-coefficients with alpha, beta <= cap are built; why that loses no kept
-relation is stated at kernel.column_product.  Series entries and NCPoly
-terms are summed by the kernel's term-map core (add_into).  NCPoly checks
-words and coefficients in its public constructor only; internal results
-are wrapped by NCPoly._raw.
+products are floored on alpha, beta and alpha + beta, so only the
+u^(-alpha) v^(-beta) coefficients with alpha, beta <= cap and alpha +
+beta at most the reader's bound are built: derive_rules reads only
+alpha + beta <= d, and _twisted_buckets states the lemma that bounds the
+twisted relation.  Why a floored product is exact is stated at
+kernel.column_product.  Series entries and NCPoly terms are summed by the
+kernel's term-map core (add_into).  NCPoly checks words and coefficients
+in its public constructor only; internal results are wrapped by
+NCPoly._raw.
 
 The embedding check holds ints only.  R' and R'' are scaled by D, the lcd
 of their coefficients, and the images by E, the lcd of theirs; each side
@@ -240,13 +243,14 @@ def _two_leg_factor(op, scale=1):
     return (0, 1), by_col
 
 
-def _collect_buckets(lhs, rhs, n, cap):
+def _collect_buckets(lhs, rhs, n, cap, total):
     """Coefficient extraction for two sides given as ordered lists of
     prepared factors on two n-dimensional legs: for every matrix entry
     ((i,a),(j,b)) and every u^(-alpha) v^(-beta) monomial with alpha,
-    beta <= cap, the NCPoly difference, keyed by (alpha, beta, i, a, j, b).
-    Only those monomials are built (see kernel.column_product)."""
-    floor = (-cap, -cap)
+    beta <= cap and alpha + beta <= total, the NCPoly difference, keyed
+    by (alpha, beta, i, a, j, b).  Only those monomials are built (see
+    kernel.column_product)."""
+    floor = (-cap, -cap, -total)
     raw = {}
     for j in range(1, n + 1):
         for b in range(1, n + 1):
@@ -261,19 +265,46 @@ def _collect_buckets(lhs, rhs, n, cap):
     return {key: NCPoly._raw(terms) for key, terms in raw.items()}
 
 
-def _rtt_buckets(n, length):
+def _rtt_buckets(n, length, total):
     """Indexed coefficients of R T1(u) T2(v) - T2(v) T1(u) R with series
-    truncated at the given length, up to alpha, beta <= length - 1."""
+    truncated at the given length, up to alpha, beta <= length - 1 and
+    alpha + beta <= total."""
     r = _two_leg_factor(yang_r(n))
     t1 = _leg_factor(series_matrix("T", n, length, var="u"), 0)
     t2 = _leg_factor(series_matrix("T", n, length, var="v"), 1)
-    return _collect_buckets(*rtt_sides([r], [t1], [t2]), n, length - 1)
+    return _collect_buckets(*rtt_sides([r], [t1], [t2]), n, length - 1, total)
 
 
 def _twisted_buckets(n, length, t):
     """(D, indexed coefficients of R S1 R' S2 - S2 R'' S1 R) with R' and
     R'' scaled by D, and the free level-0 normalization for the S series,
-    up to alpha, beta <= length - 2."""
+    up to alpha, beta <= d and alpha + beta <= B(d) = max(2d - 4, d - 1),
+    where d = length - 2 is the level cap.
+
+    Every bucket past B(d) mentions a generator above d, so _distinct,
+    which stays the deciding filter, would drop it.  Lemma: with alpha,
+    beta <= d and alpha + beta > B(d), every bucket (alpha, beta, i, a,
+    j, b) holds a word with a generator above d.  Proof: if alpha < 0 then
+    alpha + beta <= d - 1, and likewise for beta, so alpha, beta >= 0;
+    and alpha + beta >= 2d - 3 gives m = max(alpha, beta) >= d - 1.  For
+    every form t, R = (u - v) Id - P, while R' = tau_1(R) and its site
+    flip R'', scaled by D, are -D (u + v) Id minus a constant matrix.  A
+    word's total level is alpha + beta plus the degree in u and v of the
+    R-matrix terms on its path, so the words of level alpha + beta + 2
+    come from the scalar linear parts alone, which commute with the
+    series.  The left side holds W1 = s_ij^(alpha) s_ab^(beta+2) with
+    coefficient D and
+    W2 = s_ij^(alpha+2) s_ab^(beta) with -D.  The right side holds only
+    S2-then-S1 words, through the part D (v^2 - u^2) of R'' R, which has
+    no uv term: s_ab^(beta) s_ij^(alpha+2) with -D and
+    s_ab^(beta+2) s_ij^(alpha) with D.  So W1 cancels only at i = a,
+    j = b with alpha = beta + 2, and W2 only there with beta = alpha + 2.
+    The word holding level m + 2 >= d + 1 (W2 when alpha >= beta, W1
+    otherwise) therefore survives, since its cancelling needs the other
+    exponent to exceed m, and the series of length d + 2 hold it.  The
+    bound is met: for d = 1, 2, 3 the largest alpha + beta that
+    _distinct keeps is B(d).
+    """
     r = _two_leg_factor(yang_r(n))
     primes = r_primes(n, t)
     coeffs = (c for op in primes for poly in op.entries.values() for c in poly.terms.values())
@@ -281,7 +312,9 @@ def _twisted_buckets(n, length, t):
     rp, rpp = (_two_leg_factor(op, scale) for op in primes)
     s1 = _leg_factor(series_matrix("S", n, length, var="u"), 0)
     s2 = _leg_factor(series_matrix("S", n, length, var="v"), 1)
-    return scale, _collect_buckets(*re_sides([r], [s1], [rp], [s2], [rpp]), n, length - 2)
+    cap = length - 2
+    sides = re_sides([r], [s1], [rp], [s2], [rpp])
+    return scale, _collect_buckets(*sides, n, cap, max(2 * cap - 4, cap - 1))
 
 
 def expand_relation(relation, n, d, t=None):
@@ -291,7 +324,8 @@ def expand_relation(relation, n, d, t=None):
     degree requires (length d+1 for "rtt", d+2 for "twisted_re"), the
     u^(-alpha) v^(-beta) coefficients of LHS - RHS with alpha, beta <= d
     are collected (the others mention a generator above d in every term;
-    see kernel.column_product), and any relation mentioning a generator
+    see kernel.column_product; for "twisted_re" also alpha + beta <= B(d),
+    see _twisted_buckets), and any relation mentioning a generator
     of level above d is discarded: the truncated series cannot see the
     complete constraint on those, while every kept coefficient is an
     exact consequence of the full relation.  The result is deduplicated
@@ -299,7 +333,7 @@ def expand_relation(relation, n, d, t=None):
     """
     _check_level_cap(d)
     if relation == "rtt":
-        return _relations(_rtt_buckets(n, d + 1), d)
+        return _relations(_rtt_buckets(n, d + 1, 2 * d), d)
     if relation == "twisted_re":
         if t is None:
             t = orthogonal_transposition(n)
@@ -373,7 +407,8 @@ def derive_rules(n, d):
     level sum <= d+1, which the level-d relations fully determine.
     """
     _check_level_cap(d)
-    buckets = _rtt_buckets(n, d + 1)
+    # every key read below has alpha + beta = lam + mu - 1 <= d
+    buckets = _rtt_buckets(n, d + 1, d)
     gens = [
         ModeGen("T", i, j, level)
         for level in range(1, d + 1)
@@ -508,7 +543,9 @@ def verify_twisted_embedding(n, d=2, t=None):
 
     The substituted words carry total level up to 2d, so the rule set
     needs pairs with level sum up to 2d, which the level-(2d-1) relation
-    set provides.  Ints and witness: see the module docstring.
+    set provides.  Ints and witness: see the module docstring.  RTT
+    relations that cannot be oriented into rules fail the check, with the
+    refused rule as the witness.
     """
     _check_level_cap(d)
     if t is None:
@@ -516,7 +553,11 @@ def verify_twisted_embedding(n, d=2, t=None):
     scale, buckets = _twisted_buckets(n, d + 2, t)
     relations = _distinct(buckets, d)
     del buckets
-    rules = derive_rules(n, 2 * d - 1)
+    params = {"n": n, "level": d, "kind": t.kind, "relations": len(relations)}
+    try:
+        rules = derive_rules(n, 2 * d - 1)
+    except ValueError as exc:
+        return CheckReport("twisted_embedding", params, False, {"rule": str(exc)})
     image_scale, images = _integral_images(n, d, t)
     failing = [(p, r) for p, r in _residues(relations, images, rules) if not r.is_zero()]
     witness = None
@@ -524,5 +565,4 @@ def verify_twisted_embedding(n, d=2, t=None):
         p, residue = min(((p * Fraction(1, scale), r) for p, r in failing), key=lambda f: str(f[0]))
         residue = residue * Fraction(1, scale * image_scale**2)
         witness = {"relation": str(p), "residue": str(residue)}
-    params = {"n": n, "level": d, "kind": t.kind, "relations": len(relations)}
     return CheckReport("twisted_embedding", params, not failing, witness)

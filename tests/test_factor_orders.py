@@ -12,12 +12,15 @@ name, as the imports in verify, evaluation and modes bind it.
 
 from __future__ import annotations
 
+import json
+import os
 import sys
 from fractions import Fraction
 
 import pytest
 
 from reflection_workbench import verify
+from reflection_workbench.cli import main
 from reflection_workbench.evaluation import (
     build_twisted_s,
     check_double_relations,
@@ -159,3 +162,28 @@ def test_rtt_order_decides_the_derived_rules(rtt_order):
         ValueError, match=r"^cannot orient the rule for T1\[1,2\]\*T1\[1,1\]: swap term missing$"
     ):
         derive_rules(2, 1)
+
+
+def test_rtt_mutant_fails_the_demo_embeddings_and_the_report_is_written(monkeypatch, tmp_path):
+    """Rules that cannot be oriented fail the embedding check, with the
+    refused rule as the witness, instead of ending the suite."""
+    _patch_everywhere(monkeypatch, verify.rtt_sides, rtt_mutant)
+    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+    with open(os.path.join(configs, "suite.json"), encoding="utf-8") as handle:
+        data = json.load(handle)
+    for record in data["checks"]:
+        for key in ("g", "x"):
+            if key in record:
+                record[key] = os.path.join(configs, record[key])
+    data["out"] = str(tmp_path / "report.json")
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["suite", "--config", str(config)]) == 1
+    body = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["body"]
+    embeddings = [check for check in body["checks"] if check["name"] == "embedding"]
+    assert len(embeddings) == 2
+    for check in embeddings:
+        assert check["passed"] is False
+        assert check["witness"] == {
+            "rule": "cannot orient the rule for T1[1,2]*T1[1,1]: swap term missing"
+        }

@@ -318,7 +318,7 @@ def test_twisted_level_one_fixture():
 def test_identity_structure_leaves_only_commutators():
     t1 = _leg_factor(series_matrix("T", 2, 2, var="u"), 0)
     t2 = _leg_factor(series_matrix("T", 2, 2, var="v"), 1)
-    buckets = _collect_buckets([t1, t2], [t2, t1], 2, 1)
+    buckets = _collect_buckets([t1, t2], [t2, t1], 2, 1, 2)
     kept = _relations(buckets, 1)
     assert len(kept) == 12
     for p in kept:
@@ -328,18 +328,25 @@ def test_identity_structure_leaves_only_commutators():
         assert sorted(p.terms.values()) == [Fraction(-1), Fraction(1)]
 
 
-def assert_capped(buckets, reference, cap):
+def assert_capped(buckets, reference, cap, total):
     """The floored products build exactly the untruncated builder's
-    coefficients with alpha, beta <= cap, and none past the cap."""
+    coefficients with alpha, beta <= cap and alpha + beta <= total, and
+    none past either bound."""
     assert buckets
     assert all(key[0] <= cap and key[1] <= cap for key in buckets)
-    assert buckets == bucket_oracle.within(reference, cap)
+    assert all(key[0] + key[1] <= total for key in buckets)
+    assert buckets == bucket_oracle.within(reference, cap, total)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_rtt_buckets_are_the_full_expansion_within_the_cap(n, d):
-    assert_capped(_rtt_buckets(n, d + 1), bucket_oracle.rtt_buckets(n, d + 1), d)
+@pytest.mark.parametrize("reader", ["derive_rules", "expand_relation"])
+def test_rtt_buckets_are_the_full_expansion_within_the_cap(n, d, reader):
+    """Each reader's bound on alpha + beta: derive_rules reads only keys
+    with alpha + beta <= d, expand_relation takes every in-cap key."""
+    total = {"derive_rules": d, "expand_relation": 2 * d}[reader]
+    reference = bucket_oracle.rtt_buckets(n, d + 1)
+    assert_capped(_rtt_buckets(n, d + 1, total), reference, d, total)
 
 
 # -- rule derivation and rewriting --------------------------------------------
@@ -393,13 +400,13 @@ def count_rtt_expansions(monkeypatch):
 def test_derive_rules_expands_the_relation_once(monkeypatch):
     calls = count_rtt_expansions(monkeypatch)
     derive_rules(2, 2)
-    assert calls == [(2, 3)]
+    assert calls == [(2, 3, 2)]
 
 
 def test_twisted_embedding_expands_the_rtt_relation_once(monkeypatch):
     calls = count_rtt_expansions(monkeypatch)
     assert verify_twisted_embedding(2, 1).passed
-    assert calls == [(2, 2)]
+    assert calls == [(2, 2, 1)]
 
 
 def test_rewrite_system_validates_orientation():
@@ -681,6 +688,8 @@ def test_substitute_gens_multiplies_in_word_order():
         (2, 2, ORTH2, 132),
         (2, 2, SYMPL2, 132),
         (3, 1, orthogonal_transposition(3), 393),
+        (3, 3, orthogonal_transposition(3), 1131),
+        (4, 3, symplectic_transposition(4), 3580),
     ],
 )
 def test_twisted_embedding_passes(n, level, t, relations):
@@ -786,6 +795,17 @@ TWISTED_CAP_FORMS = {
 }
 
 
+def twisted_total(d):
+    """B(d), the bound on alpha + beta of the twisted buckets that the
+    lemma at modes._twisted_buckets allows."""
+    return max(2 * d - 4, d - 1)
+
+
+def distinct_maps(buckets, d):
+    """The term maps that _distinct keeps, as a set."""
+    return {frozenset(p.terms.items()) for p in _distinct(buckets, d)}
+
+
 @pytest.mark.parametrize("form", sorted(TWISTED_CAP_FORMS))
 @pytest.mark.parametrize("d", [1, 2])
 def test_twisted_buckets_are_the_full_expansion_within_the_cap(form, d):
@@ -793,10 +813,39 @@ def test_twisted_buckets_are_the_full_expansion_within_the_cap(form, d):
     scale, buckets = _twisted_buckets(t.n, d + 2, t)
     reference_scale, reference = bucket_oracle.twisted_buckets(t.n, d + 2, t)
     assert scale == reference_scale
-    assert_capped(buckets, reference, d)
+    assert_capped(buckets, reference, d, twisted_total(d))
+    assert distinct_maps(buckets, d) == distinct_maps(reference, d)
 
 
-@pytest.mark.parametrize("d, capped, full", [(1, 182, 486), (2, 326, 694)])
+TWISTED_LEMMA_FORMS = {
+    "orth2": ORTH2,
+    "sympl2": SYMPL2,
+    "orth3": orthogonal_transposition(3),
+    "orth4": orthogonal_transposition(4),
+    "sympl4": symplectic_transposition(4),
+}
+
+
+@pytest.mark.parametrize("form", sorted(TWISTED_LEMMA_FORMS))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_twisted_buckets_past_the_sum_bound_mention_a_generator_above_the_cap(form, d):
+    """The lemma at modes._twisted_buckets, on the untruncated builder:
+    every in-cap bucket with alpha + beta > B(d) mentions a generator
+    above d, the largest alpha + beta that the level filter keeps is
+    B(d), and the floored builder keeps the same distinct relations."""
+    t = TWISTED_LEMMA_FORMS[form]
+    total = twisted_total(d)
+    reference = bucket_oracle.twisted_buckets(t.n, d + 2, t)[1]
+    in_cap = bucket_oracle.within(reference, d, 2 * d)
+    past = [p for key, p in in_cap.items() if key[0] + key[1] > total]
+    assert past
+    assert all(p.max_gen_level() > d for p in past)
+    kept = [key for key, p in in_cap.items() if p.max_gen_level() <= d]
+    assert max(key[0] + key[1] for key in kept) == total
+    assert distinct_maps(_twisted_buckets(t.n, d + 2, t)[1], d) == distinct_maps(reference, d)
+
+
+@pytest.mark.parametrize("d, capped, full", [(1, 134, 486), (2, 230, 694)])
 def test_twisted_buckets_past_the_cap_are_not_built(d, capped, full):
     assert len(_twisted_buckets(2, d + 2, ORTH2)[1]) == capped
     assert len(bucket_oracle.twisted_buckets(2, d + 2, ORTH2)[1]) == full
@@ -823,7 +872,7 @@ def test_int_path_matches_the_fraction_path(form):
     n = t.n
     scale, buckets = _twisted_buckets(n, d + 2, t)
     unscaled = bucket_oracle.twisted_buckets(n, d + 2, t, scaled=False)[1]
-    reference = bucket_oracle.within(unscaled, d)
+    reference = bucket_oracle.within(unscaled, d, twisted_total(d))
     assert all(type(c) is int for p in buckets.values() for c in p.terms.values())
     assert {key: p * Fraction(1, scale) for key, p in buckets.items()} == reference
     relations = _distinct(buckets, d)

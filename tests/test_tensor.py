@@ -139,6 +139,60 @@ def test_column_product_keeps_the_left_factors_word_first():
     assert column_product([b, a], (1,), start, mul_into) == {(1,): {(0, 0, ("b", "a")): 1}}
 
 
+# series term maps {(u exponent, v exponent, word): coefficient} over a tiny
+# range, so products collide and cancel often
+series_entries = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=-2, max_value=2),
+        st.lists(st.sampled_from("xy"), max_size=1).map(tuple),
+    ),
+    st.sampled_from([-2, -1, 1, 2, Fraction(1, 2)]),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def prepared_factors(draw):
+    """One-leg and two-leg prepared factors on two 2-dimensional legs."""
+    factors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        slots = draw(st.sampled_from([(0,), (1,), (0, 1)]))
+        indices = list(itertools.product((1, 2), repeat=len(slots)))
+        by_col = {}
+        for col in indices:
+            for row in indices:
+                if draw(st.booleans()):
+                    by_col.setdefault(col, []).append((row, draw(series_entries)))
+        factors.append((slots, by_col))
+    return factors
+
+
+@given(
+    prepared_factors(),
+    st.sampled_from(list(itertools.product((1, 2), repeat=2))),
+    st.tuples(
+        st.integers(min_value=-5, max_value=2),
+        st.integers(min_value=-5, max_value=2),
+        st.integers(min_value=-8, max_value=3),
+    ),
+)
+def test_floored_column_product_is_the_full_product_at_or_above_the_floor(factors, col, floor):
+    start = {(0, 0, ()): 1}
+    low_u, low_v, low_sum = floor
+    expected = {}
+    for row, entry in column_product(factors, col, start, mul_into).items():
+        kept = {
+            key: c
+            for key, c in entry.items()
+            if key[0] >= low_u and key[1] >= low_v and key[0] + key[1] >= low_sum
+        }
+        if kept:
+            expected[row] = kept
+    assert column_product(factors, col, start, mul_into, floor) == expected
+
+
 def test_embed_flip_into_outer_legs():
     n = 2
     ambient = (LegSpace(n), LegSpace(n), LegSpace(n))
