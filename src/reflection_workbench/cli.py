@@ -53,6 +53,7 @@ from .kernel import (
     op_substitute,
     orthogonal_transposition,
     parse_matrix_json,
+    require_int,
 )
 from .modes import verify_twisted_embedding
 from .rmatrix import RFamily, yang_r, yang_r_bar
@@ -204,11 +205,10 @@ class SuiteConfig:
 
 
 def _validate_int(key, value):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError(f'"{key}" must be an integer, got {value!r}')
-    minimum = _INT_MINIMA[key]
-    if value < minimum:
-        raise UsageError(f'"{key}" must be >= {minimum}, got {value}')
+    try:
+        require_int(f'"{key}"', value, _INT_MINIMA[key])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _validate_record(record):

@@ -23,10 +23,11 @@ from .kernel import (
     op_chain,
     op_substitute,
     orthogonal_transposition,
+    require_int,
     symmetry_sign,
     tau_on_leg,
 )
-from .rmatrix import breve_r_series, require_truncation_order, yang_r
+from .rmatrix import breve_r_series, yang_r
 
 DEFAULT_KMAX = 3
 
@@ -35,10 +36,8 @@ def block_layout(k, m):
     """The (k, m) block layout as two blocks of (label, target) legs: the
     u-block u1..uk at targets 1..k, then the v-block v1..vm at targets
     k+1..k+m."""
-    if type(k) is not int or type(m) is not int:
-        raise ValueError(f"block sizes must be integers, got ({k!r}, {m!r})")
-    if k < 0 or m < 0:
-        raise ValueError("block sizes must be nonnegative")
+    require_int("block size", k, 0)
+    require_int("block size", m, 0)
     return (
         tuple((f"u{i}", i) for i in range(1, k + 1)),
         tuple((f"v{j}", k + j) for j in range(1, m + 1)),
@@ -173,8 +172,7 @@ class GradedFamily(Frozen):
     __slots__ = ("seed", "k_max", "_cache")
 
     def __init__(self, seed, k_max=DEFAULT_KMAX):
-        if type(k_max) is not int or k_max < 0:
-            raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
+        require_int("k_max", k_max, 0)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "k_max", k_max)
         object.__setattr__(self, "_cache", {})
@@ -192,9 +190,8 @@ class GradedFamily(Frozen):
         return self.seed.coeff_legs
 
     def _require_k(self, k):
-        if type(k) is not int:
-            raise ValueError(f"component must be an integer, got {k!r}")
-        if not 0 <= k <= self.k_max:
+        require_int("component", k, 0)
+        if k > self.k_max:
             raise ValueError(f"component {k} outside 0..{self.k_max}")
 
     def factors(self, block, coeff_targets):
@@ -228,7 +225,7 @@ def breve_product(k, m, n, factor_order, primed=False, t=None):
 def fused_breve(k, m, n, K, primed=False, t=None):
     """Fused breve operator truncated to total degree <= K in the v-block
     variables (each factor's series index is its v-degree)."""
-    require_truncation_order(K)
+    require_int("truncation order", K, 0)
     product = breve_product(k, m, n, K, primed=primed, t=t)
     v_labels = {label for label, _ in block_layout(k, m)[1]}
 

@@ -41,6 +41,13 @@ def parse_rational(text):
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
+def require_int(what, value, least):
+    """The one refusal of an integer argument: anything but an int >= least,
+    a bool or an integral float included, raises ValueError."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def format_rational(value):
     """Render a Fraction as "p" or "p/q" (the parse_rational inverse)."""
     frac = Fraction(value)
@@ -295,8 +302,7 @@ class LaurentPoly(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+        require_int("exponent", exponent, 0)
         result = LaurentPoly.const(1, self.variables)
         base = self
         k = exponent

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import Frozen, LaurentPoly, mul_into, parse_rational
+from .laurent import Frozen, LaurentPoly, mul_into, parse_rational, require_int
 
 ROLES = ("auxiliary", "quantum")
 
@@ -26,8 +26,7 @@ class LegSpace:
     role: str = "auxiliary"
 
     def __post_init__(self):
-        if type(self.dim) is not int or self.dim < 1:
-            raise ValueError(f"leg dimension must be a positive integer, got {self.dim!r}")
+        require_int("leg dimension", self.dim, 1)
         if self.role not in ROLES:
             raise ValueError(f"leg role must be one of {ROLES}, got {self.role!r}")
 
@@ -446,6 +445,7 @@ def extract_entry(a, row, col):
 
 
 def identity_matrix(n):
+    require_int("matrix size", n, 1)
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
     )
@@ -524,20 +524,15 @@ class Transposition(Frozen):
         return f"Transposition(n={self.n}, {self.kind})"
 
 
-def _check_form_size(n):
-    if type(n) is not int or n < 1:
-        raise ValueError(f"form size must be an integer >= 1, got {n!r}")
-
-
 def orthogonal_transposition(n):
     """Plain matrix transpose: g is the identity form."""
-    _check_form_size(n)
+    require_int("form size", n, 1)
     return Transposition(identity_matrix(n))
 
 
 def symplectic_transposition(n):
     """Transposition twisted by the standard skew form (n must be even)."""
-    _check_form_size(n)
+    require_int("form size", n, 1)
     if n % 2:
         raise ValueError(f"symplectic form needs even dimension, got {n}")
     half = n // 2
@@ -553,8 +548,7 @@ def parse_matrix_json(data):
     if not isinstance(data, dict) or set(data) != {"n", "entries"}:
         raise ValueError('matrix JSON must have exactly the keys "n" and "entries"')
     n = data["n"]
-    if type(n) is not int or n < 1:
-        raise ValueError(f'"n" must be a positive integer, got {n!r}')
+    require_int('"n"', n, 1)
     entries = data["entries"]
     if not isinstance(entries, list) or len(entries) != n:
         raise ValueError(f'"entries" must be a list of {n} rows')

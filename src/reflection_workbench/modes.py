@@ -21,10 +21,9 @@ and each side is evaluated one column at a time by the kernel's column
 engine, as verify evaluates its checks: column_product with mul_into on
 series term maps here, where verify runs it on Kronecker ints.  The
 products are floored on alpha, beta and alpha + beta, so only the
-u^(-alpha) v^(-beta) coefficients with alpha, beta <= cap and alpha +
-beta at most the reader's bound are built: derive_rules reads only
-alpha + beta <= d, and _twisted_buckets states the lemma that bounds the
-twisted relation.  Why a floored product is exact is stated at
+u^(-alpha) v^(-beta) coefficients that the reader keeps are built:
+derive_rules reads only alpha <= d - 1 and alpha + beta <= d, and
+_twisted_buckets states the lemma that bounds the twisted relation.  Why a floored product is exact is stated at
 kernel.column_product.  Series entries and NCPoly terms are summed by the
 kernel's term-map core (add_into).  NCPoly checks words and coefficients
 in its public constructor only; internal results are wrapped by
@@ -45,16 +44,11 @@ import math
 from fractions import Fraction
 
 from .kernel import Frozen, add_into, column_product, mul_into, orthogonal_transposition, signed_sum
-from .kernel.laurent import _coerce_scalar
+from .kernel.laurent import _coerce_scalar, require_int
 from .rmatrix import r_primes, yang_r
 from .verify import CheckReport, re_sides, rtt_sides
 
 FAMILIES = ("T", "S")
-
-
-def _check_level_cap(d):
-    if type(d) is not int or d < 1:
-        raise ValueError(f"level cap must be an integer >= 1, got {d!r}")
 
 
 class ModeGen(tuple):
@@ -67,11 +61,9 @@ class ModeGen(tuple):
     def __new__(cls, family, row, col, level):
         if family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-        for index in (row, col):
-            if type(index) is not int or index < 1:
-                raise ValueError(f"matrix indices must be positive integers, got {index!r}")
-        if type(level) is not int or level < 0:
-            raise ValueError(f"level must be a nonnegative integer, got {level!r}")
+        require_int("matrix index", row, 1)
+        require_int("matrix index", col, 1)
+        require_int("level", level, 0)
         if family == "T" and level < 1:
             raise ValueError("the level-0 coefficient of family T is the unit, not a generator")
         return tuple.__new__(cls, (level, row, col, family))
@@ -195,10 +187,8 @@ def series_matrix(family, n, d, var="u"):
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if type(d) is not int or d < 0:
-        raise ValueError(f"series length must be an integer >= 0, got {d!r}")
+    require_int("n", n, 1)
+    require_int("series length", d, 0)
     if var not in ("u", "v"):
         raise ValueError(f'series variable must be "u" or "v", got {var!r}')
     unit = family == "T"
@@ -243,14 +233,13 @@ def _two_leg_factor(op, scale=1):
     return (0, 1), by_col
 
 
-def _collect_buckets(lhs, rhs, n, cap, total):
+def _collect_buckets(lhs, rhs, n, floor):
     """Coefficient extraction for two sides given as ordered lists of
     prepared factors on two n-dimensional legs: for every matrix entry
-    ((i,a),(j,b)) and every u^(-alpha) v^(-beta) monomial with alpha,
-    beta <= cap and alpha + beta <= total, the NCPoly difference, keyed
-    by (alpha, beta, i, a, j, b).  Only those monomials are built (see
-    kernel.column_product)."""
-    floor = (-cap, -cap, -total)
+    ((i,a),(j,b)) and every u^(-alpha) v^(-beta) monomial with (-alpha,
+    -beta, -alpha - beta) at or above the floor triple, the NCPoly
+    difference, keyed by (alpha, beta, i, a, j, b).  Only those monomials
+    are built (see kernel.column_product)."""
     raw = {}
     for j in range(1, n + 1):
         for b in range(1, n + 1):
@@ -265,14 +254,14 @@ def _collect_buckets(lhs, rhs, n, cap, total):
     return {key: NCPoly._raw(terms) for key, terms in raw.items()}
 
 
-def _rtt_buckets(n, length, total):
+def _rtt_buckets(n, length, floor):
     """Indexed coefficients of R T1(u) T2(v) - T2(v) T1(u) R with series
-    truncated at the given length, up to alpha, beta <= length - 1 and
-    alpha + beta <= total."""
+    truncated at the given length, down to the floor triple on (-alpha,
+    -beta, -alpha - beta)."""
     r = _two_leg_factor(yang_r(n))
     t1 = _leg_factor(series_matrix("T", n, length, var="u"), 0)
     t2 = _leg_factor(series_matrix("T", n, length, var="v"), 1)
-    return _collect_buckets(*rtt_sides([r], [t1], [t2]), n, length - 1, total)
+    return _collect_buckets(*rtt_sides([r], [t1], [t2]), n, floor)
 
 
 def _twisted_buckets(n, length, t):
@@ -312,9 +301,9 @@ def _twisted_buckets(n, length, t):
     rp, rpp = (_two_leg_factor(op, scale) for op in primes)
     s1 = _leg_factor(series_matrix("S", n, length, var="u"), 0)
     s2 = _leg_factor(series_matrix("S", n, length, var="v"), 1)
-    cap = length - 2
+    d = length - 2
     sides = re_sides([r], [s1], [rp], [s2], [rpp])
-    return scale, _collect_buckets(*sides, n, cap, max(2 * cap - 4, cap - 1))
+    return scale, _collect_buckets(*sides, n, (-d, -d, -max(2 * d - 4, d - 1)))
 
 
 def expand_relation(relation, n, d, t=None):
@@ -331,9 +320,9 @@ def expand_relation(relation, n, d, t=None):
     exact consequence of the full relation.  The result is deduplicated
     and sorted by its text form.
     """
-    _check_level_cap(d)
+    require_int("level cap", d, 1)
     if relation == "rtt":
-        return _relations(_rtt_buckets(n, d + 1, 2 * d), d)
+        return _relations(_rtt_buckets(n, d + 1, (-d, -d, -2 * d)), d)
     if relation == "twisted_re":
         if t is None:
             t = orthogonal_transposition(n)
@@ -406,9 +395,9 @@ def derive_rules(n, d):
     coefficient each relation came from.  Rules exist for every out-of-order pair with
     level sum <= d+1, which the level-d relations fully determine.
     """
-    _check_level_cap(d)
-    # every key read below has alpha + beta = lam + mu - 1 <= d
-    buckets = _rtt_buckets(n, d + 1, d)
+    require_int("level cap", d, 1)
+    # every key read below has alpha <= lam - 1 <= d - 1 and alpha + beta <= d
+    buckets = _rtt_buckets(n, d + 1, (1 - d, -d, -d))
     gens = [
         ModeGen("T", i, j, level)
         for level in range(1, d + 1)
@@ -547,7 +536,7 @@ def verify_twisted_embedding(n, d=2, t=None):
     relations that cannot be oriented into rules fail the check, with the
     refused rule as the witness.
     """
-    _check_level_cap(d)
+    require_int("level cap", d, 1)
     if t is None:
         t = orthogonal_transposition(n)
     scale, buckets = _twisted_buckets(n, d + 2, t)

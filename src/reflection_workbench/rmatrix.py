@@ -19,6 +19,7 @@ from .kernel import (
     identity_op,
     op_scale,
     orthogonal_transposition,
+    require_int,
     site_flip,
     tau_on_leg,
 )
@@ -73,16 +74,10 @@ def r_primes(n, t):
     return primed_pair(yang_r(n), t)
 
 
-def require_truncation_order(K):
-    """Refuse a truncation order that is not an integer >= 0."""
-    if type(K) is not int or K < 0:
-        raise ValueError(f"truncation order must be an integer >= 0, got {K!r}")
-
-
 def breve_r_series(n, uvar="u", vvar="v", K=DEFAULT_TRUNCATION):
     """Id - sum_{k=0..K} v^k u^(-k-1) P: the expansion of Id - P/(u-v)
     in the region |v| < |u|, truncated at series index K."""
-    require_truncation_order(K)
+    require_int("truncation order", K, 0)
     if uvar == vvar:
         raise ValueError(f"spectral variables must differ, both are {uvar!r}")
     p = flip_p(n, uvar, vvar)

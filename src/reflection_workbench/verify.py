@@ -41,10 +41,11 @@ from .kernel import (
     op_scale,
     op_substitute,
     orbit_representatives,
+    require_int,
     signed_symmetries,
     tau_on_leg,
 )
-from .rmatrix import flip_p, primed_pair, require_truncation_order, yang_r
+from .rmatrix import flip_p, primed_pair, yang_r
 
 
 @dataclass(frozen=True)
@@ -354,6 +355,7 @@ def check_pairing(series, order):
     operator (z - w) Id - P up to the first dropped term z^(-order-1)
     w^(order+1) P.  Multiplying by z - w is injective, so this pins every
     coefficient of the series."""
+    require_int("truncation order", order, 0)
     zvar, wvar = (leg.spectral_var for leg in series.legs)
     p_op = flip_p(series.legs[0].dim, zvar, wvar)
     scalar = LaurentPoly.var(zvar) - LaurentPoly.var(wvar)
@@ -468,7 +470,9 @@ def check_characteristic(family, fam, k, i, primed_middle=True):
     factor; that variant must fail for a generic seed and exists as a
     negative control.
     """
-    if not 0 <= i <= k <= family.k_max:
+    require_int("k", k, 0)
+    require_int("i", i, 0)
+    if not i <= k <= family.k_max:
         raise ValueError(f"need 0 <= i <= k <= {family.k_max}, got i={i}, k={k}")
     _require_one_form(family, fam)
     whole = family.component(k)
@@ -523,7 +527,7 @@ def check_intertwiner(chi, fam, K, k, m):
     """breveR chi^(k)_1 breveR' chi^(m)_2 = chi^(m)_2 breveR' chi^(k)_1 breveR
     compared modulo terms of order > K, where the order of a monomial is its
     total inverse degree in the u-block variables."""
-    require_truncation_order(K)
+    require_int("truncation order", K, 0)
     n = fam.n
     slack = k * (k - 1) // 2
     ambient, u_block, v_block, chi_k, chi_m = _fused_blocks(chi, fam, k, m)

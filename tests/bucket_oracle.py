@@ -54,10 +54,11 @@ def twisted_buckets(n, length, t, scaled=True):
     return scale, collect_buckets([r, s1, rp, s2], [s2, rpp, s1, r], n)
 
 
-def within(buckets, cap, total):
-    """The buckets with alpha, beta <= cap and alpha + beta <= total."""
+def within(buckets, alpha_cap, cap, total):
+    """The buckets with alpha <= alpha_cap, beta <= cap and alpha + beta
+    <= total."""
     return {
         key: p
         for key, p in buckets.items()
-        if key[0] <= cap and key[1] <= cap and key[0] + key[1] <= total
+        if key[0] <= alpha_cap and key[1] <= cap and key[0] + key[1] <= total
     }

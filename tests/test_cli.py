@@ -204,6 +204,23 @@ def test_config_rejects_boolean_parameter(tmp_path):
         SuiteConfig.from_file(path)
 
 
+@pytest.mark.parametrize(
+    "record, extra, text",
+    [
+        ({"name": "ybe", "n": 1}, {}, '"n" must be an integer >= 2, got 1'),
+        ({"name": "ybe", "n": True}, {}, '"n" must be an integer >= 2, got True'),
+        ({"name": "pairing", "K": 1.0}, {}, '"K" must be an integer >= 0, got 1.0'),
+        ({"name": "embedding", "level": 0}, {}, '"level" must be an integer >= 1, got 0'),
+        ({"name": "ybe"}, {"parallelism": 0}, '"parallelism" must be an integer >= 1, got 0'),
+    ],
+)
+def test_config_integer_refusals_read_one_text(tmp_path, record, extra, text):
+    path = make_config(tmp_path, [record], **extra)
+    with pytest.raises(UsageError) as info:
+        SuiteConfig.from_file(path)
+    assert str(info.value) == text
+
+
 def test_config_paths_resolve_relative_to_config_dir(tmp_path):
     write_json(tmp_path / "g.json", SKEW_JSON)
     path = make_config(tmp_path, [{"name": "tau_symmetry", "g": "g.json"}])

@@ -137,7 +137,7 @@ def test_graded_family_refuses_a_non_int_component_before_the_cache(k):
     # both hit the entry stored under 1
     family = GradedFamily.from_character(IDENTITY2, orthogonal_transposition(2), k_max=2)
     family.component(1)
-    with pytest.raises(ValueError, match=f"^component must be an integer, got {k!r}$"):
+    with pytest.raises(ValueError, match=f"^component must be an integer >= 0, got {k!r}$"):
         family.component(k)
     assert list(family._cache) == [1]
 
@@ -145,11 +145,11 @@ def test_graded_family_refuses_a_non_int_component_before_the_cache(k):
 @pytest.mark.parametrize(
     "build, text",
     [
-        (lambda: block_layout(True, 1), "block sizes must be integers, got (True, 1)"),
-        (lambda: block_layout(1, 2.0), "block sizes must be integers, got (1, 2.0)"),
-        (lambda: fused_r(True, 1, 2), "block sizes must be integers, got (True, 1)"),
-        (lambda: fused_r(1.5, 1, 2), "block sizes must be integers, got (1.5, 1)"),
-        (lambda: block_legs(1, False, 2), "block sizes must be integers, got (1, False)"),
+        (lambda: block_layout(True, 1), "block size must be an integer >= 0, got True"),
+        (lambda: block_layout(1, 2.0), "block size must be an integer >= 0, got 2.0"),
+        (lambda: fused_r(True, 1, 2), "block size must be an integer >= 0, got True"),
+        (lambda: fused_r(1.5, 1, 2), "block size must be an integer >= 0, got 1.5"),
+        (lambda: block_legs(1, False, 2), "block size must be an integer >= 0, got False"),
     ],
 )
 def test_block_layout_refuses_bools_and_floats(build, text):
@@ -228,14 +228,14 @@ def test_fused_r_prime_flipped_single_is_r_prime():
 
 
 def test_fused_r_prime_flipped_validates_blocks():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^block size must be an integer >= 0, got -1$"):
         fused_r_prime_flipped(-1, 1, 2)
 
 
 def test_breve_product_validates_blocks():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^block size must be an integer >= 0, got -1$"):
         breve_product(-1, 1, 2, 3)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^block size must be an integer >= 0, got -1$"):
         breve_product(1, -1, 2, 3)
 
 

@@ -14,6 +14,7 @@ from reflection_workbench.kernel import (
     mul_into,
     mul_shifted,
     parse_rational,
+    require_int,
 )
 
 U = LaurentPoly.var("u")
@@ -79,6 +80,20 @@ def test_an_exponent_must_be_an_int(exponent):
     text = f"non-integer exponent in ({exponent!r},)"
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         LaurentPoly.var("u", exponent)
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, "2", None, -1])
+def test_require_int_refuses_all_but_an_int_at_or_above_the_least(value):
+    text = f"size must be an integer >= 0, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        require_int("size", value, 0)
+
+
+@pytest.mark.parametrize("exponent", [True, 1.0, -1])
+def test_a_power_needs_an_int_exponent(exponent):
+    text = f"exponent must be an integer >= 0, got {exponent!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        U**exponent
 
 
 def test_substitute_negates_variable():

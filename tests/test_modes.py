@@ -61,7 +61,7 @@ def test_mode_generator_validation():
         ModeGen("U", 1, 1, 1)
     with pytest.raises(ValueError, match="unit"):
         ModeGen("T", 1, 1, 0)
-    with pytest.raises(ValueError, match="indices"):
+    with pytest.raises(ValueError, match="^matrix index must be an integer >= 1, got 0$"):
         ModeGen("S", 0, 1, 1)
     with pytest.raises(ValueError, match="level"):
         ModeGen("S", 1, 1, -1)
@@ -71,10 +71,10 @@ def test_mode_generator_validation():
 @pytest.mark.parametrize(
     "build, text",
     [
-        (lambda: ModeGen("T", True, 1, 1), "matrix indices must be positive integers, got True"),
-        (lambda: ModeGen("T", 1, 2.0, 1), "matrix indices must be positive integers, got 2.0"),
-        (lambda: ModeGen("T", 1, 1, True), "level must be a nonnegative integer, got True"),
-        (lambda: ModeGen("S", 1, 1, 0.0), "level must be a nonnegative integer, got 0.0"),
+        (lambda: ModeGen("T", True, 1, 1), "matrix index must be an integer >= 1, got True"),
+        (lambda: ModeGen("T", 1, 2.0, 1), "matrix index must be an integer >= 1, got 2.0"),
+        (lambda: ModeGen("T", 1, 1, True), "level must be an integer >= 0, got True"),
+        (lambda: ModeGen("S", 1, 1, 0.0), "level must be an integer >= 0, got 0.0"),
         (lambda: expand_relation("rtt", 2, 1.5), "level cap must be an integer >= 1, got 1.5"),
         (lambda: expand_relation("twisted_re", 2, True), "level cap must be an integer >= 1, got True"),
         (lambda: derive_rules(2, 2.0), "level cap must be an integer >= 1, got 2.0"),
@@ -237,8 +237,8 @@ def test_series_matrix_rejects_an_unknown_variable():
 @pytest.mark.parametrize(
     "build, text",
     [
-        (lambda: series_matrix("T", True, 1), "n must be a positive integer, got True"),
-        (lambda: series_matrix("T", 2.0, 1), "n must be a positive integer, got 2.0"),
+        (lambda: series_matrix("T", True, 1), "n must be an integer >= 1, got True"),
+        (lambda: series_matrix("T", 2.0, 1), "n must be an integer >= 1, got 2.0"),
         (lambda: series_matrix("T", 2, 1.5), "series length must be an integer >= 0, got 1.5"),
         (lambda: series_matrix("S", 2, True), "series length must be an integer >= 0, got True"),
         (lambda: series_matrix("S", 2, -1), "series length must be an integer >= 0, got -1"),
@@ -318,7 +318,7 @@ def test_twisted_level_one_fixture():
 def test_identity_structure_leaves_only_commutators():
     t1 = _leg_factor(series_matrix("T", 2, 2, var="u"), 0)
     t2 = _leg_factor(series_matrix("T", 2, 2, var="v"), 1)
-    buckets = _collect_buckets([t1, t2], [t2, t1], 2, 1, 2)
+    buckets = _collect_buckets([t1, t2], [t2, t1], 2, (-1, -1, -2))
     kept = _relations(buckets, 1)
     assert len(kept) == 12
     for p in kept:
@@ -328,25 +328,42 @@ def test_identity_structure_leaves_only_commutators():
         assert sorted(p.terms.values()) == [Fraction(-1), Fraction(1)]
 
 
-def assert_capped(buckets, reference, cap, total):
+def assert_capped(buckets, reference, alpha_cap, cap, total):
     """The floored products build exactly the untruncated builder's
-    coefficients with alpha, beta <= cap and alpha + beta <= total, and
-    none past either bound."""
+    coefficients with alpha <= alpha_cap, beta <= cap and alpha + beta
+    <= total, and none past any bound."""
     assert buckets
-    assert all(key[0] <= cap and key[1] <= cap for key in buckets)
+    assert all(key[0] <= alpha_cap and key[1] <= cap for key in buckets)
     assert all(key[0] + key[1] <= total for key in buckets)
-    assert buckets == bucket_oracle.within(reference, cap, total)
+    assert buckets == bucket_oracle.within(reference, alpha_cap, cap, total)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("reader", ["derive_rules", "expand_relation"])
 def test_rtt_buckets_are_the_full_expansion_within_the_cap(n, d, reader):
-    """Each reader's bound on alpha + beta: derive_rules reads only keys
-    with alpha + beta <= d, expand_relation takes every in-cap key."""
-    total = {"derive_rules": d, "expand_relation": 2 * d}[reader]
+    """Each reader's floor: derive_rules reads only keys with alpha <= d - 1
+    and alpha + beta <= d, expand_relation takes every in-cap key."""
+    alpha_cap, total = {"derive_rules": (d - 1, d), "expand_relation": (d, 2 * d)}[reader]
     reference = bucket_oracle.rtt_buckets(n, d + 1)
-    assert_capped(_rtt_buckets(n, d + 1, total), reference, d, total)
+    buckets = _rtt_buckets(n, d + 1, (-alpha_cap, -d, -total))
+    assert_capped(buckets, reference, alpha_cap, d, total)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_derive_rules_from_the_floored_buckets_are_those_of_the_full_expansion(
+    monkeypatch, n, d
+):
+    """Every key that derive_rules reads lies above its floor, so the rules
+    built from the untruncated buckets are the same."""
+    from reflection_workbench import modes
+
+    def unfloored(n, length, floor):
+        return bucket_oracle.rtt_buckets(n, length)
+
+    floored = derive_rules(n, d).rules
+    monkeypatch.setattr(modes, "_rtt_buckets", unfloored)
+    assert derive_rules(n, d).rules == floored
 
 
 # -- rule derivation and rewriting --------------------------------------------
@@ -400,13 +417,13 @@ def count_rtt_expansions(monkeypatch):
 def test_derive_rules_expands_the_relation_once(monkeypatch):
     calls = count_rtt_expansions(monkeypatch)
     derive_rules(2, 2)
-    assert calls == [(2, 3, 2)]
+    assert calls == [(2, 3, (-1, -2, -2))]
 
 
 def test_twisted_embedding_expands_the_rtt_relation_once(monkeypatch):
     calls = count_rtt_expansions(monkeypatch)
     assert verify_twisted_embedding(2, 1).passed
-    assert calls == [(2, 2, 1)]
+    assert calls == [(2, 2, (0, -1, -1))]
 
 
 def test_rewrite_system_validates_orientation():
@@ -813,7 +830,7 @@ def test_twisted_buckets_are_the_full_expansion_within_the_cap(form, d):
     scale, buckets = _twisted_buckets(t.n, d + 2, t)
     reference_scale, reference = bucket_oracle.twisted_buckets(t.n, d + 2, t)
     assert scale == reference_scale
-    assert_capped(buckets, reference, d, twisted_total(d))
+    assert_capped(buckets, reference, d, d, twisted_total(d))
     assert distinct_maps(buckets, d) == distinct_maps(reference, d)
 
 
@@ -836,7 +853,7 @@ def test_twisted_buckets_past_the_sum_bound_mention_a_generator_above_the_cap(fo
     t = TWISTED_LEMMA_FORMS[form]
     total = twisted_total(d)
     reference = bucket_oracle.twisted_buckets(t.n, d + 2, t)[1]
-    in_cap = bucket_oracle.within(reference, d, 2 * d)
+    in_cap = bucket_oracle.within(reference, d, d, 2 * d)
     past = [p for key, p in in_cap.items() if key[0] + key[1] > total]
     assert past
     assert all(p.max_gen_level() > d for p in past)
@@ -872,7 +889,7 @@ def test_int_path_matches_the_fraction_path(form):
     n = t.n
     scale, buckets = _twisted_buckets(n, d + 2, t)
     unscaled = bucket_oracle.twisted_buckets(n, d + 2, t, scaled=False)[1]
-    reference = bucket_oracle.within(unscaled, d, twisted_total(d))
+    reference = bucket_oracle.within(unscaled, d, d, twisted_total(d))
     assert all(type(c) is int for p in buckets.values() for c in p.terms.values())
     assert {key: p * Fraction(1, scale) for key, p in buckets.items()} == reference
     relations = _distinct(buckets, d)

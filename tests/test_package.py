@@ -3,9 +3,10 @@ no identity, no `assert` in the source, one clock, in the CLI, one
 monomial product, in the Laurent kernel, one block layout, in fusion, leg
 exchanges in the checks stated by targets, the reflection-equation and
 RTT orders written once, in verify, one product of term maps, in the
-kernel, one alignment path in the kernel's sums and products, no text
-rendered by a passing embedding check, and test settings under which a
-failing property test is reported, not fatal."""
+kernel, one alignment path in the kernel's sums and products, one
+refusal of integer arguments, kernel.require_int, no text rendered by a
+passing embedding check, and test settings under which a failing property
+test is reported, not fatal."""
 
 from __future__ import annotations
 
@@ -273,6 +274,38 @@ def test_kernel_products_and_sums_have_one_alignment_path():
                 ]
     assert seen == wanted
     assert found == []
+
+
+def _compares_type_with_int(node):
+    """Whether node is a comparison `type(x) is int` or `type(x) is not int`."""
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Call)
+        and isinstance(node.left.func, ast.Name)
+        and node.left.func.id == "type"
+        and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(isinstance(c, ast.Name) and c.id == "int" for c in node.comparators)
+    )
+
+
+def test_only_the_kernel_refuses_integer_arguments():
+    """Every size, order, level and index argument is refused by
+    kernel.require_int, with one text: no other function tests type(x)
+    against int, except the LaurentPoly constructor, which tests the
+    elements of an exponent vector, not an argument."""
+    found = []
+    for name, tree in _source_trees():
+        owner = {}
+        # ast.walk is breadth first, so a nested function overrides its parent
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                owner.update((node, function.name) for node in ast.walk(function))
+        found += [
+            f"{name}:{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if _compares_type_with_int(node)
+        ]
+    assert sorted(found) == ["kernel/laurent.py:__init__", "kernel/laurent.py:require_int"]
 
 
 def test_a_passing_embedding_renders_no_text(monkeypatch):

@@ -141,7 +141,7 @@ def test_breve_series_first_term(n, K):
 @pytest.mark.parametrize(
     "build, text",
     [
-        (lambda: yang_r(True), "leg dimension must be a positive integer, got True"),
+        (lambda: yang_r(True), "leg dimension must be an integer >= 1, got True"),
         (lambda: breve_r_series(2, K=True), "truncation order must be an integer >= 0, got True"),
         (lambda: breve_r_series(2, K=1.5), "truncation order must be an integer >= 0, got 1.5"),
         (lambda: breve_r_series(2, K=-1), "truncation order must be an integer >= 0, got -1"),

@@ -55,7 +55,7 @@ def test_legspace_validation():
         LegSpace(0)
     for dim in (True, 2.0):
         with pytest.raises(
-            ValueError, match=f"^leg dimension must be a positive integer, got {dim!r}$"
+            ValueError, match=f"^leg dimension must be an integer >= 1, got {dim!r}$"
         ):
             LegSpace(dim)
     with pytest.raises(ValueError):
@@ -346,8 +346,11 @@ def test_transposition_validation():
         (lambda: Transposition([]), "the form g must not be empty"),
         (
             lambda: parse_matrix_json({"n": True, "entries": [["1"]]}),
-            '"n" must be a positive integer, got True',
+            '"n" must be an integer >= 1, got True',
         ),
+        (lambda: identity_matrix(True), "matrix size must be an integer >= 1, got True"),
+        (lambda: identity_matrix(2.0), "matrix size must be an integer >= 1, got 2.0"),
+        (lambda: identity_matrix(0), "matrix size must be an integer >= 1, got 0"),
     ],
 )
 def test_form_sizes_refuse_bools_floats_and_empty_forms(build, text):

@@ -164,6 +164,15 @@ def test_tau_symmetry_fails_when_r_double_prime_differs(monkeypatch):
     assert cli.main(["check", "tau_symmetry", "--n", "2"]) == 1
 
 
+@pytest.mark.parametrize("order", [True, 2.0, -1])
+def test_pairing_refuses_a_bad_order(order):
+    """A negative order would be reported as a FAIL with orders_checked 0,
+    and True would be checked as order 1."""
+    text = f"truncation order must be an integer >= 0, got {order!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        check_pairing(pairing_series(2, 1), order)
+
+
 def test_pairing_fails_past_the_series_order():
     series = pairing_series(2, 3)
     assert check_pairing(series, 3).passed
@@ -396,6 +405,24 @@ def test_characteristic_partitions(x, kind):
         for i in range(0, k + 1):
             report = check_characteristic(family, fam, k, i)
             assert report.passed, (k, i, report.witness)
+
+
+@pytest.mark.parametrize(
+    "k, i, text",
+    [
+        (2, True, "i must be an integer >= 0, got True"),
+        (2, 1.0, "i must be an integer >= 0, got 1.0"),
+        (2.0, 1, "k must be an integer >= 0, got 2.0"),
+        (True, 0, "k must be an integer >= 0, got True"),
+    ],
+)
+def test_characteristic_refuses_a_non_int_partition(k, i, text):
+    """A bool or float k or i would pass the range test and be reported
+    in params as it is."""
+    t = orthogonal_transposition(2)
+    family = GradedFamily.from_character(IDENTITY2, t, k_max=2)
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        check_characteristic(family, RFamily.build(2, t), k, i)
 
 
 def test_characteristic_unprimed_middle_fails():
