@@ -27,7 +27,7 @@ from .kernel import (
     symmetry_sign,
     tau_on_leg,
 )
-from .rmatrix import breve_r_series, yang_r
+from .rmatrix import breve_r_series, yang_r, yang_r_prime
 
 DEFAULT_KMAX = 3
 
@@ -54,25 +54,25 @@ def _block_product(outer, inner, n, build, primed, t):
     """The ordered (op, targets) factors of a product of two blocks.
 
     For each leg (a, i) of the outer block and each leg (b, j) of the
-    inner one, build(a, b) acts at (i, j); j runs descending for the plain
-    product and ascending for the primed one, whose factors carry tau on
-    their outer leg.  An empty block gives no factors.
+    inner one, build(a, b, t) acts at (i, j); j runs descending for the
+    plain product, built with t None, and ascending for the primed one,
+    whose factors carry tau (t, the identity form by default) on their
+    outer leg.  An empty block gives no factors.
     """
-    if primed and t is None:
-        t = orthogonal_transposition(n)
     if not primed:
-        inner = inner[::-1]
-    factors = []
-    for a, i in outer:
-        for b, j in inner:
-            factor = build(a, b)
-            factors.append((tau_on_leg(factor, 1, t) if primed else factor, (i, j)))
-    return factors
+        inner, t = inner[::-1], None
+    elif t is None:
+        t = orthogonal_transposition(n)
+    return [(build(a, b, t), (i, j)) for a, i in outer for b, j in inner]
 
 
 def fused_r_factors(outer, inner, n, primed=False, t=None):
     """The R-matrix factors of the fused operator of two blocks."""
-    return _block_product(outer, inner, n, lambda a, b: yang_r(n, a, b), primed, t)
+
+    def build(a, b, t):
+        return yang_r(n, a, b) if t is None else yang_r_prime(n, a, b, t)
+
+    return _block_product(outer, inner, n, build, primed, t)
 
 
 def fused_r(k, m, n, primed=False, t=None):
@@ -101,7 +101,7 @@ class SeedSolution(Frozen):
     accepted only because perfbench/child.py still passes it.
     """
 
-    __slots__ = ("s", "t", "spectral_var", "coeff_legs")
+    __slots__ = ("s", "t", "spectral_var", "coeff_legs", "_instances")
 
     def __init__(self, s, t, skip_check=False):
         if not s.legs:
@@ -117,12 +117,19 @@ class SeedSolution(Frozen):
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "spectral_var", aux.spectral_var)
         object.__setattr__(self, "coeff_legs", s.legs[1:])
+        object.__setattr__(self, "_instances", {})
 
     def instance(self, label):
-        """The seed relabelled to the given auxiliary spectral variable."""
+        """The seed relabelled to the given auxiliary spectral variable,
+        built once per label.  LegSpace refuses a label that is not a
+        variable name."""
+        self.s.legs[0].with_label(label)
         if label == self.spectral_var:
             return self.s
-        return op_substitute(self.s, {self.spectral_var: label})
+        found = self._instances.get(label)
+        if found is None:
+            found = self._instances[label] = op_substitute(self.s, {self.spectral_var: label})
+        return found
 
 
 def fused_s_factors(seed, block, coeff_targets):
@@ -139,7 +146,7 @@ def fused_s_factors(seed, block, coeff_targets):
     for index, (a, i) in enumerate(block):
         factors.append((seed.instance(a), (i,) + coeff_targets))
         for b, j in block[index + 1:]:
-            factors.append((tau_on_leg(yang_r(seed.t.n, a, b), 1, seed.t), (i, j)))
+            factors.append((yang_r_prime(seed.t.n, a, b, seed.t), (i, j)))
     return factors
 
 
@@ -210,9 +217,12 @@ class GradedFamily(Frozen):
 def breve_factors(outer, inner, n, factor_order, primed=False, t=None):
     """The per-factor truncated breve series of two blocks, in the
     fused-operator factor order."""
-    return _block_product(
-        outer, inner, n, lambda a, b: breve_r_series(n, a, b, factor_order), primed, t
-    )
+
+    def build(a, b, t):
+        series = breve_r_series(n, a, b, factor_order)
+        return series if t is None else tau_on_leg(series, 1, t)
+
+    return _block_product(outer, inner, n, build, primed, t)
 
 
 def breve_product(k, m, n, factor_order, primed=False, t=None):
@@ -232,7 +242,7 @@ def fused_breve(k, m, n, K, primed=False, t=None):
     def low_order(exps):
         return sum(e for name, e in exps.items() if name in v_labels) <= K
 
-    return TensorOp(
+    return TensorOp._raw(
         product.legs,
         {key: poly.filtered(low_order) for key, poly in product.entries.items()},
     )

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 RATIONAL_PATTERN = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-_VAR_PATTERN = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_VAR_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def parse_rational(text):
@@ -376,7 +376,7 @@ class LaurentPoly(Frozen):
                     c *= point**e
             if c:
                 pairs.append((tuple(vec), c))
-        return LaurentPoly(new_vars, add_into({}, pairs))
+        return LaurentPoly._raw(new_vars, add_into({}, pairs))
 
     # -- interrogation -----------------------------------------------------
 

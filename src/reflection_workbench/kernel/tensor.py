@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import Frozen, LaurentPoly, mul_into, parse_rational, require_int
+from .laurent import _VAR_PATTERN, Frozen, LaurentPoly, mul_into, parse_rational, require_int
 
 ROLES = ("auxiliary", "quantum")
 
@@ -27,6 +27,9 @@ class LegSpace:
 
     def __post_init__(self):
         require_int("leg dimension", self.dim, 1)
+        label = self.spectral_var
+        if label is not None and not (type(label) is str and _VAR_PATTERN.match(label)):
+            raise ValueError(f"spectral label must be None or a variable name, got {label!r}")
         if self.role not in ROLES:
             raise ValueError(f"leg role must be one of {ROLES}, got {self.role!r}")
 
@@ -37,29 +40,42 @@ class LegSpace:
 class TensorOp(Frozen):
     """Sparse linear operator on an ordered sequence of legs."""
 
-    __slots__ = ("legs", "entries", "variables")
+    __slots__ = ("legs", "entries", "variables", "_memo")
 
     def __init__(self, legs, entries):
-        legs = tuple(legs)
-        if not all(isinstance(leg, LegSpace) for leg in legs):
-            raise ValueError("legs must be LegSpace instances")
-        context = set()
-        for leg in legs:
-            if leg.spectral_var is not None:
-                context.add(leg.spectral_var)
+        legs = _require_legs(legs)
+        dims = tuple(leg.dim for leg in legs)
+        for row, col in entries:
+            _check_index(row, dims)
+            _check_index(col, dims)
+        self._fill(legs, entries)
+
+    @staticmethod
+    def _raw(legs, entries):
+        """Wrap trusted parts: legs a tuple of LegSpace and entries keyed by
+        valid multi-indices.  Aligns and drops zero entries as __init__
+        does, without its per-entry checks."""
+        op = object.__new__(TensorOp)
+        op._fill(legs, entries)
+        return op
+
+    def _fill(self, legs, entries):
+        context = {leg.spectral_var for leg in legs if leg.spectral_var is not None}
         for poly in entries.values():
             context.update(poly.variables)
         context = tuple(sorted(context))
-        dims = tuple(leg.dim for leg in legs)
-        clean = {}
-        for (row, col), poly in entries.items():
-            _check_index(row, dims)
-            _check_index(col, dims)
-            if poly.terms:
-                clean[row, col] = poly.aligned(context)
+        clean = {key: poly.aligned(context) for key, poly in entries.items() if poly.terms}
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "variables", context)
+        object.__setattr__(self, "_memo", {})
+
+    def memo(self, key, build):
+        """build(), called once per key for this operator: its entries never
+        change, so what is derived from them stays valid."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @property
     def dims(self):
@@ -98,6 +114,14 @@ class TensorOp(Frozen):
     __rmul__ = __mul__
 
 
+def _require_legs(legs):
+    """legs as a tuple, refused unless every one is a LegSpace."""
+    legs = tuple(legs)
+    if not all(isinstance(leg, LegSpace) for leg in legs):
+        raise ValueError("legs must be LegSpace instances")
+    return legs
+
+
 def _check_index(index, dims):
     """Refuse anything but a tuple of ints in 1..dim, one per leg.  A
     range, bytes or bool that would equal such a tuple is refused too, so
@@ -114,17 +138,17 @@ def _check_index(index, dims):
 
 
 def identity_op(legs):
-    legs = tuple(legs)
+    legs = _require_legs(legs)
     one = LaurentPoly.const(1)
     entries = {}
     for index in itertools.product(*(range(1, leg.dim + 1) for leg in legs)):
         entries[(index, index)] = one
-    return TensorOp(legs, entries)
+    return TensorOp._raw(legs, entries)
 
 
 def op_scale(a, factor):
     # int and Fraction factors take the scalar fast path of LaurentPoly
-    return TensorOp(a.legs, {key: poly * factor for key, poly in a.entries.items()})
+    return TensorOp._raw(a.legs, {key: poly * factor for key, poly in a.entries.items()})
 
 
 def op_add(a, b):
@@ -136,7 +160,7 @@ def op_add(a, b):
             merged[key] = merged[key] + poly
         else:
             merged[key] = poly
-    return TensorOp(a.legs, merged)
+    return TensorOp._raw(a.legs, merged)
 
 
 def tensor_compose(a, b):
@@ -157,7 +181,7 @@ def tensor_compose(a, b):
     entries = {
         key: LaurentPoly._raw(ctx, terms) for key, terms in acc.items() if terms
     }
-    return TensorOp(a.legs, entries)
+    return TensorOp._raw(a.legs, entries)
 
 
 def op_chain(ambient, factors):
@@ -259,7 +283,7 @@ def _sign_conditions(op, perm):
         for i in row + col:
             mask ^= 1 << i
         conditions.add((mask, parity))
-    return conditions
+    return frozenset(conditions)
 
 
 def signed_symmetries(ambient, ops):
@@ -271,9 +295,9 @@ def signed_symmetries(ambient, ops):
     op(sigma r, sigma c) = s(r) s(c) op(r, c) on its own legs, since the
     identity on the other legs satisfies it.  The result is the stabilizer
     of ops, so a group.  Each sigma is tested on every entry of each
-    distinct op once, the ops with the fewest entries first, and each of
-    its 2^n sign vectors on the conditions found (see _sign_conditions),
-    so all 2^n n! candidates are decided.  The list is empty, and nothing
+    distinct op once (TensorOp.memo), the ops with the fewest entries
+    first, and each of its 2^n sign vectors on the conditions found (see
+    _sign_conditions), so all 2^n n! candidates are decided.  The list is empty, and nothing
     is tried, unless the ambient legs share one dimension
     n <= SYMMETRY_SEARCH_MAX_N.
     """
@@ -287,7 +311,7 @@ def signed_symmetries(ambient, ops):
         perm = (0,) + sigma
         conditions = set()
         for op in distinct:
-            found = _sign_conditions(op, perm)
+            found = op.memo(("signs", perm), lambda: _sign_conditions(op, perm))
             if found is None:
                 break
             conditions |= found
@@ -321,7 +345,7 @@ def embed_legs(a, targets, ambient):
     distinct but in any order, so subscripts like R_{2,1} are expressible.
     The embedded operator's legs keep a's spectral labels at the targets.
     """
-    ambient = tuple(ambient)
+    ambient = _require_legs(ambient)
     targets = tuple(targets)
     if len(targets) != len(a.legs):
         raise ValueError(f"{len(targets)} targets for {len(a.legs)} legs")
@@ -353,7 +377,7 @@ def embed_legs(a, targets, ambient):
                 full_row[position - 1] = row[i]
                 full_col[position - 1] = col[i]
             entries[(tuple(full_row), tuple(full_col))] = poly
-    return TensorOp(legs, entries)
+    return TensorOp._raw(tuple(legs), entries)
 
 
 def op_substitute(a, mapping):
@@ -369,7 +393,7 @@ def op_substitute(a, mapping):
             else:
                 label = None
         legs.append(LegSpace(leg.dim, label, leg.role))
-    return TensorOp(legs, entries)
+    return TensorOp._raw(tuple(legs), entries)
 
 
 def site_flip(a):
@@ -387,7 +411,7 @@ def site_flip(a):
         ((j, i), (l, k)): poly.substitute(swap)
         for ((i, j), (k, l)), poly in a.entries.items()
     }
-    return TensorOp((second.with_label(x), first.with_label(y)), entries)
+    return TensorOp._raw((second.with_label(x), first.with_label(y)), entries)
 
 
 def tau_on_leg(a, leg_position, t):
@@ -401,8 +425,11 @@ def tau_on_leg(a, leg_position, t):
         raise ValueError(f"transposition size {t.n} does not match leg dim {leg.dim}")
     slot = leg_position - 1
     g, g_inv = t.g, t.g_inv
+    var = leg.spectral_var
     acc = {}
     for (row, col), poly in a.entries.items():
+        if var is not None:
+            poly = poly.substitute({var: "-" + var})
         b, amn = row[slot], col[slot]
         for i_new in range(1, t.n + 1):
             left = g[i_new - 1][amn - 1]
@@ -418,10 +445,7 @@ def tau_on_leg(a, leg_position, t):
                 contribution = poly * (left * right)
                 prev = acc.get(key)
                 acc[key] = contribution if prev is None else prev + contribution
-    result = TensorOp(a.legs, acc)
-    if leg.spectral_var is not None:
-        result = op_substitute(result, {leg.spectral_var: "-" + leg.spectral_var})
-    return result
+    return TensorOp._raw(a.legs, acc)
 
 
 def fresh_label(stem, taken):

@@ -70,12 +70,10 @@ def _witness(row, col, lhs, rhs):
 
 
 def _transposed(op, targets, ambient, context):
-    """A factor transposed for row application: its 0-based target slots
-    and its entries grouped by row, as (col, term map over context)
-    pairs, so kernel.column_product applies its transpose; with its least
-    and greatest exponent of each variable, the lcd of its coefficients,
-    and its largest row L1 norm once scaled by that lcd.  The factor's
-    legs must be the ambient legs at its targets."""
+    """A factor transposed for row application: op, its 0-based target
+    slots, rows = _rows(op), the position in context of each of op's
+    variables, and its exponent bounds over context, lcd and norm (see
+    _rows).  The factor's legs must be the ambient legs at its targets."""
     targets = tuple(targets)
     if len(set(targets)) != len(targets) or not all(1 <= p <= len(ambient) for p in targets):
         raise ValueError(f"targets {targets} are not distinct positions 1..{len(ambient)}")
@@ -83,20 +81,35 @@ def _transposed(op, targets, ambient, context):
         raise ValueError(
             f"factor legs {op.legs} do not match the ambient legs at targets {targets}"
         )
+    rows = op.memo("rows", lambda: _rows(op))
+    where = tuple(context.index(name) for name in op.variables)
+    low, high = [0] * len(context), [0] * len(context)
+    for k, i in enumerate(where):
+        low[i], high[i] = rows.low[k], rows.high[k]
+    return SimpleNamespace(
+        op=op, slots=tuple(p - 1 for p in targets), rows=rows, where=where,
+        low=tuple(low), high=tuple(high), lcd=rows.lcd, norm=rows.norm,
+    )
+
+
+def _rows(op):
+    """op's entries grouped by row, as (col, term map) pairs, so
+    kernel.column_product applies its transpose; with its least and
+    greatest exponent of each of its variables, the lcd of its
+    coefficients and its largest row L1 norm once scaled by that lcd."""
     by_row, norms, lcd = {}, {}, 1
     for (row, col), poly in op.entries.items():
-        terms = poly.aligned(context).terms
+        terms = poly.terms
         by_row.setdefault(row, []).append((col, terms))
         norms[row] = norms.get(row, 0) + sum(map(abs, terms.values()))
         lcd = math.lcm(lcd, *(c.denominator for c in terms.values()))
     exponents = [e for entries in by_row.values() for _, terms in entries for e in terms]
     low, high = (
-        tuple(pick((e[i] for e in exponents), default=0) for i in range(len(context)))
+        tuple(pick((e[i] for e in exponents), default=0) for i in range(len(op.variables)))
         for pick in (min, max)
     )
     norm = int(max(norms.values(), default=0) * lcd)
-    slots = tuple(p - 1 for p in targets)
-    return SimpleNamespace(slots=slots, by_row=by_row, low=low, high=high, lcd=lcd, norm=norm)
+    return SimpleNamespace(by_row=by_row, low=low, high=high, lcd=lcd, norm=norm)
 
 
 class _Box:
@@ -149,14 +162,21 @@ class _Box:
         return LaurentPoly._raw(self.context, terms)
 
 
-def _kronecker(lhs, rhs, ambient, context, keep):
+def _kronecker(lhs, rhs, ambient, context, keep, transposed):
     """One side as Kronecker ints (see compare_sides): for each half its
     prepared factors, which kernel.column_product applies with
-    mul_shifted, and its start int; then the side's _Box."""
-    halves = [
-        [_transposed(op, targets, ambient, context) for op, targets in reversed(half)]
-        for half in (lhs, rhs)
-    ]
+    mul_shifted, and its start int; then the side's _Box.  transposed
+    maps (id(op), targets) to the factor's _transposed for the whole
+    compare_sides call, whose sides hold every op, so no id is reused."""
+
+    def prepare(op, targets):
+        key = id(op), tuple(targets)
+        found = transposed.get(key)
+        if found is None:
+            found = transposed[key] = _transposed(op, targets, ambient, context)
+        return found
+
+    halves = [[prepare(op, targets) for op, targets in reversed(half)] for half in (lhs, rhs)]
     arity = range(len(context))
     offsets = [tuple(sum(f.low[i] for f in half) for i in arity) for half in halves]
     reaches = [tuple(sum(f.high[i] - f.low[i] for f in half) for i in arity) for half in halves]
@@ -166,19 +186,33 @@ def _kronecker(lhs, rhs, ambient, context, keep):
     bound = max(lcds[1 - h] * math.prod(f.norm for f in halves[h]) for h in (0, 1))
     box = _Box(context, low, spans, bound.bit_length() + 1, lcds[0] * lcds[1], keep)
 
-    def shifted(f, terms):
-        return tuple((box.shift(e, f.low), int(c * f.lcd)) for e, c in terms.items())
+    def applied(f):
+        """f's terms as (shift, int) pairs, built once per box layout of
+        its variables, and each shift once per exponent vector."""
+        rows, strides = f.rows, tuple(box.strides[i] for i in f.where)
+
+        def build():
+            shifts = {}
+            for entries in rows.by_row.values():
+                for _, terms in entries:
+                    for e in terms:
+                        if e not in shifts:
+                            shifts[e] = box.cb * sum(
+                                (x - b) * s for x, b, s in zip(e, rows.low, strides)
+                            )
+            return {
+                row: [
+                    (col, tuple((shifts[e], int(c * rows.lcd)) for e, c in terms.items()))
+                    for col, terms in entries
+                ]
+                for row, entries in rows.by_row.items()
+            }
+
+        return f.slots, f.op.memo(("applied", box.cb, strides), build)
 
     prepared = []
     for h, half in enumerate(halves):
-        factors = [
-            (f.slots, {
-                row: [(col, shifted(f, terms)) for col, terms in entries]
-                for row, entries in f.by_row.items()
-            })
-            for f in half
-        ]
-        prepared.append((factors, lcds[1 - h] << box.shift(offsets[h], low)))
+        prepared.append(([applied(f) for f in half], lcds[1 - h] << box.shift(offsets[h], low)))
     return prepared, box
 
 
@@ -243,7 +277,11 @@ def compare_sides(ambient, sides, keep=None):
         for op, _targets in lhs + rhs:
             context.update(op.variables)
     context = tuple(sorted(context))
-    prepared = [(label, *_kronecker(lhs, rhs, ambient, context, keep)) for label, lhs, rhs in sides]
+    transposed = {}
+    prepared = [
+        (label, *_kronecker(lhs, rhs, ambient, context, keep, transposed))
+        for label, lhs, rhs in sides
+    ]
 
     def differences(halves, box, row):
         """(col, lhs entry, rhs entry) for each col where the two sides'

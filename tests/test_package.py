@@ -4,7 +4,8 @@ monomial product, in the Laurent kernel, one block layout, in fusion, leg
 exchanges in the checks stated by targets, the reflection-equation and
 RTT orders written once, in verify, one product of term maps, in the
 kernel, one alignment path in the kernel's sums and products, one
-refusal of integer arguments, kernel.require_int, no text rendered by a
+refusal of integer arguments, kernel.require_int, the validating
+TensorOp constructor kept for outside input, no text rendered by a
 passing embedding check, and test settings under which a failing property
 test is reported, not fatal."""
 
@@ -274,6 +275,25 @@ def test_kernel_products_and_sums_have_one_alignment_path():
                 ]
     assert seen == wanted
     assert found == []
+
+
+def test_only_outside_input_goes_through_the_validating_tensor_op():
+    """TensorOp(...) checks every index and leg of what it is given; the
+    kernel operations and builders, whose parts are valid by construction,
+    return through TensorOp._raw.  Only matrix_on_leg, which wraps a
+    caller's leg and matrix, calls the validating constructor."""
+    found = []
+    for name, tree in _source_trees():
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                found += [
+                    f"{name}:{function.name}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "TensorOp"
+                ]
+    assert found == ["kernel/tensor.py:matrix_on_leg"]
 
 
 def _compares_type_with_int(node):

@@ -23,6 +23,7 @@ from reflection_workbench.rmatrix import (
     r_primes,
     yang_r,
     yang_r_bar,
+    yang_r_prime,
     zeta_factor,
 )
 
@@ -148,6 +149,48 @@ def test_breve_series_first_term(n, K):
     ],
 )
 def test_builders_refuse_bools_and_floats(build, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        build()
+
+
+@pytest.mark.parametrize("roles", [("auxiliary",), ("auxiliary",) * 3, "aa", None])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda roles: yang_r(2, "u", "v", roles),
+        lambda roles: yang_r_bar(2, "u", "v", roles),
+        lambda roles: flip_p(2, "u", "v", roles),
+    ],
+)
+def test_two_leg_builders_refuse_roles_that_are_not_a_pair(build, roles):
+    """One role short raised IndexError and one too many was cut off; the
+    roles are refused before yang_r looks up its built operators."""
+    yang_r(2)
+    text = f"roles must be a pair of leg roles, got {roles!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        build(roles)
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: yang_r(2, "u", None), "both legs need a spectral label, got 'u' and None"),
+        (lambda: yang_r(2, None, "v"), "both legs need a spectral label, got None and 'v'"),
+        (lambda: yang_r_bar(2, "u", None), "both legs need a spectral label, got 'u' and None"),
+        (
+            lambda: breve_r_series(2, "u", None, 2),
+            "both legs need a spectral label, got 'u' and None",
+        ),
+        (
+            lambda: yang_r_prime(2, "u", None, orthogonal_transposition(2)),
+            "both legs need a spectral label, got 'u' and None",
+        ),
+        (lambda: yang_r(2, "u", 5), "spectral label must be None or a variable name, got 5"),
+        (lambda: yang_r(2, "u", "u"), "spectral variables must differ, both are 'u'"),
+        (lambda: breve_r_series(2, "u", "u", 2), "spectral variables must differ, both are 'u'"),
+    ],
+)
+def test_labelled_builders_refuse_a_missing_or_bad_label(build, text):
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         build()
 

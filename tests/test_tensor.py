@@ -62,6 +62,19 @@ def test_legspace_validation():
         LegSpace(2, role="spectator")
 
 
+@pytest.mark.parametrize("label", [5, "1bad", "", "u\n", "-u", b"u"])
+def test_legspace_refuses_a_bad_spectral_label(label):
+    """A label enters once, here: the operators built on the leg trust it,
+    so a mixed int and str pair can no longer fail later in a sort."""
+    text = f"spectral label must be None or a variable name, got {label!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        LegSpace(2, label)
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        LegSpace(2, "u").with_label(label)
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        identity_op((LegSpace(2, label), LegSpace(2, "u")))
+
+
 def test_identity_is_a_unit():
     p = flip_op(2)
     ident = identity_op(p.legs)

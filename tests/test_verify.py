@@ -754,7 +754,7 @@ def test_kronecker_rows_match_the_packed_oracle(problem, data):
                             for v in op.variables} | {leg.spectral_var for leg in ambient}))
     row = data.draw(st.tuples(*(st.integers(1, leg.dim) for leg in ambient)))
     for _label, lhs, rhs in sides:
-        halves, box = verify._kronecker(lhs, rhs, ambient, context, None)
+        halves, box = verify._kronecker(lhs, rhs, ambient, context, None, {})
         for (factors, start), half in zip(halves, (lhs, rhs)):
             ints = column_product(factors, row, start, kernel.mul_shifted)
             expected = packed_row(half, row, context)
