@@ -84,34 +84,49 @@ def add_into(acc, pairs):
     return acc
 
 
-def mul_into(acc, a, b, floor=None):
+def mul_into(acc, a, b):
     """Add the product of the term maps a and b into acc in place; returns acc.
     An acc of None starts a new map.
 
-    Keys multiply componentwise with +: exponent vectors add, and the word
-    part of a mode-series key (u exponent, v exponent, word) concatenates
-    with a's word on the left.  A key of a with no nonzero part (the unit
-    monomial) leaves b's keys as they are, so those products skip the key
-    sum.  A floor is a triple of lower bounds on the first two key
-    components (a mode-series key's u and v exponents) and on their sum:
-    a product whose key falls below any one is skipped (see
-    kernel.column_product).
+    Keys multiply componentwise with +, so exponent vectors add.  A key of
+    a with no nonzero part (the unit monomial) leaves b's keys as they
+    are, so those products skip the key sum.
     """
     if acc is None:
         acc = {}
     for ka, ca in a.items():
         shift = any(ka)
-        items = b.items()
-        if floor is not None:
-            low_u, low_v = floor[0] - ka[0], floor[1] - ka[1]
-            low_sum = floor[2] - ka[0] - ka[1]
-            items = [
-                (kb, cb)
-                for kb, cb in items
-                if kb[0] >= low_u and kb[1] >= low_v and kb[0] + kb[1] >= low_sum
-            ]
-        for kb, cb in items:
+        for kb, cb in b.items():
             key = tuple(map(operator.add, ka, kb)) if shift else kb
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = ca * cb
+            else:
+                total = prev + ca * cb
+                if total:
+                    acc[key] = total
+                else:
+                    del acc[key]
+    return acc
+
+
+def mul_series_into(acc, a, b, floor=None):
+    """mul_into for mode-series keys (u exponent, v exponent, word): the
+    exponents add and the words concatenate, a's word on the left.  A floor
+    is a triple of lower bounds on the u and v exponents and on their sum;
+    a product whose key falls below any one is skipped (see
+    kernel.column_product).
+    """
+    if acc is None:
+        acc = {}
+    low_u = low_v = low_sum = None
+    for (au, av, aw), ca in a.items():
+        if floor is not None:
+            low_u, low_v, low_sum = floor[0] - au, floor[1] - av, floor[2] - au - av
+        for (bu, bv, bw), cb in b.items():
+            if low_u is not None and (bu < low_u or bv < low_v or bu + bv < low_sum):
+                continue
+            key = (au + bu, av + bv, aw + bw)
             prev = acc.get(key)
             if prev is None:
                 acc[key] = ca * cb

@@ -207,8 +207,8 @@ def column_product(factors, col, start, mul, floor=None):
     row, factor entry)]}).  The column starts as the entry start at col,
     and mul(acc, a, b) returns acc plus the factor entry a times the
     column entry b, with acc None at a row's first product.  modes runs
-    it on series term maps (start {(0, 0, ()): 1}, mul_into, so a word key
-    keeps the factor's word on the left) and verify on Kronecker ints
+    it on series term maps (start {(0, 0, ()): 1}, mul_series_into, so a
+    word key keeps the factor's word on the left) and verify on Kronecker ints
     (mul_shifted), where each entry is one int.
 
     With a floor, a triple of lower bounds on the first two key

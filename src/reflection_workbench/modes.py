@@ -18,24 +18,27 @@ A relation is stated as two factor lists on two n-dimensional legs, each
 series matrix a one-leg factor on its own slot and each R-matrix a
 two-leg factor, in the orders of verify.rtt_sides and verify.re_sides,
 and each side is evaluated one column at a time by the kernel's column
-engine, as verify evaluates its checks: column_product with mul_into on
-series term maps here, where verify runs it on Kronecker ints.  The
-products are floored on alpha, beta and alpha + beta, so only the
-u^(-alpha) v^(-beta) coefficients that the reader keeps are built:
-derive_rules reads only alpha <= d - 1 and alpha + beta <= d, and
-_twisted_buckets states the lemma that bounds the twisted relation.  Why a floored product is exact is stated at
-kernel.column_product.  Series entries and NCPoly terms are summed by the
-kernel's term-map core (add_into).  NCPoly checks words and coefficients
-in its public constructor only; internal results are wrapped by
-NCPoly._raw.
+engine, as verify evaluates its checks: column_product with
+mul_series_into on series term maps here, where verify runs it on
+Kronecker ints.  The products are floored on alpha, beta and alpha +
+beta, so only the u^(-alpha) v^(-beta) coefficients that the reader keeps
+are built: derive_rules reads only alpha <= d - 1 and alpha + beta <= d,
+and _twisted_buckets states the lemma that bounds the twisted relation.
+Why a floored product is exact is stated at kernel.column_product.  NCPoly
+terms are summed by the kernel's term-map core (add_into).  NCPoly checks
+words and coefficients in its public constructor only; internal results
+are wrapped by NCPoly._raw.
 
 The embedding check holds ints only.  R' and R'' are scaled by D, the lcd
 of their coefficients, and the images by E, the lcd of theirs; each side
 holds one primed factor and each relation word one S1 and one S2
 generator, so every residue is exactly D*E^2 times the true one.
-normal_form is linear word by word, so each distinct word is substituted
-and normal-formed once.  A passing check renders no text; a failure
-reports the relation of least text, it and its residue divided back.
+normal_form is linear word by word, so each distinct relation word is
+substituted and normal-formed once, and each rewrite system keeps every
+word's normal form.  The rules are derived only up to the level the
+relations reach (verify_twisted_embedding).  A passing check renders no
+text; a failure reports the relation of least text, it and its residue
+divided back.
 """
 
 from __future__ import annotations
@@ -43,7 +46,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .kernel import Frozen, add_into, column_product, mul_into, orthogonal_transposition, signed_sum
+from .kernel import (
+    Frozen,
+    add_into,
+    column_product,
+    mul_series_into,
+    orthogonal_transposition,
+    signed_sum,
+)
 from .kernel.laurent import _coerce_scalar, require_int
 from .rmatrix import r_primes, yang_r
 from .verify import CheckReport, re_sides, rtt_sides
@@ -163,9 +173,6 @@ class NCPoly(Frozen):
 
     __rmul__ = __mul__
 
-    def max_gen_level(self):
-        return max((max(word).level for word in self.terms if word), default=0)
-
     def __str__(self):
         return signed_sum(
             (self.terms[word], "*".join(str(gen) for gen in word))
@@ -243,8 +250,8 @@ def _collect_buckets(lhs, rhs, n, floor):
     raw = {}
     for j in range(1, n + 1):
         for b in range(1, n + 1):
-            diffs = column_product(lhs, (j, b), {(0, 0, ()): 1}, mul_into, floor)
-            right = column_product(rhs, (j, b), {(0, 0, ()): 1}, mul_into, floor)
+            diffs = column_product(lhs, (j, b), {(0, 0, ()): 1}, mul_series_into, floor)
+            right = column_product(rhs, (j, b), {(0, 0, ()): 1}, mul_series_into, floor)
             for row, terms in right.items():
                 add_into(diffs.setdefault(row, {}), ((k, -x) for k, x in terms.items()))
             for (i, a), diff in diffs.items():
@@ -303,7 +310,13 @@ def _twisted_buckets(n, length, t):
     s2 = _leg_factor(series_matrix("S", n, length, var="v"), 1)
     d = length - 2
     sides = re_sides([r], [s1], [rp], [s2], [rpp])
-    return scale, _collect_buckets(*sides, n, (-d, -d, -max(2 * d - 4, d - 1)))
+    return scale, _collect_buckets(*sides, n, (-d, -d, -_twisted_sum_bound(d)))
+
+
+def _twisted_sum_bound(d):
+    """B(d) = max(2d - 4, d - 1), the largest alpha + beta of a twisted
+    relation of level cap d (see _twisted_buckets)."""
+    return max(2 * d - 4, d - 1)
 
 
 def expand_relation(relation, n, d, t=None):
@@ -332,8 +345,10 @@ def expand_relation(relation, n, d, t=None):
 
 
 def _distinct(buckets, d):
-    """The distinct bucket polynomials free of generators above level d."""
-    kept = (p for p in buckets.values() if p.max_gen_level() <= d)
+    """The distinct bucket polynomials free of generators above level d (a
+    word's top generator is its max, as a generator's tuple leads with its
+    level)."""
+    kept = (p for p in buckets.values() if all(max(w)[0] <= d for w in p.terms if w))
     return list({frozenset(p.terms.items()): p for p in kept}.values())
 
 
@@ -351,9 +366,10 @@ class RewriteSystem(Frozen):
     correction terms that drop in the (level, word length) measure.  Both
     properties are validated here, so an unorientable relation is
     rejected at construction instead of looping forever in normal_form.
+    forms memoizes normal_form word by word for these immutable rules.
     """
 
-    __slots__ = ("rules", "level_cap")
+    __slots__ = ("rules", "level_cap", "forms")
 
     def __init__(self, rules, level_cap):
         checked = {}
@@ -377,6 +393,7 @@ class RewriteSystem(Frozen):
             checked[(x, y)] = replacement
         object.__setattr__(self, "rules", checked)
         object.__setattr__(self, "level_cap", level_cap)
+        object.__setattr__(self, "forms", {})
 
     def __repr__(self):
         return f"RewriteSystem(rules={len(self.rules)}, level_cap={self.level_cap})"
@@ -424,36 +441,55 @@ def normal_form(p, rs):
 
     Each step swaps the first such pair of some word via its rule;
     corrections strictly drop in the (level, inversions) measure, so the
-    loop terminates.  Words above the system's level cap are rejected up
-    front, and a missing rule for an in-cap pair is an error (incomplete
-    system) rather than a silent skip.
+    rewriting terminates.  Each word's normal form is built once per
+    system, in rs.forms; on a miss a word above the level cap, or an
+    in-cap pair with no rule (incomplete system), is an error rather than
+    a silent skip.
     """
-    for word in p.terms:
-        if word_level(word) > rs.level_cap:
-            raise ValueError(
-                f"word of total level {word_level(word)} exceeds the "
-                f"rewrite level cap {rs.level_cap}"
-            )
-    done = []
-    work = list(p.terms.items())
-    while work:
-        word, coeff = work.pop()
-        for pos in range(len(word) - 1):
-            if word[pos] > word[pos + 1]:
-                break
-        else:
-            done.append((word, coeff))
-            continue
-        pair = (word[pos], word[pos + 1])
-        rule = rs.rules.get(pair)
-        if rule is None:
-            raise ValueError(
-                f"missing rule for the pair {pair[0]}*{pair[1]} "
-                f"(level cap {rs.level_cap})"
-            )
-        for rword, rcoeff in rule.terms.items():
-            work.append((word[:pos] + rword + word[pos + 2 :], coeff * rcoeff))
-    return NCPoly._raw(add_into({}, done))
+    forms = rs.forms
+    acc = {}
+    for word, coeff in p.terms.items():
+        form = forms.get(word)
+        if form is None:
+            form = _word_form(word, rs)
+        for w, c in form.items():
+            total = acc.get(w, 0) + coeff * c
+            if total:
+                acc[w] = total
+            else:
+                del acc[w]
+    return NCPoly._raw(acc)
+
+
+def _word_form(word, rs):
+    """The normal form of one word as a term map, memoized in rs.forms."""
+    level = word_level(word)
+    if level > rs.level_cap:
+        raise ValueError(
+            f"word of total level {level} exceeds the rewrite level cap {rs.level_cap}"
+        )
+    for pos in range(len(word) - 1):
+        if word[pos] > word[pos + 1]:
+            break
+    else:
+        form = rs.forms[word] = {word: 1}
+        return form
+    pair = (word[pos], word[pos + 1])
+    rule = rs.rules.get(pair)
+    if rule is None:
+        raise ValueError(
+            f"missing rule for the pair {pair[0]}*{pair[1]} (level cap {rs.level_cap})"
+        )
+    head, tail = word[:pos], word[pos + 2 :]
+    form = {}
+    for rword, rcoeff in rule.terms.items():
+        sub = head + rword + tail
+        sub_form = rs.forms.get(sub)
+        if sub_form is None:
+            sub_form = _word_form(sub, rs)
+        add_into(form, ((w, rcoeff * c) for w, c in sub_form.items()))
+    rs.forms[word] = form
+    return form
 
 
 def substitute_gens(p, image):
@@ -487,7 +523,8 @@ def twisted_generator_images(n, d, t):
     factors = [
         _leg_factor(m, 0) for m in (_scalar_matrix(t.g), flipped, _scalar_matrix(t.g_inv), tee)
     ]
-    columns = [column_product(factors, (j,), {(0, 0, ()): 1}, mul_into) for j in range(1, n + 1)]
+    start = {(0, 0, ()): 1}
+    columns = [column_product(factors, (j,), start, mul_series_into) for j in range(1, n + 1)]
     images = {}
     for k in range(d + 1):
         for i in range(1, n + 1):
@@ -510,7 +547,9 @@ def _integral_images(n, d, t):
 
 def _residues(relations, images, rules):
     """Yield (relation, normal form of its substitution) for relations of
-    quadratic words, each distinct word normal-formed once (linearity)."""
+    quadratic words.  Each distinct word's substitution, the product of
+    its two images, is built as one term map and normal-formed once
+    (normal_form is linear)."""
     forms = {}
     for p in relations:
         acc = {}
@@ -519,22 +558,31 @@ def _residues(relations, images, rules):
             if form is None:
                 if len(word) != 2:
                     raise ValueError(f"relation word of length {len(word)} is not quadratic")
-                one = NCPoly._raw({word: 1})
-                form = forms[word] = normal_form(substitute_gens(one, images.__getitem__), rules)
-            add_into(acc, ((w, coeff * c) for w, c in form.terms.items()))
+                a, b = (images[gen].terms.items() for gen in word)
+                product = add_into({}, ((wa + wb, ca * cb) for wa, ca in a for wb, cb in b))
+                form = forms[word] = normal_form(NCPoly._raw(product), rules).terms
+            for w, c in form.items():
+                total = acc.get(w, 0) + coeff * c
+                if total:
+                    acc[w] = total
+                else:
+                    del acc[w]
         yield p, NCPoly._raw(acc)
 
 
 def verify_twisted_embedding(n, d=2, t=None):
     """Substitute the twisted images into every twisted relation of level
     at most d and normal-form the result in the rewrite system derived
-    from the level-(2d-1) expansion; every residue must vanish exactly.
+    from the level-(B(d) + 1) expansion; every residue must vanish exactly.
 
-    The substituted words carry total level up to 2d, so the rule set
-    needs pairs with level sum up to 2d, which the level-(2d-1) relation
-    set provides.  Ints and witness: see the module docstring.  RTT
-    relations that cannot be oriented into rules fail the check, with the
-    refused rule as the witness.
+    Every word of a kept relation has total level alpha + beta + 2 <=
+    B(d) + 2 (_twisted_buckets); S^(k) maps to a u^(-k) coefficient, so
+    substitution keeps the level, and rewriting never raises it.  Rules
+    for pairs with level sum up to B(d) + 2 therefore suffice; a lower cap
+    makes normal_form refuse a word, so it cannot pass wrongly.  Ints and
+    witness: see the module docstring.  RTT relations that cannot be
+    oriented into rules fail the check, with the refused rule as the
+    witness.
     """
     require_int("level cap", d, 1)
     if t is None:
@@ -544,7 +592,7 @@ def verify_twisted_embedding(n, d=2, t=None):
     del buckets
     params = {"n": n, "level": d, "kind": t.kind, "relations": len(relations)}
     try:
-        rules = derive_rules(n, 2 * d - 1)
+        rules = derive_rules(n, _twisted_sum_bound(d) + 1)
     except ValueError as exc:
         return CheckReport("twisted_embedding", params, False, {"rule": str(exc)})
     image_scale, images = _integral_images(n, d, t)

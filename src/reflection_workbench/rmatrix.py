@@ -93,6 +93,11 @@ def yang_r_prime(n, uvar, vvar, t):
     return prime
 
 
+def yang_r_primes(n, uvar, vvar, t):
+    """(R', R'') of yang_r(n, uvar, vvar), R' from yang_r_prime."""
+    return _with_flip(yang_r_prime(n, uvar, vvar, t))
+
+
 def zeta_factor(uvar="u", vvar="v"):
     """(uvar - vvar)^2 - 1, the central quasi-invertibility factor."""
     return (LaurentPoly.var(uvar) - LaurentPoly.var(vvar)) ** 2 - 1
@@ -106,13 +111,17 @@ def yang_r_bar(n, uvar="u", vvar="v", roles=AUXILIARY_PAIR):
 def primed_pair(op, t):
     """The twisted images of a two-leg operator: (tau on leg 1 of op, its
     site flip)."""
-    prime = tau_on_leg(op, 1, t)
-    return prime, site_flip(prime)
+    return _with_flip(tau_on_leg(op, 1, t))
+
+
+def _with_flip(prime):
+    """(prime, its site flip), the flip built once per prime, in its memo."""
+    return prime, prime.memo("site_flip", lambda: site_flip(prime))
 
 
 def r_primes(n, t):
     """R' = tau on leg 1 of R(u, v), and R'' = site flip of R'."""
-    return primed_pair(yang_r(n), t)
+    return yang_r_primes(n, "u", "v", t)
 
 
 def breve_r_series(n, uvar="u", vvar="v", K=DEFAULT_TRUNCATION):
@@ -146,4 +155,4 @@ class RFamily:
             raise ValueError(f"transposition size {t.n} does not match n={n}")
         r = yang_r(n, uvar, vvar)
         r_bar, _ = yang_r_bar(n, uvar, vvar)
-        return RFamily(n, t, r, r_bar, *primed_pair(r, t))
+        return RFamily(n, t, r, r_bar, *yang_r_primes(n, uvar, vvar, t))

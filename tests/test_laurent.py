@@ -12,6 +12,7 @@ from reflection_workbench.kernel import (
     add_into,
     format_rational,
     mul_into,
+    mul_series_into,
     mul_shifted,
     parse_rational,
     require_int,
@@ -244,6 +245,61 @@ def test_mul_into_matches_a_naive_expansion(acc, a, b):
             expected[key] = expected.get(key, 0) + ca * cb
     expected = {key: coeff for key, coeff in expected.items() if coeff}
     assert mul_into(dict(acc), a, b) == expected
+
+
+# mode-series keys (u exponent, v exponent, word), again over a tiny range
+series_maps = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=-2, max_value=1),
+        st.integers(min_value=-2, max_value=1),
+        st.lists(st.sampled_from("xy"), max_size=2).map(tuple),
+    ),
+    st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2)]),
+    max_size=5,
+)
+floors = st.none() | st.tuples(
+    st.integers(min_value=-3, max_value=1),
+    st.integers(min_value=-3, max_value=1),
+    st.integers(min_value=-5, max_value=1),
+)
+
+
+@given(st.none() | series_maps, series_maps, series_maps, floors)
+def test_mul_series_into_matches_a_naive_expansion(acc, a, b, floor):
+    """Every term pair's key is (au + bu, av + bv, aw + bw); with a floor,
+    the pairs below any of its three bounds are skipped and acc's own terms
+    are kept whatever their key."""
+    expected = dict(acc or {})
+    for (au, av, aw), ca in a.items():
+        for (bu, bv, bw), cb in b.items():
+            key = (au + bu, av + bv, aw + bw)
+            if floor and (key[0] < floor[0] or key[1] < floor[1] or key[0] + key[1] < floor[2]):
+                continue
+            expected[key] = expected.get(key, 0) + ca * cb
+    expected = {key: coeff for key, coeff in expected.items() if coeff}
+    start = None if acc is None else dict(acc)
+    out = mul_series_into(start, a, b, floor)
+    assert out == expected
+    assert start is None or out is start
+
+
+def test_mul_series_into_keeps_the_left_word_first_and_skips_below_the_floor():
+    a = {(-1, 0, ("x",)): 2, (0, 0, ()): 1}
+    b = {(0, -2, ("y",)): 3, (-1, 0, ()): -1}
+    assert mul_series_into(None, a, b) == {
+        (-1, -2, ("x", "y")): 6,
+        (-2, 0, ("x",)): -2,
+        (0, -2, ("y",)): 3,
+        (-1, 0, ()): -1,
+    }
+    # a floor of -1 on the u exponent drops the one key at u^-2
+    assert mul_series_into(None, a, b, (-1, -2, -3)) == {
+        (-1, -2, ("x", "y")): 6,
+        (0, -2, ("y",)): 3,
+        (-1, 0, ()): -1,
+    }
+    # and one of -2 on the sum drops the u^-1 v^-2 key as well
+    assert mul_series_into(None, a, b, (-1, -2, -2)) == {(0, -2, ("y",)): 3, (-1, 0, ()): -1}
 
 
 @given(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import json
 import pickle
 import re
 from fractions import Fraction
@@ -46,6 +47,11 @@ SYMPL2 = symplectic_transposition(2)
 
 def t_gen(i, j, level=1):
     return ModeGen("T", i, j, level)
+
+
+def max_gen_level(p):
+    """The highest generator level that any word of p mentions."""
+    return max((gen.level for word in p.terms for gen in word), default=0)
 
 
 def monic_text(p):
@@ -302,14 +308,14 @@ def test_expansion_is_deterministic_and_validates():
 def test_expansion_discards_higher_level_mentions():
     for d in (1, 2):
         for p in expand_relation("rtt", 2, d):
-            assert p.max_gen_level() <= d
+            assert max_gen_level(p) <= d
 
 
 def test_twisted_level_one_fixture():
     relations = expand_relation("twisted_re", 2, 1)
     assert len(relations) == 74
     for p in relations:
-        assert p.max_gen_level() <= 1
+        assert max_gen_level(p) <= 1
         assert max(word_level(word) for word in p.terms) <= 2
         assert all(g.family == "S" for word in p.terms for g in word)
     assert "\n".join(map(str, relations)).count("\n") == 73
@@ -856,8 +862,8 @@ def test_twisted_buckets_past_the_sum_bound_mention_a_generator_above_the_cap(fo
     in_cap = bucket_oracle.within(reference, d, d, 2 * d)
     past = [p for key, p in in_cap.items() if key[0] + key[1] > total]
     assert past
-    assert all(p.max_gen_level() > d for p in past)
-    kept = [key for key, p in in_cap.items() if p.max_gen_level() <= d]
+    assert all(max_gen_level(p) > d for p in past)
+    kept = [key for key, p in in_cap.items() if max_gen_level(p) <= d]
     assert max(key[0] + key[1] for key in kept) == total
     assert distinct_maps(_twisted_buckets(t.n, d + 2, t)[1], d) == distinct_maps(reference, d)
 
@@ -866,6 +872,60 @@ def test_twisted_buckets_past_the_sum_bound_mention_a_generator_above_the_cap(fo
 def test_twisted_buckets_past_the_cap_are_not_built(d, capped, full):
     assert len(_twisted_buckets(2, d + 2, ORTH2)[1]) == capped
     assert len(bucket_oracle.twisted_buckets(2, d + 2, ORTH2)[1]) == full
+
+
+@pytest.mark.parametrize("form", ["orth2", "sympl2", "orth3"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_the_embedding_rules_stop_at_the_relations_level(form, d, monkeypatch):
+    """The check derives its rules at B(d) + 1, and that cap is tight and
+    checks itself: rules derived one level lower make normal_form refuse a
+    word of level B(d) + 2 instead of passing."""
+    from reflection_workbench import modes
+
+    t = TWISTED_CAP_FORMS[form]
+    levels = []
+
+    def recording(n, level):
+        levels.append(level)
+        return derive_rules(n, level)
+
+    monkeypatch.setattr(modes, "derive_rules", recording)
+    assert verify_twisted_embedding(t.n, d, t).passed
+    cap = twisted_total(d) + 1
+    assert levels == [cap]
+    monkeypatch.setattr(modes, "derive_rules", lambda n, level: derive_rules(n, level - 1))
+    text = f"^word of total level {cap + 1} exceeds the rewrite level cap {cap}$"
+    with pytest.raises(ValueError, match=text):
+        verify_twisted_embedding(t.n, d, t)
+
+
+@pytest.mark.parametrize(
+    "t, other",
+    [(ORTH2, Transposition([[1, 0], [0, -1]])), (SYMPL2, orthogonal_transposition(2))],
+)
+def test_a_warm_normal_form_memo_cannot_pass_a_broken_relation(t, other, monkeypatch):
+    """One rewrite system first normal-forms the right images, which pass;
+    the other form's images must then fail with the report of a fresh
+    system, byte for byte."""
+    from reflection_workbench import modes
+
+    def report_text(report):
+        return json.dumps([report.passed, report.params, report.witness], sort_keys=True)
+
+    def other_images(n, d, _t):
+        return twisted_generator_images(n, d, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modes, "twisted_generator_images", other_images)
+        fresh = verify_twisted_embedding(2, 2, t)
+    assert fresh.passed is False
+    assert set(fresh.witness) == {"relation", "residue"}
+    shared = derive_rules(2, twisted_total(2) + 1)
+    monkeypatch.setattr(modes, "derive_rules", lambda n, level: shared)
+    assert verify_twisted_embedding(2, 2, t).passed
+    assert shared.forms
+    monkeypatch.setattr(modes, "twisted_generator_images", other_images)
+    assert report_text(verify_twisted_embedding(2, 2, t)) == report_text(fresh)
 
 
 INT_PATH_FORMS = {

@@ -235,9 +235,9 @@ def test_the_two_equation_orders_are_written_once():
 def test_only_the_kernel_multiplies_term_maps():
     """Ordered factor lists are multiplied by kernel.column_product (and the
     whole-operator reference tensor_compose): no module outside kernel/
-    calls mul_into or mul_shifted, though it may pass either one to
-    column_product as its entry product."""
-    products = {"mul_into", "mul_shifted"}
+    calls mul_into, mul_series_into or mul_shifted, though it may pass one
+    to column_product as its entry product."""
+    products = {"mul_into", "mul_series_into", "mul_shifted"}
     found = [
         f"{name}:{node.lineno}"
         for name, tree in _source_trees()

@@ -1,5 +1,5 @@
 """Operators that the checks share.  yang_r is built once per leg pair,
-yang_r_prime once per leg pair and form, each seed instance once per
+R' and R'' once per leg pair and form, each seed instance once per
 label, and compare_sides prepares each distinct (op, targets) once per
 call.  A warm process must give every negative control the verdict and
 witness of a cold one, every shared operator must equal one built from
@@ -38,7 +38,14 @@ from reflection_workbench.kernel import (
     tau_on_leg,
 )
 from reflection_workbench.modes import verify_twisted_embedding
-from reflection_workbench.rmatrix import RFamily, flip_p, yang_r, yang_r_prime
+from reflection_workbench.rmatrix import (
+    RFamily,
+    flip_p,
+    primed_pair,
+    r_primes,
+    yang_r,
+    yang_r_prime,
+)
 from reflection_workbench.verify import (
     check_characteristic,
     check_fused_re,
@@ -226,6 +233,18 @@ def test_shared_operators_equal_ones_built_from_scratch():
             assert seed.instance("u2") is seed.instance("u2")
             assert seed.instance("u2") == op_substitute(seed.s, {"u": "u2"})
             assert seed.instance("u1") == op_substitute(seed.s, {"u": "u1"})
+
+
+def test_the_family_and_the_mode_layer_share_r_prime_and_r_double_prime():
+    for n in (2, 3, 4):
+        forms = [orthogonal_transposition(n)] + ([symplectic_transposition(n)] if n % 2 == 0 else [])
+        for t in forms:
+            family = RFamily.build(n, t)
+            assert family.r_prime is r_primes(n, t)[0] is yang_r_prime(n, "u", "v", t)
+            assert family.r_double_prime is r_primes(n, t)[1]
+            fresh = primed_pair(_from_scratch((LegSpace(n, "u"), LegSpace(n, "v"))), t)
+            assert (family.r_prime, family.r_double_prime) == fresh
+            assert r_primes(n, t) == fresh
 
 
 def test_the_demo_suite_builds_each_r_once_and_prepares_each_factor_once_per_call(
