@@ -8,7 +8,7 @@ pairing expansion, and coaction images of reflection-equation solutions.
 
 eval_t returns the plain operator on legs (auxiliary u, quantum z);
 build_twisted_s and coaction_image read the labels and the size off
-those legs, and tau_on_leg refuses a transposition of another size.
+those legs, and rmatrix.prime refuses a transposition of another size.
 
 Every identity in scope is multilinear in each series factor separately,
 so each factor is replaced by its denominator-cleared polynomial
@@ -24,10 +24,9 @@ from .kernel import (
     fresh_label,
     op_chain,
     op_substitute,
-    tau_on_leg,
     tensor_compose,
 )
-from .rmatrix import breve_r_series, yang_r, yang_r_bar
+from .rmatrix import breve_r_series, prime, yang_r, yang_r_bar
 from .verify import CheckReport, compare_sides, rtt_sides
 
 
@@ -42,7 +41,7 @@ def eval_t(n, uvar="u", zvar="z"):
 def build_twisted_s(t_op, t):
     """The twisted solution: t applied on the auxiliary leg of T (sending
     u to -u) composed with T itself, ((-u - z) Id - Q)((u - z) Id - P)."""
-    return tensor_compose(tau_on_leg(t_op, 1, t), t_op)
+    return tensor_compose(prime(t_op, t), t_op)
 
 
 class DoubleEval(Frozen):
@@ -153,6 +152,6 @@ def coaction_image(s, t_op, t):
     m = len(s.legs)
     ambient = s.legs + (quantum,)
     outer = (1, m + 1)
-    twisted = tau_on_leg(t_op, 1, t)
+    twisted = prime(t_op, t)
     middle = tuple(range(1, m + 1))
     return op_chain(ambient, [(twisted, outer), (s, middle), (t_op, outer)])

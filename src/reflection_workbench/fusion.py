@@ -22,14 +22,10 @@ from .kernel import (
     matrix_on_leg,
     op_chain,
     op_substitute,
-    orthogonal_transposition,
     require_int,
     symmetry_sign,
-    tau_on_leg,
 )
-from .rmatrix import breve_r_series, yang_r, yang_r_prime
-
-DEFAULT_KMAX = 3
+from .rmatrix import breve_r_series, prime, yang_r
 
 
 def block_layout(k, m):
@@ -50,46 +46,42 @@ def block_legs(k, m, n):
     return tuple(LegSpace(n, label) for label, _ in u_block + v_block)
 
 
-def _block_product(outer, inner, n, build, primed, t):
+def _block_product(outer, inner, plain, t):
     """The ordered (op, targets) factors of a product of two blocks.
 
     For each leg (a, i) of the outer block and each leg (b, j) of the
-    inner one, build(a, b, t) acts at (i, j); j runs descending for the
-    plain product, built with t None, and ascending for the primed one,
-    whose factors carry tau (t, the identity form by default) on their
-    outer leg.  An empty block gives no factors.
+    inner one, one factor acts at (i, j).  With t None it is plain(a, b)
+    and j runs descending; with a form t it is prime(plain(a, b), t), tau
+    on the outer leg, and j runs ascending.  An empty block gives no
+    factors.
     """
-    if not primed:
-        inner, t = inner[::-1], None
-    elif t is None:
-        t = orthogonal_transposition(n)
-    return [(build(a, b, t), (i, j)) for a, i in outer for b, j in inner]
+    if t is None:
+        return [(plain(a, b), (i, j)) for a, i in outer for b, j in inner[::-1]]
+    return [(prime(plain(a, b), t), (i, j)) for a, i in outer for b, j in inner]
 
 
-def fused_r_factors(outer, inner, n, primed=False, t=None):
-    """The R-matrix factors of the fused operator of two blocks."""
-
-    def build(a, b, t):
-        return yang_r(n, a, b) if t is None else yang_r_prime(n, a, b, t)
-
-    return _block_product(outer, inner, n, build, primed, t)
+def fused_r_factors(outer, inner, n, t=None):
+    """The R-matrix factors of the fused operator of two blocks, primed
+    by the form t when one is given."""
+    return _block_product(outer, inner, lambda a, b: yang_r(n, a, b), t)
 
 
-def fused_r(k, m, n, primed=False, t=None):
+def fused_r(k, m, n, t=None):
     """The fused operator on k + m auxiliary legs.
 
     km = 0 gives the identity.  Otherwise the ordered product over i = 1..k
     of the R_{i,j}(u_i, v_j) factors, with j descending m..1 for the plain
-    operator and ascending 1..m for the primed one (tau on the u_i leg).
+    operator and, given a form t, ascending 1..m for the primed one (tau
+    on the u_i leg).
     """
-    return op_chain(block_legs(k, m, n), fused_r_factors(*block_layout(k, m), n, primed, t))
+    return op_chain(block_legs(k, m, n), fused_r_factors(*block_layout(k, m), n, t))
 
 
-def fused_r_prime_flipped(k, m, n, t=None):
+def fused_r_prime_flipped(k, m, n, t):
     """The block-swapped primed fused operator: the primed product with the
     two blocks swapped, the subscript-reversal of the primed fused_r on the
     (m, k) layout.  Each factor is R'(v_i, u_j), tau on v_i, at (k+i, j)."""
-    return op_chain(block_legs(k, m, n), fused_r_factors(*block_layout(k, m)[::-1], n, True, t))
+    return op_chain(block_legs(k, m, n), fused_r_factors(*block_layout(k, m)[::-1], n, t))
 
 
 class SeedSolution(Frozen):
@@ -101,7 +93,7 @@ class SeedSolution(Frozen):
     accepted only because perfbench/child.py still passes it.
     """
 
-    __slots__ = ("s", "t", "spectral_var", "coeff_legs", "_instances")
+    __slots__ = ("s", "t", "spectral_var", "coeff_legs")
 
     def __init__(self, s, t, skip_check=False):
         if not s.legs:
@@ -117,19 +109,16 @@ class SeedSolution(Frozen):
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "spectral_var", aux.spectral_var)
         object.__setattr__(self, "coeff_legs", s.legs[1:])
-        object.__setattr__(self, "_instances", {})
 
     def instance(self, label):
         """The seed relabelled to the given auxiliary spectral variable,
-        built once per label.  LegSpace refuses a label that is not a
-        variable name."""
+        built once per label, in the seed operator's memo.  LegSpace refuses
+        a label that is not a variable name."""
         self.s.legs[0].with_label(label)
         if label == self.spectral_var:
             return self.s
-        found = self._instances.get(label)
-        if found is None:
-            found = self._instances[label] = op_substitute(self.s, {self.spectral_var: label})
-        return found
+        return self.s.memo(("label", label),
+                           lambda: op_substitute(self.s, {self.spectral_var: label}))
 
 
 def fused_s_factors(seed, block, coeff_targets):
@@ -146,7 +135,7 @@ def fused_s_factors(seed, block, coeff_targets):
     for index, (a, i) in enumerate(block):
         factors.append((seed.instance(a), (i,) + coeff_targets))
         for b, j in block[index + 1:]:
-            factors.append((yang_r_prime(seed.t.n, a, b, seed.t), (i, j)))
+            factors.append((prime(yang_r(seed.t.n, a, b), seed.t), (i, j)))
     return factors
 
 
@@ -178,18 +167,18 @@ class GradedFamily(Frozen):
 
     __slots__ = ("seed", "k_max", "_cache")
 
-    def __init__(self, seed, k_max=DEFAULT_KMAX):
+    def __init__(self, seed, k_max):
         require_int("k_max", k_max, 0)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "k_max", k_max)
         object.__setattr__(self, "_cache", {})
 
     @staticmethod
-    def from_seed(seed, k_max=DEFAULT_KMAX):
+    def from_seed(seed, k_max):
         return GradedFamily(seed, k_max)
 
     @staticmethod
-    def from_character(x, t, k_max=DEFAULT_KMAX):
+    def from_character(x, t, k_max):
         return GradedFamily(character_seed(x, t), k_max)
 
     @property
@@ -214,29 +203,24 @@ class GradedFamily(Frozen):
         return cached
 
 
-def breve_factors(outer, inner, n, factor_order, primed=False, t=None):
+def breve_factors(outer, inner, n, factor_order, t=None):
     """The per-factor truncated breve series of two blocks, in the
-    fused-operator factor order."""
-
-    def build(a, b, t):
-        series = breve_r_series(n, a, b, factor_order)
-        return series if t is None else tau_on_leg(series, 1, t)
-
-    return _block_product(outer, inner, n, build, primed, t)
+    fused-operator factor order, primed by the form t when one is given."""
+    return _block_product(outer, inner, lambda a, b: breve_r_series(n, a, b, factor_order), t)
 
 
-def breve_product(k, m, n, factor_order, primed=False, t=None):
+def breve_product(k, m, n, factor_order, t=None):
     """Product of breve_factors on the block_legs(k, m, n) layout, with NO
     total-order filter applied."""
-    factors = breve_factors(*block_layout(k, m), n, factor_order, primed, t)
+    factors = breve_factors(*block_layout(k, m), n, factor_order, t)
     return op_chain(block_legs(k, m, n), factors)
 
 
-def fused_breve(k, m, n, K, primed=False, t=None):
+def fused_breve(k, m, n, K, t=None):
     """Fused breve operator truncated to total degree <= K in the v-block
     variables (each factor's series index is its v-degree)."""
     require_int("truncation order", K, 0)
-    product = breve_product(k, m, n, K, primed=primed, t=t)
+    product = breve_product(k, m, n, K, t)
     v_labels = {label for label, _ in block_layout(k, m)[1]}
 
     def low_order(exps):

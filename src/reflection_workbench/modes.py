@@ -548,8 +548,7 @@ def _integral_images(n, d, t):
 def _residues(relations, images, rules):
     """Yield (relation, normal form of its substitution) for relations of
     quadratic words.  Each distinct word's substitution, the product of
-    its two images, is built as one term map and normal-formed once
-    (normal_form is linear)."""
+    its two images, is normal-formed once (normal_form is linear)."""
     forms = {}
     for p in relations:
         acc = {}
@@ -558,9 +557,7 @@ def _residues(relations, images, rules):
             if form is None:
                 if len(word) != 2:
                     raise ValueError(f"relation word of length {len(word)} is not quadratic")
-                a, b = (images[gen].terms.items() for gen in word)
-                product = add_into({}, ((wa + wb, ca * cb) for wa, ca in a for wb, cb in b))
-                form = forms[word] = normal_form(NCPoly._raw(product), rules).terms
+                form = forms[word] = normal_form(images[word[0]] * images[word[1]], rules).terms
             for w, c in form.items():
                 total = acc.get(w, 0) + coeff * c
                 if total:

@@ -24,14 +24,11 @@ from .kernel import (
     tau_on_leg,
 )
 
-DEFAULT_TRUNCATION = 8
-
 AUXILIARY_PAIR = ("auxiliary", "auxiliary")
 
-# yang_r by its validated leg pair, and yang_r_prime by that pair and the
-# form's matrix g: operators are immutable, so every caller may share them
+# yang_r by its validated leg pair: operators are immutable, so every
+# caller may share them, and what is derived from one is kept in its memo
 _YANG_R = {}
-_YANG_R_PRIME = {}
 
 
 def _leg_pair(n, uvar, vvar, roles, labelled=True):
@@ -84,20 +81,6 @@ def yang_r(n, uvar="u", vvar="v", roles=AUXILIARY_PAIR):
     return r
 
 
-def yang_r_prime(n, uvar, vvar, t):
-    """tau on leg 1 of yang_r(n, uvar, vvar), built once per leg pair and form."""
-    key = (_leg_pair(n, uvar, vvar, AUXILIARY_PAIR), t.g)
-    prime = _YANG_R_PRIME.get(key)
-    if prime is None:
-        prime = _YANG_R_PRIME[key] = tau_on_leg(yang_r(n, uvar, vvar), 1, t)
-    return prime
-
-
-def yang_r_primes(n, uvar, vvar, t):
-    """(R', R'') of yang_r(n, uvar, vvar), R' from yang_r_prime."""
-    return _with_flip(yang_r_prime(n, uvar, vvar, t))
-
-
 def zeta_factor(uvar="u", vvar="v"):
     """(uvar - vvar)^2 - 1, the central quasi-invertibility factor."""
     return (LaurentPoly.var(uvar) - LaurentPoly.var(vvar)) ** 2 - 1
@@ -108,23 +91,24 @@ def yang_r_bar(n, uvar="u", vvar="v", roles=AUXILIARY_PAIR):
     return _yang(_leg_pair(n, uvar, vvar, roles), 1), zeta_factor(uvar, vvar)
 
 
+def prime(op, t):
+    """tau on leg 1 of op, built once per operator and form, in its memo."""
+    return op.memo(("prime", t.g), lambda: tau_on_leg(op, 1, t))
+
+
 def primed_pair(op, t):
-    """The twisted images of a two-leg operator: (tau on leg 1 of op, its
-    site flip)."""
-    return _with_flip(tau_on_leg(op, 1, t))
-
-
-def _with_flip(prime):
-    """(prime, its site flip), the flip built once per prime, in its memo."""
-    return prime, prime.memo("site_flip", lambda: site_flip(prime))
+    """The twisted images of a two-leg operator: (prime(op, t), its site
+    flip), the flip built once per prime, in its memo."""
+    p = prime(op, t)
+    return p, p.memo("site_flip", lambda: site_flip(p))
 
 
 def r_primes(n, t):
     """R' = tau on leg 1 of R(u, v), and R'' = site flip of R'."""
-    return yang_r_primes(n, "u", "v", t)
+    return primed_pair(yang_r(n), t)
 
 
-def breve_r_series(n, uvar="u", vvar="v", K=DEFAULT_TRUNCATION):
+def breve_r_series(n, uvar, vvar, K):
     """Id - sum_{k=0..K} v^k u^(-k-1) P: the expansion of Id - P/(u-v)
     in the region |v| < |u|, truncated at series index K."""
     require_int("truncation order", K, 0)
@@ -155,4 +139,4 @@ class RFamily:
             raise ValueError(f"transposition size {t.n} does not match n={n}")
         r = yang_r(n, uvar, vvar)
         r_bar, _ = yang_r_bar(n, uvar, vvar)
-        return RFamily(n, t, r, r_bar, *yang_r_primes(n, uvar, vvar, t))
+        return RFamily(n, t, r, r_bar, *primed_pair(r, t))

@@ -70,10 +70,12 @@ def _witness(row, col, lhs, rhs):
 
 
 def _transposed(op, targets, ambient, context):
-    """A factor transposed for row application: op, its 0-based target
-    slots, rows = _rows(op), the position in context of each of op's
-    variables, and its exponent bounds over context, lcd and norm (see
-    _rows).  The factor's legs must be the ambient legs at its targets."""
+    """A factor transposed for row application: its 0-based target slots,
+    rows = _rows(op), the position in context of each of op's variables,
+    and its exponent bounds over context, lcd and norm (see _rows).  The
+    factor's legs must be the ambient legs at its targets, checked on
+    every call; the rest is built once per (targets, context), in op's
+    memo."""
     targets = tuple(targets)
     if len(set(targets)) != len(targets) or not all(1 <= p <= len(ambient) for p in targets):
         raise ValueError(f"targets {targets} are not distinct positions 1..{len(ambient)}")
@@ -81,15 +83,19 @@ def _transposed(op, targets, ambient, context):
         raise ValueError(
             f"factor legs {op.legs} do not match the ambient legs at targets {targets}"
         )
-    rows = op.memo("rows", lambda: _rows(op))
-    where = tuple(context.index(name) for name in op.variables)
-    low, high = [0] * len(context), [0] * len(context)
-    for k, i in enumerate(where):
-        low[i], high[i] = rows.low[k], rows.high[k]
-    return SimpleNamespace(
-        op=op, slots=tuple(p - 1 for p in targets), rows=rows, where=where,
-        low=tuple(low), high=tuple(high), lcd=rows.lcd, norm=rows.norm,
-    )
+
+    def build():
+        rows = op.memo("rows", lambda: _rows(op))
+        where = tuple(context.index(name) for name in op.variables)
+        low, high = [0] * len(context), [0] * len(context)
+        for k, i in enumerate(where):
+            low[i], high[i] = rows.low[k], rows.high[k]
+        return SimpleNamespace(
+            slots=tuple(p - 1 for p in targets), rows=rows, where=where,
+            low=tuple(low), high=tuple(high), lcd=rows.lcd, norm=rows.norm,
+        )
+
+    return op.memo(("transposed", targets, context), build)
 
 
 def _rows(op):
@@ -162,21 +168,14 @@ class _Box:
         return LaurentPoly._raw(self.context, terms)
 
 
-def _kronecker(lhs, rhs, ambient, context, keep, transposed):
+def _kronecker(lhs, rhs, ambient, context, keep):
     """One side as Kronecker ints (see compare_sides): for each half its
     prepared factors, which kernel.column_product applies with
-    mul_shifted, and its start int; then the side's _Box.  transposed
-    maps (id(op), targets) to the factor's _transposed for the whole
-    compare_sides call, whose sides hold every op, so no id is reused."""
-
-    def prepare(op, targets):
-        key = id(op), tuple(targets)
-        found = transposed.get(key)
-        if found is None:
-            found = transposed[key] = _transposed(op, targets, ambient, context)
-        return found
-
-    halves = [[prepare(op, targets) for op, targets in reversed(half)] for half in (lhs, rhs)]
+    mul_shifted, and its start int; then the side's _Box."""
+    halves = [
+        [_transposed(op, targets, ambient, context) for op, targets in reversed(half)]
+        for half in (lhs, rhs)
+    ]
     arity = range(len(context))
     offsets = [tuple(sum(f.low[i] for f in half) for i in arity) for half in halves]
     reaches = [tuple(sum(f.high[i] - f.low[i] for f in half) for i in arity) for half in halves]
@@ -186,9 +185,10 @@ def _kronecker(lhs, rhs, ambient, context, keep, transposed):
     bound = max(lcds[1 - h] * math.prod(f.norm for f in halves[h]) for h in (0, 1))
     box = _Box(context, low, spans, bound.bit_length() + 1, lcds[0] * lcds[1], keep)
 
-    def applied(f):
-        """f's terms as (shift, int) pairs, built once per box layout of
-        its variables, and each shift once per exponent vector."""
+    def applied(op, f):
+        """f, op's _transposed, as its terms in (shift, int) pairs, built
+        once per box layout of its variables, and each shift once per
+        exponent vector."""
         rows, strides = f.rows, tuple(box.strides[i] for i in f.where)
 
         def build():
@@ -208,11 +208,12 @@ def _kronecker(lhs, rhs, ambient, context, keep, transposed):
                 for row, entries in rows.by_row.items()
             }
 
-        return f.slots, f.op.memo(("applied", box.cb, strides), build)
+        return f.slots, op.memo(("applied", box.cb, strides), build)
 
     prepared = []
-    for h, half in enumerate(halves):
-        prepared.append(([applied(f) for f in half], lcds[1 - h] << box.shift(offsets[h], low)))
+    for h, half in enumerate((lhs, rhs)):
+        factors = [applied(op, f) for (op, _), f in zip(reversed(half), halves[h])]
+        prepared.append((factors, lcds[1 - h] << box.shift(offsets[h], low)))
     return prepared, box
 
 
@@ -225,7 +226,9 @@ def compare_sides(ambient, sides, keep=None):
     built whole.  Laurent coefficients commute, so row r of F1...Fm is
     column r of Fm^T...F1^T: each half is prepared reversed and transposed
     and kernel.column_product applies it to e_r.  Every factor's legs must
-    equal the ambient legs at its targets.
+    equal the ambient legs at its targets.  What _transposed derives from
+    a factor is kept in its operator's memo, so an operator shared between
+    sides or checks is prepared once per targets and variable context.
 
     Each entry of a row is one exact int, by Kronecker substitution.  Per
     side, each factor's exponents are shifted by its least exponent of
@@ -277,11 +280,7 @@ def compare_sides(ambient, sides, keep=None):
         for op, _targets in lhs + rhs:
             context.update(op.variables)
     context = tuple(sorted(context))
-    transposed = {}
-    prepared = [
-        (label, *_kronecker(lhs, rhs, ambient, context, keep, transposed))
-        for label, lhs, rhs in sides
-    ]
+    prepared = [(label, *_kronecker(lhs, rhs, ambient, context, keep)) for label, lhs, rhs in sides]
 
     def differences(halves, box, row):
         """(col, lhs entry, rhs entry) for each col where the two sides'
@@ -378,7 +377,7 @@ def check_tau_symmetry(r, t):
     a, b = (leg.spectral_var for leg in r.legs)
     r21 = op_substitute(r, {a: b, b: a}) if a is not None else r
     whole = (1, 2)
-    both_legs = tau_on_leg(tau_on_leg(r, 1, t), 2, t)
+    both_legs = tau_on_leg(r_prime, 2, t)
     sides = [
         ("", [(both_legs, whole)], [(r21, (2, 1))]),
         ("primes", [(r_double_prime, whole)], [(r_prime, whole)]),
@@ -520,7 +519,7 @@ def check_characteristic(family, fam, k, i, primed_middle=True):
     first, second = u_block[:i], u_block[i:]
     rhs = (
         family.factors(first, coeff_targets)
-        + fused_r_factors(first, second, fam.n, primed=primed_middle, t=fam.t)
+        + fused_r_factors(first, second, fam.n, fam.t if primed_middle else None)
         + family.factors(second, coeff_targets)
     )
     params = {
@@ -554,8 +553,8 @@ def check_fused_re(chi, fam, k, m):
     n = fam.n
     ambient, u_block, v_block, chi_k, chi_m = _fused_blocks(chi, fam, k, m)
     plain = fused_r_factors(u_block, v_block, n)
-    primed = fused_r_factors(u_block, v_block, n, primed=True, t=fam.t)
-    flipped = fused_r_factors(v_block, u_block, n, primed=True, t=fam.t)
+    primed = fused_r_factors(u_block, v_block, n, fam.t)
+    flipped = fused_r_factors(v_block, u_block, n, fam.t)
     sides = [("", *re_sides(plain, chi_k, primed, chi_m, flipped))]
     params = {"n": n, "k": k, "m": m, "kind": fam.t.kind}
     return _compare("fused_re", params, ambient, sides)
@@ -569,8 +568,8 @@ def check_intertwiner(chi, fam, K, k, m):
     n = fam.n
     slack = k * (k - 1) // 2
     ambient, u_block, v_block, chi_k, chi_m = _fused_blocks(chi, fam, k, m)
-    breve = breve_factors(u_block, v_block, n, K + slack, primed=False, t=fam.t)
-    breve_p = breve_factors(u_block, v_block, n, K + slack, primed=True, t=fam.t)
+    breve = breve_factors(u_block, v_block, n, K + slack)
+    breve_p = breve_factors(u_block, v_block, n, K + slack, fam.t)
     sides = [("", *re_sides(breve, chi_k, breve_p, chi_m, breve_p))]
     u_labels = {label for label, _ in u_block}
 

@@ -40,7 +40,7 @@ IDENTITY2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 def test_fused_r_single_factor():
     assert fused_r(1, 1, 2) == yang_r(2, "u1", "v1")
     t = orthogonal_transposition(2)
-    assert fused_r(1, 1, 2, primed=True, t=t) == tau_on_leg(yang_r(2, "u1", "v1"), 1, t)
+    assert fused_r(1, 1, 2, t) == tau_on_leg(yang_r(2, "u1", "v1"), 1, t)
 
 
 def test_fused_r_empty_blocks_are_identity():
@@ -167,7 +167,7 @@ def test_graded_family_refuses_a_bad_k_max(k_max):
 def test_fused_breve_single_factor_matches_series():
     assert fused_breve(1, 1, 2, 2) == breve_r_series(2, "u1", "v1", 2)
     t = orthogonal_transposition(2)
-    primed = fused_breve(1, 1, 2, 2, primed=True, t=t)
+    primed = fused_breve(1, 1, 2, 2, t)
     assert primed == tau_on_leg(breve_r_series(2, "u1", "v1", 2), 1, t)
 
 
@@ -185,9 +185,9 @@ def test_fused_breve_empty_block():
 
 def test_fused_breve_truncation_is_stable():
     # building with extra per-factor depth and re-truncating changes nothing
-    for primed in (False, True):
-        shallow = fused_breve(2, 1, 2, 2, primed=primed)
-        deeper = breve_product(2, 1, 2, 4, primed=primed)
+    for t in (None, orthogonal_transposition(2)):
+        shallow = fused_breve(2, 1, 2, 2, t)
+        deeper = breve_product(2, 1, 2, 4, t)
         v_labels = {"v1"}
 
         def cut(exps):
@@ -213,7 +213,7 @@ def test_fused_r_prime_flipped_is_the_block_swap(k, m, kind):
     targets = tuple(range(k + 1, k + m + 1)) + tuple(range(1, k + 1))
 
     def swapped(primed):
-        return [(op_substitute(fused_r(m, k, n, primed=primed, t=t), relabel), targets)]
+        return [(op_substitute(fused_r(m, k, n, t if primed else None), relabel), targets)]
 
     direct = [(fused_r_prime_flipped(k, m, n, t), tuple(range(1, k + m + 1)))]
     verdicts, _ = compare_sides(
@@ -229,7 +229,7 @@ def test_fused_r_prime_flipped_single_is_r_prime():
 
 def test_fused_r_prime_flipped_validates_blocks():
     with pytest.raises(ValueError, match="^block size must be an integer >= 0, got -1$"):
-        fused_r_prime_flipped(-1, 1, 2)
+        fused_r_prime_flipped(-1, 1, 2, orthogonal_transposition(2))
 
 
 def test_breve_product_validates_blocks():

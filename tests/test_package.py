@@ -6,8 +6,10 @@ RTT orders written once, in verify, one product of term maps, in the
 kernel, one alignment path in the kernel's sums and products, one
 refusal of integer arguments, kernel.require_int, the validating
 TensorOp constructor kept for outside input, no text rendered by a
-passing embedding check, and test settings under which a failing property
-test is reported, not fatal."""
+passing embedding check, one way to prime a factor, rmatrix.prime, one
+module-level store, rmatrix._YANG_R, no id()-keyed store in verify, and
+test settings under which a failing property test is reported, not
+fatal."""
 
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ FROZEN_CASES = {
         "s",
     ),
     "GradedFamily": (
-        lambda: GradedFamily.from_character(IDENTITY2, orthogonal_transposition(2)),
+        lambda: GradedFamily.from_character(IDENTITY2, orthogonal_transposition(2), 3),
         "k_max",
     ),
     "DoubleEval": (lambda: eval_double(2), "l_plus"),
@@ -200,6 +202,72 @@ def test_checks_exchange_legs_by_targets():
         )
     ]
     assert [site.split(":")[0] for site in found] == ["rmatrix.py"]
+
+
+def _calls(names):
+    """(file:function, call) for every call of a function named in names,
+    by plain or attribute name; function is the innermost def around the
+    call, or <module>."""
+    for name, tree in _source_trees():
+        owner = {}
+        # ast.walk is breadth first, so a nested function overrides its parent
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                owner.update((node, function.name) for node in ast.walk(function))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in names:
+                    yield f"{name}:{owner.get(node, '<module>')}", node
+
+
+def test_only_prime_applies_tau_to_leg_one():
+    """A factor is primed only by rmatrix.prime, which keeps R' in the
+    operator's memo: outside kernel/, tau_on_leg is called on leg 1 only
+    there, and on leg 2 only by check_tau_symmetry, for its both-legs
+    side tau_2 R'."""
+    found = sorted(
+        (site, ast.unparse(call.args[1]))
+        for site, call in _calls({"tau_on_leg"})
+        if not site.startswith("kernel/")
+    )
+    assert found == [("rmatrix.py:prime", "1"), ("verify.py:check_tau_symmetry", "2")]
+
+
+def test_only_yang_r_writes_into_a_module_level_name():
+    """What is derived from an operator is kept in its TensorOp.memo: the
+    one module-level store is rmatrix._YANG_R, the root R(u, v), which has
+    no operator to hang on.  No other module-level name (cli's constant
+    PARAM_DEFAULTS and REGISTRY among them) is written into by item
+    assignment, deletion or a mutating dict method."""
+    mutators = {"setdefault", "update", "pop", "popitem", "clear"}
+    found = set()
+    for name, tree in _source_trees():
+        module_names = {
+            target.id
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                written = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                written = node.func.value if node.func.attr in mutators else None
+            else:
+                continue
+            if isinstance(written, ast.Name) and written.id in module_names:
+                found.add(f"{name}:{written.id}")
+    assert sorted(found) == ["rmatrix.py:_YANG_R"]
+
+
+def test_verify_keys_nothing_by_id():
+    """compare_sides keeps what it derives from a factor in the factor's
+    memo, so verify calls id() nowhere: no store of it is keyed by an
+    address that a freed operator can pass on to a new one."""
+    assert [site for site, _ in _calls({"id"}) if site.startswith("verify.py:")] == []
 
 
 def test_the_two_equation_orders_are_written_once():

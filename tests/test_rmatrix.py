@@ -20,10 +20,10 @@ from reflection_workbench.rmatrix import (
     RFamily,
     breve_r_series,
     flip_p,
+    prime,
     r_primes,
     yang_r,
     yang_r_bar,
-    yang_r_prime,
     zeta_factor,
 )
 
@@ -129,7 +129,7 @@ def test_tau_tau_r_is_the_site_flip(n, t_builder):
 @pytest.mark.parametrize("K", range(7))
 def test_breve_series_first_term(n, K):
     # the reference subtracts the series one term v^k u^(-k-1) P at a time
-    breve = breve_r_series(n, K=K)
+    breve = breve_r_series(n, "u", "v", K)
     expected = identity_op(breve.legs)
     for k in range(K + 1):
         expected = expected - op_scale(
@@ -143,9 +143,9 @@ def test_breve_series_first_term(n, K):
     "build, text",
     [
         (lambda: yang_r(True), "leg dimension must be an integer >= 1, got True"),
-        (lambda: breve_r_series(2, K=True), "truncation order must be an integer >= 0, got True"),
-        (lambda: breve_r_series(2, K=1.5), "truncation order must be an integer >= 0, got 1.5"),
-        (lambda: breve_r_series(2, K=-1), "truncation order must be an integer >= 0, got -1"),
+        (lambda: breve_r_series(2, "u", "v", True), "truncation order must be an integer >= 0, got True"),
+        (lambda: breve_r_series(2, "u", "v", 1.5), "truncation order must be an integer >= 0, got 1.5"),
+        (lambda: breve_r_series(2, "u", "v", -1), "truncation order must be an integer >= 0, got -1"),
     ],
 )
 def test_builders_refuse_bools_and_floats(build, text):
@@ -182,7 +182,7 @@ def test_two_leg_builders_refuse_roles_that_are_not_a_pair(build, roles):
             "both legs need a spectral label, got 'u' and None",
         ),
         (
-            lambda: yang_r_prime(2, "u", None, orthogonal_transposition(2)),
+            lambda: prime(yang_r(2, "u", None), orthogonal_transposition(2)),
             "both legs need a spectral label, got 'u' and None",
         ),
         (lambda: yang_r(2, "u", 5), "spectral label must be None or a variable name, got 5"),
@@ -196,7 +196,7 @@ def test_labelled_builders_refuse_a_missing_or_bad_label(build, text):
 
 
 def test_breve_series_coefficient_of_v2():
-    breve = breve_r_series(2, K=4)
+    breve = breve_r_series(2, "u", "v", 4)
     # coefficient of v^2 u^-3 in every P-slot is -1
     entry = extract_entry(breve, (1, 2), (2, 1))
     assert entry.terms[(-3, 2)] == -1

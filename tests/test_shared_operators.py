@@ -1,13 +1,15 @@
-"""Operators that the checks share.  yang_r is built once per leg pair,
-R' and R'' once per leg pair and form, each seed instance once per
-label, and compare_sides prepares each distinct (op, targets) once per
-call.  A warm process must give every negative control the verdict and
-witness of a cold one, every shared operator must equal one built from
-scratch, and the counts of builds and preparations must repeat exactly
-when the demo suite runs twice in one process."""
+"""Operators that the checks share.  yang_r is built once per leg pair;
+what is derived from an operator (its prime per form, a prime's site
+flip, each seed instance per label, compare_sides' preparation per
+targets and variable context) is built once, in the operator's memo.  A
+warm process must give every negative control the verdict and witness of
+a cold one, every shared operator must equal one built from scratch, and
+a second run of the demo suite in one process must build nothing new
+from the operators the first run shared."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -41,10 +43,10 @@ from reflection_workbench.modes import verify_twisted_embedding
 from reflection_workbench.rmatrix import (
     RFamily,
     flip_p,
+    prime,
     primed_pair,
     r_primes,
     yang_r,
-    yang_r_prime,
 )
 from reflection_workbench.verify import (
     check_characteristic,
@@ -111,7 +113,9 @@ def _witness_controls():
 def _controls():
     """(label, patches, call) for every negative control; patches are
     (original, replacement) pairs applied to every binding of original."""
-    site_flip = [(rmatrix.site_flip, lambda op: op * 2)]
+    # R is built afresh under the patched flip, so the warm R'' in the
+    # memo of the shared R neither hides the patch nor takes in its result
+    site_flip = [(rmatrix.site_flip, lambda op: op * 2), (rmatrix._YANG_R, {})]
     rtt = [(verify.rtt_sides, rtt_mutant)]
     re = [(verify.re_sides, re_mutant)]
     controls = [("site_flip doubled", site_flip,
@@ -128,6 +132,16 @@ def _controls():
             return check_re(RFamily.build(t.n, t), s1, op_substitute(s1, {"u": "v"}))
 
         controls.append((f"re mutant: twisted {form!r}", re, twisted))
+    for form in (orthogonal_transposition(2), symplectic_transposition(2)):
+        def wrong_leg(t=form):
+            # a fresh R' with tau on leg 2: the memo of the family's own R'
+            # must not stand in for it
+            fam = RFamily.build(2, t)
+            s1 = build_twisted_s(eval_t(2), t)
+            broken = dataclasses.replace(fam, r_prime=tau_on_leg(fam.r, 2, t))
+            return check_re(broken, s1, op_substitute(s1, {"u": "v"}))
+
+        controls.append((f"R' on the wrong leg: re {form!r}", [], wrong_leg))
     characters = [(_matrix((2, 0), (0, 3)), orthogonal_transposition(2)),
                   (_matrix((0, 1), (-1, 0)), symplectic_transposition(2))]
     for x, t in characters:
@@ -157,7 +171,6 @@ def control_reports(cold=False):
     for label, patches, call in _controls():
         if cold:
             rmatrix._YANG_R.clear()
-            rmatrix._YANG_R_PRIME.clear()
         undo = []
         for original, replacement in patches:
             for module, attr in _bindings(original):
@@ -204,16 +217,23 @@ def test_a_warm_process_fails_every_control_with_its_cold_witness(tmp_path):
     cold = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True)
     assert warm == json.loads(cold.stdout)
-    assert len(warm) == 23
+    assert len(warm) == 25
     for label, (passed, params, witness) in warm.items():
         assert passed is False, label
         assert witness is not None, label
-    # every shared operator equals one built from scratch
+    # every shared operator, and every prime and flip in its memo, equals
+    # one built from scratch
+    primes = 0
     for legs, r in rmatrix._YANG_R.items():
         assert r.legs == legs
         assert r == _from_scratch(legs)
-    for (legs, g), prime in rmatrix._YANG_R_PRIME.items():
-        assert prime == tau_on_leg(_from_scratch(legs), 1, Transposition(g))
+        for key, p in r._memo.items():
+            if type(key) is tuple and key[0] == "prime":
+                primes += 1
+                r_prime, r_double_prime = primed_pair(_from_scratch(legs), Transposition(key[1]))
+                assert p == r_prime
+                assert p._memo.get("site_flip", r_double_prime) == r_double_prime
+    assert primes > 0
 
 
 def test_shared_operators_equal_ones_built_from_scratch():
@@ -223,9 +243,9 @@ def test_shared_operators_equal_ones_built_from_scratch():
             for a, b in (("u1", "v1"), ("v2", "u1"), ("u", "z")):
                 legs = (LegSpace(n, a), LegSpace(n, b))
                 assert yang_r(n, a, b) is yang_r(n, a, b) == _from_scratch(legs)
-                prime = yang_r_prime(n, a, b, t)
-                assert prime is yang_r_prime(n, a, b, t)
-                assert prime == tau_on_leg(_from_scratch(legs), 1, t)
+                for op in (yang_r(n, a, b), _from_scratch(legs)):
+                    assert prime(op, t) is prime(op, t)
+                    assert prime(op, t) == tau_on_leg(_from_scratch(legs), 1, t)
             diagonal = _matrix(*([(i + 2) * (i == j) for j in range(n)] for i in range(n)))
             family = GradedFamily.from_character(t.g if t.sign < 0 else diagonal, t, 2)
             family.factors((("u1", 1), ("u2", 2)), ())
@@ -240,22 +260,21 @@ def test_the_family_and_the_mode_layer_share_r_prime_and_r_double_prime():
         forms = [orthogonal_transposition(n)] + ([symplectic_transposition(n)] if n % 2 == 0 else [])
         for t in forms:
             family = RFamily.build(n, t)
-            assert family.r_prime is r_primes(n, t)[0] is yang_r_prime(n, "u", "v", t)
+            assert family.r_prime is r_primes(n, t)[0] is prime(yang_r(n), t)
             assert family.r_double_prime is r_primes(n, t)[1]
             fresh = primed_pair(_from_scratch((LegSpace(n, "u"), LegSpace(n, "v"))), t)
             assert (family.r_prime, family.r_double_prime) == fresh
             assert r_primes(n, t) == fresh
 
 
-def test_the_demo_suite_builds_each_r_once_and_prepares_each_factor_once_per_call(
+def test_the_demo_suite_builds_each_r_once_and_prepares_each_factor_once(
     monkeypatch, tmp_path
 ):
     """Run twice in one process from no shared operators: the first run
-    builds each R(u, v) once, the second builds none, and each
-    compare_sides call runs _transposed once per distinct (op, targets),
-    the same number of times in both runs."""
+    builds each R(u, v) once, the second builds none, and _transposed
+    builds its entry at most once per distinct (op, targets, context) in
+    the first run and for no operator the first run already prepared."""
     monkeypatch.setattr(rmatrix, "_YANG_R", {})
-    monkeypatch.setattr(rmatrix, "_YANG_R_PRIME", {})
     builds = []
     build = rmatrix._yang
 
@@ -265,32 +284,30 @@ def test_the_demo_suite_builds_each_r_once_and_prepares_each_factor_once_per_cal
         return build(legs, sign)
 
     monkeypatch.setattr(rmatrix, "_yang", counting_build)
-    calls = []
+    prepared = []
     transposed = verify._transposed
 
-    def counting_transposed(*args):
-        calls[-1][0] += 1
-        return transposed(*args)
+    def counting_transposed(op, targets, ambient, context):
+        built = ("transposed", tuple(targets), context) not in op._memo
+        prepared.append((op, tuple(targets), context, built))
+        return transposed(op, targets, ambient, context)
 
     monkeypatch.setattr(verify, "_transposed", counting_transposed)
-    compare = verify.compare_sides
-
-    def counting_compare(ambient, sides, keep=None):
-        distinct = {(id(op), tuple(targets)) for _, lhs, rhs in sides for op, targets in lhs + rhs}
-        calls.append([0, len(distinct)])
-        return compare(ambient, sides, keep)
-
-    for module, attr in _bindings(compare):
-        monkeypatch.setattr(module, attr, counting_compare)
     runs = []
     for _ in range(2):
         builds.clear()
-        calls.clear()
+        prepared.clear()
         assert _demo_suite(tmp_path) == 0
-        runs.append((list(builds), [tuple(call) for call in calls]))
-    (first_builds, first_calls), (second_builds, second_calls) = runs
+        runs.append((list(builds), list(prepared)))
+    (first_builds, first), (second_builds, second) = runs
     assert len(first_builds) == len(set(first_builds)) == 16
     assert second_builds == []
-    assert all(done == distinct for done, distinct in first_calls)
-    assert second_calls == first_calls
-    assert (len(first_calls), sum(done for done, _ in first_calls)) == (49, 257)
+    first_keys = [(id(op), targets, context) for op, targets, context, built in first if built]
+    distinct = {(id(op), targets, context) for op, targets, context, _ in first}
+    assert len(first_keys) == len(set(first_keys)) == len(distinct)
+    # the second run prepares again only the operators each run makes
+    # afresh (relabellings, fused components, the cli's graded families)
+    seen = {id(op) for op, *_ in first}
+    assert not [op for op, *_, built in second if built and id(op) in seen]
+    assert (len(first), len(first_keys)) == (376, 176)
+    assert (len(second), sum(built for *_, built in second)) == (376, 92)

@@ -147,9 +147,11 @@ def diagonal_product(diagonals, labels):
 
 def test_tau_symmetry_fails_when_r_double_prime_differs(monkeypatch):
     # a site flip that doubles R' breaks R'' = R': the primes side fails
-    # with a witness, both for the check and for the command line
+    # with a witness, both for the check and for the command line; R is
+    # built afresh, so no R'' held in a warm operator's memo hides the patch
     from reflection_workbench import cli, rmatrix
 
+    monkeypatch.setattr(rmatrix, "_YANG_R", {})
     monkeypatch.setattr(rmatrix, "site_flip", lambda op: op * 2)
     report = check_tau_symmetry(yang_r(2), orthogonal_transposition(2))
     assert not report.passed
@@ -754,7 +756,7 @@ def test_kronecker_rows_match_the_packed_oracle(problem, data):
                             for v in op.variables} | {leg.spectral_var for leg in ambient}))
     row = data.draw(st.tuples(*(st.integers(1, leg.dim) for leg in ambient)))
     for _label, lhs, rhs in sides:
-        halves, box = verify._kronecker(lhs, rhs, ambient, context, None, {})
+        halves, box = verify._kronecker(lhs, rhs, ambient, context, None)
         for (factors, start), half in zip(halves, (lhs, rhs)):
             ints = column_product(factors, row, start, kernel.mul_shifted)
             expected = packed_row(half, row, context)
@@ -790,7 +792,7 @@ def test_fused_re_accepts_a_coefficient_label_of_an_absent_block_leg():
     chi_2 = op_substitute(chi_2, {"z": "u2"})
     ambient = chi_1.legs[:1] + chi_2.legs
     plain = (fused_r(1, 2, 2), (1, 2, 3))
-    primed = (fused_r(1, 2, 2, primed=True, t=t), (1, 2, 3))
+    primed = (fused_r(1, 2, 2, t), (1, 2, 3))
     flipped = (fused_r_prime_flipped(1, 2, 2, t), (1, 2, 3))
     big_1, big_2 = (chi_1, (1, 4)), (chi_2, (2, 3, 4))
     sides = [("", [plain, big_1, primed, big_2], [big_2, flipped, big_1, plain])]
