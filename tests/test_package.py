@@ -204,16 +204,22 @@ def test_checks_exchange_legs_by_targets():
     assert [site.split(":")[0] for site in found] == ["rmatrix.py"]
 
 
+def _owners(tree):
+    """Each node of tree mapped to the name of the innermost def around it."""
+    owner = {}
+    # ast.walk is breadth first, so a nested function overrides its parent
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            owner.update((node, function.name) for node in ast.walk(function))
+    return owner
+
+
 def _calls(names):
     """(file:function, call) for every call of a function named in names,
     by plain or attribute name; function is the innermost def around the
     call, or <module>."""
     for name, tree in _source_trees():
-        owner = {}
-        # ast.walk is breadth first, so a nested function overrides its parent
-        for function in ast.walk(tree):
-            if isinstance(function, ast.FunctionDef):
-                owner.update((node, function.name) for node in ast.walk(function))
+        owner = _owners(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -383,11 +389,7 @@ def test_only_the_kernel_refuses_integer_arguments():
     elements of an exponent vector, not an argument."""
     found = []
     for name, tree in _source_trees():
-        owner = {}
-        # ast.walk is breadth first, so a nested function overrides its parent
-        for function in ast.walk(tree):
-            if isinstance(function, ast.FunctionDef):
-                owner.update((node, function.name) for node in ast.walk(function))
+        owner = _owners(tree)
         found += [
             f"{name}:{owner.get(node, '<module>')}"
             for node in ast.walk(tree)
